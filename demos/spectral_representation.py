@@ -33,9 +33,7 @@ def main():
     spec = BasisSpec(k=args.k, beta=1.0, M=args.M)
     g = build_generators(spec)
     gt = build_tilde_generators(g)
-    print(f"built (H, D, C) at k={args.k}, M={args.M}; quadrature order "
-          f"{g.build_asymmetry['quad_order']}, worst pre-Hermitization "
-          f"asymmetry {max(g.build_asymmetry[n] for n in 'HDC'):.2e}")
+    print(f"built (H, D, C) at k={args.k}, M={args.M} in closed form")
 
     lo = eigh(g.rotation(), eigvals_only=True, subset_by_index=(0, 0))[0]
     lo_t = eigh(gt.rotation(), eigvals_only=True, subset_by_index=(0, 0))[0]

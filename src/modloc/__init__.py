@@ -16,8 +16,6 @@ from .errors import (
     NyquistViolation,
     OverflowAbort,
     ProjectionLoss,
-    QuadratureUnderResolved,
-    SingularH,
     SpectrumOutOfDomain,
     SupportEscapesGrid,
 )

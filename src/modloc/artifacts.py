@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, DecompositionFailure
 from .gridop import GridSpec
 from .laguerre import BasisSpec
-from .localization import StateVector
+from .localization import BUMP_FAMILIES, StateVector
 from .spectral import GeneratorSet
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 
 REP_MAGIC = "MODLOC-REP"
 STATE_MAGIC = "MODLOC-STATE"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _header_bytes(header: dict) -> bytes:
@@ -110,7 +110,6 @@ def save_representation(path, g: GeneratorSet, config: dict | None = None):
         "beta": g.spec.beta,
         "M": g.spec.M,
         "variant": g.variant,
-        "build_asymmetry": {k2: v for k2, v in g.build_asymmetry.items()},
         "config": config or {},
     }
     blob = _pack_arrays(header, {"H": g.H, "D": g.D, "C": g.C})
@@ -125,8 +124,7 @@ def load_representation(path) -> GeneratorSet:
     arrays = _unpack_arrays(header, payload)
     spec = BasisSpec(k=header["k"], beta=header["beta"], M=header["M"])
     return GeneratorSet(H=arrays["H"], D=arrays["D"], C=arrays["C"],
-                        spec=spec, variant=header["variant"],
-                        build_asymmetry=dict(header["build_asymmetry"]))
+                        spec=spec, variant=header["variant"])
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +309,21 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.k, self.beta, self.grid_emax,
+                                   self.grid_emax_tilde])):
+            raise ConfigError("k, beta, grid_emax and grid_emax_tilde must "
+                              "be finite")
         if self.k < 0.5:
             raise ConfigError(f"k must be >= 1/2, got {self.k}")
         if self.beta <= 0:
             raise ConfigError("beta must be positive")
         if self.M < 1 or self.grid_n < 16:
             raise ConfigError("truncation sizes out of range")
+        if min(self.n_bumps, self.fixture_M, self.weyl_M) < 1:
+            raise ConfigError("n_bumps, fixture_M and weyl_M must be >= 1")
+        if self.bump not in BUMP_FAMILIES:
+            raise ConfigError(f"unknown bump family {self.bump!r}; expected "
+                              f"one of {', '.join(BUMP_FAMILIES)}")
         if self.format not in ("json", "csv", "md"):
             raise ConfigError(f"unknown output format {self.format!r}")
         for iv in self.intervals:

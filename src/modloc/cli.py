@@ -29,6 +29,7 @@ from .artifacts import (
 )
 from .errors import ModlocError
 from .laguerre import BasisSpec
+from .localization import BUMP_FAMILIES
 from .spectral import build_generators
 from .verification import (
     ToleranceProfile,
@@ -47,7 +48,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--grid-n", type=int, dest="grid_n")
     p.add_argument("--grid-emax", type=float, dest="grid_emax")
     p.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"))
-    p.add_argument("--bump", help="bump family (mollifier, hann)")
+    p.add_argument("--bump",
+                   help=f"bump family ({', '.join(BUMP_FAMILIES)})")
     p.add_argument("--scope", nargs="+", help="check name prefixes")
     p.add_argument("--tol-profile", dest="tol_profile",
                    choices=("default", "strict", "coarse"))
@@ -75,15 +77,9 @@ def _resolve_config(args) -> RunConfig:
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    """Assemble the generator triple and persist it as a MODLOC-REP file."""
-    spec = BasisSpec(k=cfg.k, beta=cfg.beta, M=cfg.M)
-    g = build_generators(spec)
-    asym = g.build_asymmetry
-    print(f"built k={cfg.k} beta={cfg.beta} M={cfg.M} "
-          f"(quadrature order {asym['quad_order']})")
-    print("pre-Hermitization asymmetry: "
-          + ", ".join(f"{n}={asym[n]:.3e}" for n in ("H", "D", "C"))
-          + f", gram deviation {asym['gram']:.3e}")
+    """Build the generator triple and persist it as a MODLOC-REP file."""
+    g = build_generators(BasisSpec(k=cfg.k, beta=cfg.beta, M=cfg.M))
+    print(f"built k={cfg.k} beta={cfg.beta} M={cfg.M}")
     out = cfg.out or "modloc_rep.bin"
     save_representation(out, g, config=cfg.content_config())
     print(f"wrote {out}")

@@ -13,14 +13,6 @@ class EigenFailure(ModlocError):
     """A dense or tridiagonal eigensolver failed to converge."""
 
 
-class QuadratureUnderResolved(ModlocError):
-    """Matrix-element quadrature left an asymmetry above the build gate."""
-
-
-class SingularH(ModlocError):
-    """H is not safely positive definite on the truncated space."""
-
-
 class SpectrumOutOfDomain(ModlocError):
     """A matrix function (log, inverse square root) was asked for outside its domain."""
 

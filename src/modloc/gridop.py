@@ -183,16 +183,6 @@ class GridRep:
         weights = np.abs(amps) ** 2 / h
         return float(np.sum(0.5 * np.log(2.0 * evals) * weights))
 
-    def ctilde_power_expect(self, state: GridState, alpha: float) -> float:
-        """<(2 C~)^alpha> for the F(alpha) profile."""
-        evals, vecs = self.ctilde_eig
-        if evals[0] <= 0:
-            raise SpectrumOutOfDomain("C~ not positive definite")
-        h = self.grid.spacing
-        amps = h * (vecs.T @ state.samples)
-        weights = np.abs(amps) ** 2 / h
-        return float(np.sum((2.0 * evals) ** alpha * weights))
-
     def apply_dilation_matrix(self, state: GridState, t: float) -> GridState:
         """exp(-i t D_grid) applied through the cached eigensystem of D."""
         evals, vecs = self.d_eig

@@ -142,8 +142,7 @@ def laguerre_log_abs(n: int, alpha: float, x):
 class QuadratureRule:
     """Gauss rule for the weight x^alpha e^{-x} on (0, oo).
 
-    log_weights carries the weights without underflow; sqrt_weights is
-    exp(log_weights / 2), the factor folded into scaled basis evaluations.
+    log_weights carries the weights without underflow.
     """
 
     nodes: np.ndarray
@@ -151,10 +150,6 @@ class QuadratureRule:
     log_weights: np.ndarray
     order: int
     alpha: float
-
-    @property
-    def sqrt_weights(self) -> np.ndarray:
-        return np.exp(0.5 * self.log_weights)
 
     def integrate(self, values) -> float:
         """Integral of f(x) x^alpha e^{-x} dx given f sampled on the nodes."""
@@ -221,6 +216,9 @@ class BasisSpec:
     M: int = 256
 
     def __post_init__(self):
+        if not (np.isfinite(self.k) and np.isfinite(self.beta)):
+            raise ValueError(
+                f"k and beta must be finite, got k={self.k}, beta={self.beta}")
         if self.k < 0.5:
             raise ValueError(f"lowest weight k must be >= 1/2, got {self.k}")
         if self.beta <= 0:

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 PROJECTION_GATE = 1e-4
+BUMP_FAMILIES = ("mollifier", "sine-window", "polynomial-window")
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class BumpSpec:
     def __post_init__(self):
         if not 0 < self.a < self.b:
             raise ValueError(f"need 0 < a < b, got [{self.a}, {self.b}]")
-        if self.family not in ("mollifier", "sine-window", "polynomial-window"):
+        if self.family not in BUMP_FAMILIES:
             raise ValueError(f"unknown bump family {self.family!r}")
 
     @property

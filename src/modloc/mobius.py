@@ -253,14 +253,6 @@ def iwasawa(g: MoebiusMap, underflow=1e-13) -> IwasawaFactors:
     return IwasawaFactors(x=b / d, y=1.0 / d, z=-c / d)
 
 
-_SUBGROUPS = {
-    "T": translation,
-    "Lambda": dilation,
-    "P": special_conformal,
-    "r": None,  # handled below: the reflection composed with a rotation
-}
-
-
 def subgroup_element(which: str, param: float) -> MoebiusMap:
     """Canonical subgroup element: T(t), Lambda(b) (additive), P(z), or R(theta)."""
     if which == "T":

@@ -2,10 +2,10 @@
 modular objects, and the coordinate operators.
 
 All operators are compressions P_M X P_M onto the first M basis vectors.
-The generator matrices are assembled by Gauss-Laguerre quadrature in the
-variable x = 2 beta E with weight exponent 2k-1; with that choice every
-integrand is weight times a polynomial of degree <= 2M, so the quadrature
-is exact and the compressions carry only round-off asymmetry.
+In the lowest-weight basis the generators are exactly tridiagonal, with the
+standard discrete-series matrix elements, so the triples are written down in
+closed form and every eigensystem of a generator-derived matrix comes from
+the equivalent real symmetric tridiagonal problem (tridiagonal_eigh).
 
 Identities that hold for the infinite-dimensional operators are corrupted
 by truncation only near the boundary rows, so they are tested under an
@@ -14,20 +14,22 @@ interior projection (default fraction 0.8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import OverflowAbort, QuadratureUnderResolved, SpectrumOutOfDomain
-from .laguerre import BasisSpec, gauss_laguerre, laguerre_rows_logscale
+from .errors import OverflowAbort, SpectrumOutOfDomain
+from .laguerre import BasisSpec
 
 __all__ = [
     "GeneratorSet",
     "HermitianOperator",
-    "UnitaryFlow",
     "build_generators",
     "build_tilde_generators",
+    "tridiagonal_eigh",
+    "spectrum_function",
+    "spectral_compose",
     "matrix_function",
     "build_T",
     "build_Th_Tc",
@@ -41,7 +43,6 @@ __all__ = [
     "half_modular_power_apply",
 ]
 
-ASYMMETRY_GATE = 1e-8
 INTERIOR_FRACTION = 0.8
 
 
@@ -57,16 +58,6 @@ class HermitianOperator:
         if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
             raise ValueError("matrix is not Hermitian")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eig(self):
-        return eigh(self.matrix)
-
-    def expectation(self, v: np.ndarray) -> float:
-        return float(np.real(np.vdot(v, self.matrix @ v)))
-
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -81,7 +72,6 @@ class GeneratorSet:
     C: np.ndarray
     spec: BasisSpec
     variant: str = "plain"
-    build_asymmetry: dict = field(default_factory=dict)
 
     @property
     def M(self) -> int:
@@ -91,89 +81,38 @@ class GeneratorSet:
         """Generator of rotations (H + C)/2."""
         return 0.5 * (self.H + self.C)
 
-    def as_operators(self):
-        tag = self.variant
-        return (
-            HermitianOperator(self.H, tag),
-            HermitianOperator(self.D, tag),
-            HermitianOperator(self.C, tag),
-        )
+
+def _hermitian_tridiagonal(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Dense complex matrix with the given diagonal and upper band, and the
+    conjugate upper band below the diagonal."""
+    A = np.diag(diag.astype(complex))
+    i = np.arange(upper.size)
+    A[i, i + 1] = upper
+    A[i + 1, i] = np.conj(upper)
+    return A
 
 
-def _weighted_rows(spec: BasisSpec, rule):
-    """sqrt(weight)-scaled rows of p_n, p_n', p_n'' on the quadrature nodes.
+def build_generators(spec: BasisSpec) -> GeneratorSet:
+    """The plain triple (H, D, C) in closed form.
 
-    p_n = L_n^(a) with the basis exponent a = 2k-1, which need not match
-    the rule's weight exponent; the derivative identities are
-    d/dx L_n^(a) = -L_{n-1}^(a+1) and d2/dx2 L_n^(a) = L_{n-2}^(a+2).  The
-    half log-weight rides through the recurrences in log space, so the rows
-    stay finite when the weight alone underflows.
-    """
-    M = spec.M
-    x = rule.nodes
-    lw2 = 0.5 * rule.log_weights
-    a = 2.0 * spec.k - 1.0
-    c = np.exp(spec.log_norm(np.arange(M)))
-    B = c[:, None] * laguerre_rows_logscale(M, a, x, lw2)
-    B1 = np.zeros_like(B)
-    if M > 1:
-        B1[1:] = -c[1:, None] * laguerre_rows_logscale(M - 1, a + 1.0, x, lw2)
-    B2 = np.zeros_like(B)
-    if M > 2:
-        B2[2:] = c[2:, None] * laguerre_rows_logscale(M - 2, a + 2.0, x, lw2)
-    return B, B1, B2
+    In the lowest-weight basis the generators act as ladder operators, so
+    their compressions are tridiagonal with the discrete-series matrix
+    elements (Bargmann 1947): with d_n = n + k and
+    s_n = sqrt((n+1)(n+2k))/2,
 
+        H = (diag d - offdiag s)/beta,   C = beta (diag d + offdiag s),
+        D = i (superdiag s - subdiag s).
 
-def _hermitize(A: np.ndarray):
-    """Symmetric average; returns (matrix, relative pre-average asymmetry)."""
-    asym = np.max(np.abs(A - A.conj().T))
-    scale = max(1.0, np.max(np.abs(A)))
-    return 0.5 * (A + A.conj().T), float(asym / scale)
-
-
-def build_generators(spec: BasisSpec, quad_order: int | None = None) -> GeneratorSet:
-    """Assemble (H, D, C) for the plain triple by exact quadrature.
-
-    Matrix elements <Z_m, X Z_n> are evaluated on the Gauss-Laguerre rule
-    with weight exponent 2k-1 in x = 2 beta E.  Derivatives of the basis
-    polynomials use d/dx L_n^(a) = -L_{n-1}^(a+1); the inverse-coordinate
-    potential (k^2 - k)/E cancels exactly against the k(k-1) term of the
-    expanded kinetic part, leaving polynomial integrands throughout.
+    The truncation keeps the first M rows and columns of each.
     """
     k, beta, M = spec.k, spec.beta, spec.M
-    if quad_order is None:
-        quad_order = int(np.ceil(2 * M + 2 * k + 4))
-    rule = gauss_laguerre(quad_order, 2 * k - 1.0)
-    x = rule.nodes
-    B, B1, B2 = _weighted_rows(spec, rule)
-
-    S = B @ B.T
-    H = (B * x) @ B.T / (2.0 * beta)
-    # D = -i (E d/dE + 1/2):  E dZ_n/dE -> (k-1/2) p_n + x p_n' - (x/2) p_n
-    Q = (k - 0.5) * B + x * B1 - 0.5 * x * B
-    K = B @ Q.T + 0.5 * S
-    # C Z_n -> 2 beta x [k p_n - 2k p_n' - x (p_n/4 - p_n' + p_n'')]
-    T = k * B - 2.0 * k * B1 - x * (0.25 * B - B1 + B2)
-    C = 2.0 * beta * (B @ T.T)
-
-    H, asym_h = _hermitize(H.astype(complex))
-    C, asym_c = _hermitize(C.astype(complex))
-    D, asym_d = _hermitize((-1j) * K.astype(complex))
-    gram_dev = float(np.max(np.abs(S - np.eye(M))))
-    asymmetry = {
-        "H": asym_h,
-        "D": asym_d,
-        "C": asym_c,
-        "gram": gram_dev,
-        "quad_order": quad_order,
-    }
-    worst = max(asym_h, asym_d, asym_c)
-    if worst > ASYMMETRY_GATE:
-        raise QuadratureUnderResolved(
-            f"pre-Hermitization asymmetry {worst:.3e} exceeds {ASYMMETRY_GATE:.0e}"
-        )
-    return GeneratorSet(H=H, D=D, C=C, spec=spec, variant="plain",
-                        build_asymmetry=asymmetry)
+    n = np.arange(M, dtype=float)
+    d = n + k
+    s = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0 * k))
+    return GeneratorSet(H=_hermitian_tridiagonal(d / beta, -s / beta),
+                        D=_hermitian_tridiagonal(np.zeros(M), 1j * s),
+                        C=_hermitian_tridiagonal(beta * d, beta * s),
+                        spec=spec, variant="plain")
 
 
 def build_tilde_generators(g: GeneratorSet) -> GeneratorSet:
@@ -191,19 +130,54 @@ def build_tilde_generators(g: GeneratorSet) -> GeneratorSet:
     if g.variant != "plain":
         raise ValueError("tilde triple is built from the plain one")
     spec = g.spec
-    tilde_spec = BasisSpec(k=0.5 * spec.k + 0.25, beta=2.0 * spec.beta, M=spec.M)
-    built = build_generators(tilde_spec)
-    return GeneratorSet(H=built.H, D=built.D, C=built.C, spec=spec,
-                        variant="tilde",
-                        build_asymmetry=dict(built.build_asymmetry))
+    built = build_generators(
+        BasisSpec(k=spec.tilde_k, beta=2.0 * spec.beta, M=spec.M))
+    return replace(built, spec=spec, variant="tilde")
+
+
+def tridiagonal_eigh(A: np.ndarray, eigvals_only: bool = False,
+                     select: str = "a", select_range=None):
+    """Eigensystem of a Hermitian tridiagonal matrix, read from its bands.
+
+    The diagonal gauge g_0 = 1, g_{n+1} = g_n conj(e_n)/|e_n| takes the
+    upper band e to |e|, so eigh_tridiagonal (whose arguments follow A)
+    solves the equivalent real symmetric problem; the eigenvectors of A are
+    g times the real ones.  Raises ValueError if A has an entry outside the
+    three bands or non-Hermitian bands; there is no dense fallback.
+    """
+    d = np.diagonal(A)
+    e = np.diagonal(A, 1)
+    if (np.any(d.imag) or np.any(np.diagonal(A, -1) != np.conj(e))
+            or np.count_nonzero(A) > np.count_nonzero(d)
+            + 2 * np.count_nonzero(e)):
+        raise ValueError("matrix is not Hermitian tridiagonal")
+    mag = np.abs(e)
+    out = eigh_tridiagonal(d.real, mag, eigvals_only=eigvals_only,
+                           select=select, select_range=select_range)
+    if eigvals_only:
+        return out
+    evals, vecs = out
+    phase = np.where(mag > 0.0, np.conj(e) / np.where(mag > 0.0, mag, 1.0),
+                     1.0)
+    gauge = np.concatenate(([1.0], np.cumprod(phase)))
+    if not np.any(gauge.imag):
+        gauge = gauge.real
+    return evals, gauge[:, None] * vecs
+
+
+def spectral_compose(vecs: np.ndarray, values: np.ndarray,
+                     rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """The block [rows, cols] of V diag(values) V^* for eigenvectors V; a
+    block costs only its own rows or columns."""
+    return (vecs[rows] * values) @ vecs[cols].conj().T
 
 
 _SPECTRAL_FUNCTIONS = {"sqrt", "inv_sqrt", "log", "exp_scaled", "power"}
 
 
-def matrix_function(A: HermitianOperator, f: str, param: float | None = None,
-                    eps_factor: float = 1e-10) -> HermitianOperator:
-    """Apply f to the eigenvalues of A, preserving eigenvectors.
+def spectrum_function(evals: np.ndarray, f: str, param: float | None = None,
+                      eps_factor: float = 1e-10) -> np.ndarray:
+    """f applied to a Hermitian matrix's eigenvalues, with domain checks.
 
     For log and inv_sqrt the eigenvalues must exceed eps_factor times the
     largest one; anything below raises rather than being clamped, since a
@@ -211,7 +185,6 @@ def matrix_function(A: HermitianOperator, f: str, param: float | None = None,
     """
     if f not in _SPECTRAL_FUNCTIONS:
         raise ValueError(f"unknown matrix function {f!r}")
-    evals, vecs = eigh(A.matrix)
     eps = eps_factor * max(evals.max(), 0.0)
     if f in ("sqrt", "log", "inv_sqrt") or (f == "power" and param is not None
                                             and not float(param).is_integer()):
@@ -227,21 +200,28 @@ def matrix_function(A: HermitianOperator, f: str, param: float | None = None,
                 f"{evals.min():.3e}"
             )
     if f == "sqrt":
-        fe = np.sqrt(np.maximum(evals, 0.0))
-    elif f == "inv_sqrt":
-        fe = evals ** -0.5
-    elif f == "log":
-        fe = np.log(evals)
-    elif f == "exp_scaled":
+        return np.sqrt(np.maximum(evals, 0.0))
+    if f == "inv_sqrt":
+        return evals ** -0.5
+    if f == "log":
+        return np.log(evals)
+    if f == "exp_scaled":
         if param is None:
             raise ValueError("exp_scaled needs a scale parameter")
-        fe = np.exp(param * evals)
-    else:
-        if param is None:
-            raise ValueError("power needs an exponent")
-        fe = evals ** float(param)
-    out, _ = _hermitize((vecs * fe) @ vecs.conj().T)
-    return HermitianOperator(out, A.basis)
+        return np.exp(param * evals)
+    if param is None:
+        raise ValueError("power needs an exponent")
+    return evals ** float(param)
+
+
+def matrix_function(A: HermitianOperator, f: str, param: float | None = None,
+                    eps_factor: float = 1e-10) -> HermitianOperator:
+    """Apply f to the eigenvalues of the tridiagonal A, preserving
+    eigenvectors; see spectrum_function for f and the domain checks."""
+    evals, vecs = tridiagonal_eigh(A.matrix)
+    fe = spectrum_function(evals, f, param, eps_factor)
+    return HermitianOperator(spectral_compose(vecs, fe).astype(complex),
+                             A.basis)
 
 
 def build_T(gt: GeneratorSet) -> HermitianOperator:
@@ -261,29 +241,10 @@ def build_Th_Tc(g: GeneratorSet):
     return Th, Tc
 
 
-@dataclass
-class UnitaryFlow:
-    """One-parameter unitary group exp(i sign t A) from a Hermitian generator."""
-
-    generator: HermitianOperator
-    parameter_name: str = "t"
-    sign: int = 1
-    _eig: tuple | None = None
-
-    def _decomposition(self):
-        if self._eig is None:
-            self._eig = eigh(self.generator.matrix)
-        return self._eig
-
-    def __call__(self, t: float) -> np.ndarray:
-        evals, vecs = self._decomposition()
-        phases = np.exp(1j * self.sign * t * evals)
-        return (vecs * phases) @ vecs.conj().T
-
-
 def unitary_flow(A: HermitianOperator, t: float, sign: int = 1) -> np.ndarray:
-    """exp(i sign t A) via full eigendecomposition; unitary to round-off."""
-    return UnitaryFlow(A, sign=sign)(t)
+    """exp(i sign t A) for tridiagonal A; unitary to round-off."""
+    evals, vecs = tridiagonal_eigh(A.matrix)
+    return spectral_compose(vecs, np.exp(1j * sign * t * evals))
 
 
 def conjugation_J(v: np.ndarray) -> np.ndarray:
@@ -315,7 +276,6 @@ def translate_generators(g: GeneratorSet, a: float) -> GeneratorSet:
         C=g.C + 2.0 * a * g.D + a * a * g.H,
         spec=g.spec,
         variant="plain",
-        build_asymmetry=dict(g.build_asymmetry),
     )
 
 
@@ -345,7 +305,7 @@ def half_modular_power_apply(D: np.ndarray, v: np.ndarray,
     reconstructed norm would exceed the guard, the truncation artifact
     dominates and OverflowAbort is raised (the caller reports inconclusive).
     """
-    evals, vecs = eigh(D)
+    evals, vecs = tridiagonal_eigh(D)
     a = vecs.conj().T @ v
     mag = np.abs(a)
     with np.errstate(divide="ignore"):

@@ -51,7 +51,6 @@ def test_representation_roundtrip(tmp_path, g64):
     assert np.array_equal(g2.C, g64.C)
     assert g2.spec == g64.spec
     assert g2.variant == g64.variant
-    assert g2.build_asymmetry["quad_order"] == g64.build_asymmetry["quad_order"]
 
 
 def test_representation_rebuild_byte_identical(tmp_path):
@@ -154,6 +153,11 @@ def test_runconfig_validation():
         RunConfig(intervals=[[2.0, 1.0]])
     with pytest.raises(ConfigError):
         RunConfig(format="xml")
+    with pytest.raises(ConfigError):
+        RunConfig(grid_emax_tilde=float("nan"))
+    for name in ("n_bumps", "fixture_M", "weyl_M"):
+        with pytest.raises(ConfigError):
+            RunConfig(**{name: 0})
     with pytest.raises(ConfigError):
         RunConfig.from_json('{"bogus_key": 1}')
     with pytest.raises(ConfigError):

@@ -14,7 +14,7 @@ def test_build_writes_artifact(tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert "k=1.0" in captured.out and "M=48" in captured.out
-    assert "asymmetry" in captured.out
+    assert f"wrote {out}" in captured.out
     assert out.exists()
     header = json.loads(out.read_bytes().split(b"\n", 1)[0])
     assert header["M"] == 48 and header["k"] == 1.0
@@ -31,6 +31,21 @@ def test_build_rejects_small_k(capsys):
     code = main(["build", "--k", "0.4"])
     assert code == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--beta", "inf"],
+    ["build", "--k", "nan"],
+    ["localize", "--bump", "hann"],
+    ["localize", "--config", "{n_bumps_0}"],
+])
+def test_bad_values_give_config_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_bumps": 0}))
+    argv = [a.format(n_bumps_0=cfg) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_inverted_interval_rejected_before_compute(capsys):

@@ -72,6 +72,10 @@ def test_basis_spec_validation():
         BasisSpec(k=0.4)
     with pytest.raises(ValueError):
         BasisSpec(k=1.0, beta=-1.0)
+    with pytest.raises(ValueError):
+        BasisSpec(k=float("inf"))
+    with pytest.raises(ValueError):
+        BasisSpec(k=1.0, beta=float("nan"))
     spec = BasisSpec(k=1.0)
     assert spec.tilde_k == 0.75
     assert spec.full_group

@@ -1,10 +1,13 @@
-"""Spectral-backend operators against dense linear-algebra oracles."""
+"""Spectral-backend operators against the quadrature build and dense
+linear-algebra oracles."""
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh, expm, logm, sqrtm
 
-from modloc.errors import QuadratureUnderResolved, SpectrumOutOfDomain
+from quadrature_oracle import quadrature_generators
+
+from modloc.errors import SpectrumOutOfDomain
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
     HermitianOperator,
@@ -19,6 +22,7 @@ from modloc.spectral import (
     matrix_function,
     rotation_generator,
     translate_generators,
+    tridiagonal_eigh,
     unitary_flow,
 )
 
@@ -88,9 +92,45 @@ def test_inverse_coordinate_bound(g128):
         assert lhs <= rhs + 1e-8
 
 
-def test_quadrature_underresolution_raises():
-    with pytest.raises(QuadratureUnderResolved):
-        build_generators(BasisSpec(k=1.0, beta=1.0, M=128), quad_order=100)
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("beta", [0.25, 1.0, 16.0])
+def test_closed_form_matches_quadrature(k, beta):
+    # the closed-form bands against exact Gauss-Laguerre matrix elements,
+    # for both triples; the tilde triple is the plain one at (k~, 2 beta)
+    for M in (64, 384):
+        spec = BasisSpec(k=k, beta=beta, M=M)
+        g = build_generators(spec)
+        gt = build_tilde_generators(g)
+        tilde_spec = BasisSpec(k=spec.tilde_k, beta=2.0 * beta, M=M)
+        for trip, ref_spec in ((g, spec), (gt, tilde_spec)):
+            for ours, ref in zip((trip.H, trip.D, trip.C),
+                                 quadrature_generators(ref_spec)):
+                err = np.max(np.abs(ours - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-9, (M, trip.variant, err)
+
+
+def test_tridiagonal_eigh_matches_dense(g128):
+    for A in (g128.H, g128.D, g128.C, g128.rotation()):
+        evals, vecs = tridiagonal_eigh(A)
+        assert np.allclose(evals, eigh(A, eigvals_only=True), rtol=0,
+                           atol=1e-9 * np.max(np.abs(evals)))
+        assert np.max(np.abs(A @ vecs - vecs * evals)) < 1e-9 * np.max(
+            np.abs(evals))
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(128))) < 1e-10
+
+
+def test_tridiagonal_eigh_rejects_off_band(g128):
+    A = g128.C.copy()
+    A[0, 5] = A[5, 0] = 1e-12
+    with pytest.raises(ValueError):
+        tridiagonal_eigh(A)
+    B = g128.D.copy()
+    B[3, 4] = 2.0 * B[3, 4]
+    with pytest.raises(ValueError):
+        tridiagonal_eigh(B)
+    # a dense matrix has no tridiagonal eigensolve and no fallback
+    with pytest.raises(ValueError):
+        matrix_function(HermitianOperator(expm(1e-3 * g128.C)), "log")
 
 
 def test_tilde_requires_plain(g128, gt128):

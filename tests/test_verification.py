@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from modloc.laguerre import BasisSpec
+from modloc.spectral import build_generators, build_tilde_generators
 from modloc.verification import (
     REGISTERED_CHECKS,
     CheckReport,
@@ -73,6 +75,7 @@ def test_t_bounds_backend_agreement(fx_small):
     rep = check_T_bounds(fx_small)
     assert rep.passed
     assert rep.values["worst_agreement"] < 1e-3
+    assert rep.residual <= rep.tolerance
 
 
 def test_mutated_C_breaks_chain_and_weights(fx_small):
@@ -86,6 +89,26 @@ def test_swapped_interval_bounds_break_chain(fx_small):
     fx2 = dataclasses.replace(fx_small, a=fx_small.b, b=fx_small.a)
     assert check_HC_chain(fx2).passed is False
     assert check_T_bounds(fx2).passed is False
+
+
+def test_flow_checks_solve_each_generator_once(monkeypatch):
+    # check_weyl needs D, D~, H, C and 2 C~; check_positive_inclusions
+    # needs D, H and C; every flow is built from those eigensystems
+    import modloc.verification as ver
+
+    calls = []
+    solve = ver.tridiagonal_eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ver, "tridiagonal_eigh", counted)
+    g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
+    ver.check_weyl(g, build_tilde_generators(g))
+    assert len(calls) == 5
+    ver.check_positive_inclusions(g)
+    assert len(calls) == 8
 
 
 def test_lowest_weights_detects_wrong_target():
