@@ -249,8 +249,7 @@ def report_markdown(suite) -> str:
     for row in report_rows(suite):
         out.write(f"| {row['name']} | {row['passed']} | {row['residual']} "
                   f"| {row['tolerance']} |\n")
-    out.write(f"\naggregate: {'pass' if suite.aggregate_pass else 'fail'} "
-              f"({suite.elapsed:.1f} s)\n")
+    out.write(f"\naggregate: {'pass' if suite.aggregate_pass else 'fail'}\n")
     return out.getvalue()
 
 

@@ -35,6 +35,7 @@ from .verification import (
     ToleranceProfile,
     build_interval_fixture,
     run_suite,
+    spectral_expectations,
 )
 
 __all__ = ["main"]
@@ -100,17 +101,12 @@ def cmd_localize(cfg: RunConfig) -> int:
     rows = []
     for st in fx.states:
         try:
-            c = st["Z"].data
-            ct = st["Ztilde"].data
-            nt = float(np.vdot(ct, ct).real)
-            eh = float(np.real(np.vdot(c, fx.g.H @ c)))
-            ec = float(np.real(np.vdot(c, fx.g.C @ c)))
-            ed = float(np.real(np.vdot(c, fx.g.D @ c)))
-            et = float(np.real(np.vdot(ct, fx.T.matrix @ ct))) / nt
-            ok = bool(la - 1e-6 <= et <= lb + 1e-6)
+            e = spectral_expectations(fx, st)
+            ok = bool(la - 1e-6 <= e["T"] <= lb + 1e-6)
             row = {"a": st["support"][0], "b": st["support"][1],
-                   "norm": float(np.sqrt(st["Z"].norm_sq)), "H": eh, "C": ec,
-                   "D": ed, "T": et, "log_a": float(la), "log_b": float(lb),
+                   "norm": float(np.sqrt(st["Z"].norm_sq)), "H": e["H"],
+                   "C": e["C"], "D": e["D"], "T": e["T"],
+                   "log_a": float(la), "log_b": float(lb),
                    "in_bounds": ok, "error": ""}
         except ModlocError as exc:
             row = {"a": st["support"][0], "b": st["support"][1],
@@ -189,7 +185,6 @@ def cmd_report(cfg: RunConfig, path: str) -> int:
     suite = _R()
     suite.reports = reports
     suite.aggregate_pass = doc["aggregate_pass"]
-    suite.elapsed = doc["elapsed_seconds"]
     if cfg.format == "csv":
         out = cfg.out or (path + ".csv")
         write_report_csv(out, suite)

@@ -10,7 +10,7 @@ backend is the main cross-check of the whole laboratory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,8 +118,9 @@ class GridRep:
 
     @cached_property
     def ctilde_eig(self):
-        diag, off = self.ctilde_bands
-        return eigh_tridiagonal(diag, off)
+        """Eigensystem of C~ = h^-2 K(N, k), from the shared unit solve."""
+        mu, vecs = _unit_ctilde_eig(self.grid.N, self.k)
+        return mu / self.grid.spacing ** 2, vecs
 
     @cached_property
     def d_eig(self):
@@ -178,9 +179,11 @@ class GridRep:
             raise SpectrumOutOfDomain(
                 f"C~ on the grid is not positive definite: {evals[0]:.3e}"
             )
-        h = self.grid.spacing
-        amps = h * (vecs.T @ state.samples)
-        weights = np.abs(amps) ** 2 / h
+        v = state.samples
+        # real and imaginary parts projected together: one real GEMM, and
+        # the N x N eigenvector matrix is never cast to complex
+        amps = vecs.T @ np.stack([v.real, v.imag], axis=1)
+        weights = self.grid.spacing * np.sum(amps * amps, axis=1)
         return float(np.sum(0.5 * np.log(2.0 * evals) * weights))
 
     def apply_dilation_matrix(self, state: GridState, t: float) -> GridState:
@@ -275,6 +278,23 @@ class GridRep:
             ref = rhs @ U
             out[name] = float(np.linalg.norm(diff, 2) / np.linalg.norm(ref, 2))
         return out
+
+
+@lru_cache(maxsize=1)
+def _unit_ctilde_eig(N: int, k: float):
+    """Eigensystem of K(N, k) = h^2 C~, read-only and shared.
+
+    With E_j = j h the bands of C~ are h^-2 (1 + (k^2 - k)/(2 j^2)) on the
+    diagonal and -1/(2 h^2) off it, so the eigenvectors depend only on
+    (N, k) and E_max merely rescales the eigenvalues: every grid with the
+    same (N, k) shares this one solve.
+    """
+    j = np.arange(1, N + 1, dtype=float)
+    mu, vecs = eigh_tridiagonal(1.0 + (k * k - k) / (2.0 * j * j),
+                                np.full(N - 1, -0.5))
+    mu.setflags(write=False)
+    vecs.setflags(write=False)
+    return mu, vecs
 
 
 def _smooth_step(u) -> np.ndarray:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import (
@@ -205,6 +204,27 @@ def _umesh(E_cut: float, beta: float, M: int, b: float, points_per_wave: int = 4
     return np.linspace(du, u_max, n)
 
 
+def _simpson_weights(u) -> np.ndarray:
+    """Composite Simpson weights of the uniform mesh u, so that
+    _simpson_weights(u) @ y is scipy.integrate.simpson(y, x=u).
+
+    An even point count closes the last interval with the same parabolic
+    correction scipy uses (Cartwright 2017, Eq. 8).
+    """
+    n = len(u)
+    if n < 3:
+        raise ValueError("Simpson weights need at least three points")
+    h = (u[-1] - u[0]) / (n - 1)
+    w = np.zeros(n)
+    m = n if n % 2 else n - 1  # points covered by plain Simpson panels
+    w[:m:2] = 2.0 * h / 3.0
+    w[1:m:2] = 4.0 * h / 3.0
+    w[0] = w[m - 1] = h / 3.0
+    if m < n:
+        w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    return w
+
+
 def _basis_energy_cap(spec: BasisSpec, family: str) -> float:
     """Energy beyond which every truncated basis function is negligible.
 
@@ -251,7 +271,7 @@ def _continuum_norm_sq(profile: FourierProfile, E_cut: float,
     """Full |psi_plus_tilde|^2 integral on a state-resolution graded mesh."""
     u = _umesh(E_cut, beta=1.0, M=1, b=supp_b)
     vals = profile.positive_part(u * u)
-    return float(simpson(np.abs(vals) ** 2 * 2.0 * u, x=u))
+    return float(_simpson_weights(u) @ (np.abs(vals) ** 2 * 2.0 * u))
 
 
 def positive_frequency(x, psi, target, family: str = "Z",
@@ -268,12 +288,13 @@ def positive_frequency(x, psi, target, family: str = "Z",
     when more than max_residual of the continuum mass misses the
     representation.
     """
+    psi = np.asarray(psi)
+    if np.iscomplexobj(psi) and not np.allclose(psi.imag, 0.0):
+        raise ValueError("bump must be real")
+    psi = np.asarray(psi.real, dtype=float)
     x = np.asarray(x, dtype=float)
-    psi = np.asarray(psi, dtype=float)
     if psi.size != x.size:
         raise ValueError("samples and grid disagree")
-    if not np.allclose(psi.imag if np.iscomplexobj(psi) else 0.0, 0.0):
-        raise ValueError("bump must be real")
     if profile is None:
         profile = FourierProfile(x, psi)
     nyquist = profile.nyquist
@@ -293,15 +314,19 @@ def positive_frequency(x, psi, target, family: str = "Z",
         u = _umesh(E_int, target.beta, target.M, b=supp_b, family=family)
         E = u * u
         vals = profile.positive_part(E)
-        Z = basis_matrix(target, E, which=family)
-        coeffs = simpson(Z * (vals * 2.0 * u)[None, :], x=u, axis=1)
+        wts = _simpson_weights(u) * 2.0 * u  # dE = 2u du
+        f = wts * vals
+        # real GEMV on re/im together: no complex copy of the basis matrix
+        re_im = basis_matrix(target, E, which=family) @ np.stack(
+            [f.real, f.imag], axis=1)
+        coeffs = re_im[:, 0] + 1j * re_im[:, 1]
         if E_int < E_cut:
             norm_sq = _continuum_norm_sq(profile, E_cut, supp_b)
         else:
-            norm_sq = float(simpson(np.abs(vals) ** 2 * 2.0 * u, x=u))
+            norm_sq = float(wts @ np.abs(vals) ** 2)
         rep_norm = float(np.vdot(coeffs, coeffs).real)
         residual = abs(norm_sq - rep_norm) / norm_sq
-        sv = StateVector("z-spectral", coeffs.astype(complex), target, norm_sq,
+        sv = StateVector("z-spectral", coeffs, target, norm_sq,
                          residual, family, provenance or {})
     elif isinstance(target, GridSpec):
         if target.E_max >= nyquist:
@@ -344,8 +369,7 @@ def positive_part_samples(x, psi, x_eval) -> np.ndarray:
     # dE/(sqrt(4 pi E)) = 2u du/(2 sqrt(pi) u) = du/sqrt(pi)
     x_eval = np.asarray(x_eval, dtype=float)
     phases = np.exp(-1j * np.outer(x_eval, u * u))
-    integrand = phases * vals[None, :]
-    return -1j * simpson(integrand, x=u, axis=1) / np.sqrt(np.pi)
+    return -1j * (phases @ (_simpson_weights(u) * vals)) / np.sqrt(np.pi)
 
 
 def moebius_on_wavefunction(g: MoebiusMap, x, psi) -> np.ndarray:

@@ -55,6 +55,8 @@ __all__ = [
     "check_grid_convergence",
     "run_suite",
     "SuiteResult",
+    "spectral_expectations",
+    "grid_expectations",
 ]
 
 # default bump budget matching the acceptance scale
@@ -95,6 +97,19 @@ class CheckReport:
             "backend": self.backend,
             "error": self.error,
         }
+
+
+def _worst(values, pick=max) -> float:
+    """pick (max or min) of the evidence, NaN unless every value is finite.
+
+    Python's max and min silently drop NaN (max(0.0, nan) == 0.0), and an
+    infinite slack satisfies any gate; a NaN fails every comparison a gate
+    makes, so a check reduced here passes only on finite evidence.
+    """
+    vals = [float(v) for v in values]
+    if not vals or not np.all(np.isfinite(vals)):
+        return float("nan")
+    return pick(vals)
 
 
 def _plain(obj):
@@ -277,7 +292,7 @@ def check_commutators(g, interior_fraction: float = 0.8,
     """
     if isinstance(g, GridRep):
         res = g.commutator_residuals(triple=triple)
-        worst = max(res.values())
+        worst = _worst(res.values())
         return CheckReport(
             name=f"commutators_grid_{triple}", passed=bool(worst < tol),
             residual=worst, tolerance=tol, backend="grid",
@@ -290,7 +305,7 @@ def check_commutators(g, interior_fraction: float = 0.8,
         "CD": interior_residual(C @ D - D @ C, -1j * C, interior_fraction),
         "HC": interior_residual(H @ C - C @ H, 2j * D, interior_fraction),
     }
-    worst = max(res.values())
+    worst = _worst(res.values())
     return CheckReport(
         name=f"commutators_{g.variant}", passed=bool(worst < tol),
         residual=worst, tolerance=tol,
@@ -303,7 +318,7 @@ def check_lowest_weights(ks=(1.0, 1.5, 2.0), beta: float = 1.0, M: int = 256,
                          tol: float = 1e-6) -> CheckReport:
     """min eig (H+C)/2 = k and min eig (H~+C~)/2 = k/2 + 1/4 for each k."""
     values = {}
-    worst = 0.0
+    errors = []
     for k in ks:
         spec = BasisSpec(k=k, beta=beta, M=M)
         g = build_generators(spec)
@@ -315,7 +330,8 @@ def check_lowest_weights(ks=(1.0, 1.5, 2.0), beta: float = 1.0, M: int = 256,
         target_t = 0.5 * k + 0.25
         values[f"k={k}"] = {"plain": lo, "tilde": lo_t,
                             "expected": [k, target_t]}
-        worst = max(worst, abs(lo - k), abs(lo_t - target_t))
+        errors += [abs(lo - k), abs(lo_t - target_t)]
+    worst = _worst(errors)
     return CheckReport(
         name="lowest_weights", passed=bool(worst < tol), residual=worst,
         tolerance=tol, params={"ks": list(ks), "beta": beta, "M": M},
@@ -325,7 +341,9 @@ def check_lowest_weights(ks=(1.0, 1.5, 2.0), beta: float = 1.0, M: int = 256,
 # ---------------------------------------------------------------------------
 # localization chain checks
 
-def _spectral_expectations(fx: IntervalFixture, st: dict) -> dict:
+def spectral_expectations(fx: IntervalFixture, st: dict) -> dict:
+    """<H>, <C>, <D> on the plain coefficients, <C~> and the normalized <T>
+    on the squared-argument ones, with both norms."""
     c = st["Z"].data
     ct = st["Ztilde"].data
     nt = float(np.vdot(ct, ct).real)
@@ -340,7 +358,8 @@ def _spectral_expectations(fx: IntervalFixture, st: dict) -> dict:
     }
 
 
-def _grid_expectations(fx: IntervalFixture, st: dict) -> dict:
+def grid_expectations(fx: IntervalFixture, st: dict) -> dict:
+    """The same table as spectral_expectations, in the grid backend."""
     gs = st["grid"].as_grid_state()
     ng = gs.norm_sq()
     return {
@@ -364,21 +383,22 @@ def check_D_positive(fx: IntervalFixture, tol: float = 1e-8,
     report fails if the control finds none, which would mean the check
     cannot distinguish anything.
     """
-    worst = np.inf
     per_state = []
+    expectations = []
     for st in fx.states:
-        es = _spectral_expectations(fx, st)
-        eg = _grid_expectations(fx, st)
+        es = spectral_expectations(fx, st)
+        eg = grid_expectations(fx, st)
         per_state.append({"support": list(st["support"]),
                           "spectral": es["D"], "grid": eg["D"]})
-        worst = min(worst, es["D"], eg["D"])
+        expectations += [es["D"], eg["D"]]
+    worst = _worst(expectations, min)
     rng = np.random.default_rng(control_seed)
     M = fx.spec.M
-    control_min = np.inf
+    controls = []
     for _ in range(n_control):
         v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        control_min = min(control_min,
-                          float(np.real(np.vdot(v, fx.g.D @ v))))
+        controls.append(np.real(np.vdot(v, fx.g.D @ v)))
+    control_min = _worst(controls, min)
     passed = bool(worst >= -tol and control_min < 0.0)
     return CheckReport(
         name="d_positive", passed=passed, residual=float(-worst),
@@ -397,19 +417,18 @@ def check_HC_chain(fx: IntervalFixture, tol: float = 0.0) -> CheckReport:
     states local in the open interval.
     """
     a2, b2 = fx.a ** 2, fx.b ** 2
-    min_slack = np.inf
     per_state = []
     for st in fx.states:
-        for tag, e in (("spectral", _spectral_expectations(fx, st)),
-                       ("grid", _grid_expectations(fx, st))):
+        for tag, e in (("spectral", spectral_expectations(fx, st)),
+                       ("grid", grid_expectations(fx, st))):
             nt = e["tilde_norm_sq"]
             slacks = (e["C"] - a2 * e["H"], b2 * e["H"] - e["C"],
                       e["Ctilde"] - 0.5 * a2 * nt,
                       0.5 * b2 * nt - e["Ctilde"])
-            min_slack = min(min_slack, *slacks)
             per_state.append({"support": list(st["support"]), "backend": tag,
                               "H": e["H"], "C": e["C"], "Ctilde": e["Ctilde"],
                               "slacks": [float(s) for s in slacks]})
+    min_slack = _worst((s for p in per_state for s in p["slacks"]), min)
     return CheckReport(
         name="hc_chain", passed=bool(min_slack > tol),
         residual=float(-min_slack), tolerance=tol,
@@ -423,19 +442,21 @@ def check_T_bounds(fx: IntervalFixture, tol: float = 1e-6,
     two backends agree on <T>/|psi|^2 to agreement_tol (relative).  The
     residual is the worst bound excursion, the number tol gates."""
     la, lb = np.log(fx.a), np.log(fx.b)
-    worst_out = 0.0
-    worst_agree = 0.0
+    excursions = [0.0]
+    agreements = [0.0]
     per_state = []
     for st in fx.states:
-        es = _spectral_expectations(fx, st)
-        eg = _grid_expectations(fx, st)
+        es = spectral_expectations(fx, st)
+        eg = grid_expectations(fx, st)
         for val in (es["T"], eg["T"]):
-            worst_out = max(worst_out, la - val, val - lb)
+            excursions += [la - val, val - lb]
         agree = abs(es["T"] - eg["T"]) / max(abs(eg["T"]), 1.0)
-        worst_agree = max(worst_agree, agree)
+        agreements.append(agree)
         per_state.append({"support": list(st["support"]),
                           "spectral": es["T"], "grid": eg["T"],
                           "agreement": float(agree)})
+    worst_out = _worst(excursions)
+    worst_agree = _worst(agreements)
     passed = bool(worst_out <= tol and worst_agree <= agreement_tol)
     return CheckReport(
         name="t_bounds", passed=passed,
@@ -475,7 +496,6 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
              ("T", log_eig(2.0 * gt.C, 0.5), (2.0 * evDt, vDt), +1)]
     b = slice(0, block)
     values = {}
-    worst = 0.0
     for name, (xe, xv), (de, dv), s in pairs:
         sub = {}
         for t in ts:
@@ -490,8 +510,8 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
                 r = float(np.linalg.norm(lhs - rhs, 2)
                           / np.linalg.norm(rhs, 2))
                 sub[f"t={t},a={a}"] = r
-                worst = max(worst, r)
         values[name] = {"sign": s, "residuals": sub}
+    worst = _worst(r for v in values.values() for r in v["residuals"].values())
     return CheckReport(
         name="weyl", passed=bool(worst < tol), residual=worst, tolerance=tol,
         params={"k": g.spec.k, "beta": g.spec.beta, "M": g.spec.M,
@@ -520,7 +540,6 @@ def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
     evD, vD = tridiagonal_eigh(g.D)
     D_rows = spectral_compose(vD, np.exp(-2j * np.pi * t * evD), rows=b)
     values = {}
-    worst = 0.0
     flows = {}
     for name, X, scale in (("Uh", g.H, np.exp(-2.0 * np.pi * t)),
                            ("Uc", g.C, np.exp(2.0 * np.pi * t))):
@@ -531,7 +550,7 @@ def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
                                cols=b)
         r = float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(rhs, 2))
         values[name] = r
-        worst = max(worst, r)
+    worst = _worst(values.values())
     Uh = flows["Uh"]
     j_res = {
         "JUhJ=Uh*": float(np.max(np.abs(j_conjugate_matrix(Uh) - Uh.conj()))),
@@ -539,12 +558,12 @@ def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
         "JDJ=-D": float(np.max(np.abs(j_conjugate_matrix(g.D) + g.D))),
         "JCJ=C": float(np.max(np.abs(j_conjugate_matrix(g.C) - g.C))),
     }
-    j_worst = max(j_res.values())
+    j_worst = _worst(j_res.values())
     values["J"] = j_res
     passed = bool(worst < tol and j_worst < j_tol)
     return CheckReport(
         name="positive_inclusions", passed=passed,
-        residual=float(max(worst, j_worst)), tolerance=tol,
+        residual=_worst((worst, j_worst)), tolerance=tol,
         params={"k": g.spec.k, "M": M, "t": t, "a": a, "block": block,
                 "j_tol": j_tol},
         values=values)
@@ -565,7 +584,7 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5,
     alphas = np.linspace(-1.0, 1.0, n_alpha)
     evals, vecs = tridiagonal_eigh(2.0 * fx.gt.C)
     curves = []
-    worst = 0.0
+    errors = [0.0]
     for st in fx.states[:n_states]:
         ct = st["Ztilde"].data
         nt = float(np.vdot(ct, ct).real)
@@ -574,11 +593,12 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5,
                       for al in alphas])
         i0 = n_alpha // 2
         d2 = np.diff(F, 2)
-        worst = max(worst, abs(F[i0] - 1.0), F[0] - 1.0, float(-d2.min()))
+        errors += [abs(F[i0] - 1.0), F[0] - 1.0, -d2.min()]
         curves.append({"support": list(st["support"]),
                        "alphas": alphas.tolist(), "F": F.tolist(),
                        "F0": float(F[i0]), "Fm1": float(F[0]),
                        "min_second_difference": float(d2.min())})
+    worst = _worst(errors)
     return CheckReport(
         name="f_alpha", passed=bool(worst <= tol), residual=float(worst),
         tolerance=tol,
@@ -664,18 +684,20 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
     hi = np.log(scale * scale * fx.b)
     F = unitary_flow(HermitianOperator(2.0 * fx.gt.D, "tilde"), -shift)
     Tg = F @ fx.T.matrix @ F.conj().T
-    worst = 0.0
-    worst_shift = 0.0
+    excursions = [0.0]
+    shifts = [0.0]
     per_state = []
     for st in fx.states:
         ct = st["Ztilde"].data
         nt = float(np.vdot(ct, ct).real)
         base = float(np.real(np.vdot(ct, fx.T.matrix @ ct))) / nt
         val = float(np.real(np.vdot(ct, Tg @ ct))) / nt
-        worst = max(worst, lo - val, val - hi)
-        worst_shift = max(worst_shift, abs(val - base - shift))
+        excursions += [lo - val, val - hi]
+        shifts.append(abs(val - base - shift))
         per_state.append({"support": list(st["support"]), "base": base,
                           "transported": val})
+    worst = _worst(excursions)
+    worst_shift = _worst(shifts)
     passed = bool(worst <= tol)
     return CheckReport(
         name="covariance", passed=passed, residual=float(worst),
@@ -707,7 +729,7 @@ def check_grid_convergence(k: float = 1.0, E_max: float = 40.0,
         errs.append(abs(float(lo) - k))
     orders = [float(np.log2(errs[i] / errs[i + 1]))
               for i in range(len(errs) - 1)]
-    worst = max(abs(o - 2.0) for o in orders)
+    worst = _worst(abs(o - 2.0) for o in orders)
     return CheckReport(
         name="grid_convergence", passed=bool(worst <= tol),
         residual=float(worst), tolerance=tol, backend="grid",
@@ -729,7 +751,6 @@ class SuiteResult:
         return {
             "config": _plain(self.config),
             "aggregate_pass": self.aggregate_pass,
-            "elapsed_seconds": round(self.elapsed, 3),
             "reports": [r.to_dict() for r in self.reports],
         }
 

@@ -67,6 +67,18 @@ def test_verify_scope_and_report(tmp_path, capsys):
     assert doc["aggregate_pass"] is True
 
 
+def test_verify_report_byte_identical(tmp_path, capsys):
+    blobs = []
+    for name in ("r1.json", "r2.json"):
+        out = tmp_path / name
+        assert main(["verify", "--scope", "lowest_weights", "--M", "64",
+                     "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+    # the wall time stays on the console line
+    assert "aggregate: pass (" in capsys.readouterr().out
+
+
 def test_verify_empty_scope_exits_zero(capsys):
     code = main(["verify", "--scope", "no_such_check"])
     assert code == 0

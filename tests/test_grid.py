@@ -157,3 +157,35 @@ def test_grid_state_norm():
     grid = GridSpec(N=64, E_max=10.0)
     v = np.ones(64, complex)
     assert abs(GridState(v, grid).norm_sq() - 64 * grid.spacing) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1.0, 1.5])
+def test_ctilde_eig_matches_direct_solve(k):
+    # C~ = h^-2 K(N, k): the shared unit solve rescaled to each E_max
+    for emax in (40.0, 213.3):
+        r = build_grid_ops(GridSpec(N=1024, E_max=emax), k)
+        direct = eigh_tridiagonal(*r.ctilde_bands, eigvals_only=True)
+        evals = r.ctilde_eig[0]
+        assert np.max(np.abs(evals - direct) / direct) < 1e-9
+
+
+def test_expect_T_matches_complex_projection(rep, bump_state):
+    sv, _ = bump_state
+    gs = sv.as_grid_state()
+    h = rep.grid.spacing
+    evals, vecs = eigh_tridiagonal(*rep.ctilde_bands)
+    amps = h * (vecs.astype(complex).T @ gs.samples)
+    ref = np.sum(0.5 * np.log(2.0 * evals) * np.abs(amps) ** 2 / h)
+    assert abs(rep.expect_T(gs) - ref) <= 1e-12 * abs(ref)
+
+
+def test_ctilde_eigensystem_shared_per_n_and_k():
+    r1 = build_grid_ops(GridSpec(N=512, E_max=40.0), 1.0)
+    r2 = build_grid_ops(GridSpec(N=512, E_max=53.3), 1.0)
+    (mu1, v1), (mu2, v2) = r1.ctilde_eig, r2.ctilde_eig
+    assert v1 is v2
+    assert not v1.flags.writeable
+    with pytest.raises(ValueError):
+        v1[0, 0] = 0.0
+    ratio = (r1.grid.spacing / r2.grid.spacing) ** 2
+    assert np.allclose(mu2, mu1 * ratio, rtol=1e-14)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from modloc.errors import (
     DegenerateInterval,
@@ -14,6 +15,7 @@ from modloc.laguerre import BasisSpec
 from modloc.localization import (
     BumpSpec,
     FourierProfile,
+    _simpson_weights,
     fourier_positive_part,
     make_bump,
     moebius_on_wavefunction,
@@ -148,6 +150,21 @@ def test_projection_error_paths(bump):
         positive_frequency(x, psi, BasisSpec(k=1.0, M=64), family="bogus")
     with pytest.raises(ValueError):
         positive_frequency(x[:-1], psi, BasisSpec(k=1.0, M=64))
+
+
+def test_complex_bump_rejected(bump):
+    x, psi = bump
+    with pytest.raises(ValueError, match="bump must be real"):
+        positive_frequency(x, psi * (1.0 + 0.5j), BasisSpec(k=1.0, M=64),
+                           max_residual=1.0)
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 100001, 100000])
+def test_simpson_weights_match_scipy(n):
+    u = np.linspace(0.013, 3.7, n)
+    y = np.cos(3.0 * u) + u ** 2 + 2.0
+    ref = simpson(y, x=u)
+    assert abs(_simpson_weights(u) @ y - ref) <= 1e-13 * abs(ref)
 
 
 def test_nyquist_violation_for_narrow_bump():

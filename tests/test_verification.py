@@ -85,6 +85,28 @@ def test_mutated_C_breaks_chain_and_weights(fx_small):
     assert check_commutators(g2).passed is False
 
 
+def test_nan_expectation_fails_t_bounds(fx_small):
+    # max(0.0, nan) == 0.0: a NaN <T> must not read as zero excursion
+    st = dict(fx_small.states[0])
+    st["Ztilde"] = dataclasses.replace(st["Ztilde"],
+                                       data=np.full_like(st["Ztilde"].data,
+                                                         np.nan))
+    fx2 = dataclasses.replace(fx_small, states=[st, *fx_small.states[1:]])
+    rep = check_T_bounds(fx2)
+    assert rep.passed is False
+    assert np.isnan(rep.residual)
+
+
+def test_nan_generator_fails_hc_chain(fx_small):
+    C = fx_small.g.C.copy()
+    C[0, 0] = np.nan
+    fx2 = dataclasses.replace(fx_small,
+                              g=dataclasses.replace(fx_small.g, C=C))
+    rep = check_HC_chain(fx2)
+    assert rep.passed is False
+    assert np.isnan(rep.values["min_slack"])
+
+
 def test_swapped_interval_bounds_break_chain(fx_small):
     fx2 = dataclasses.replace(fx_small, a=fx_small.b, b=fx_small.a)
     assert check_HC_chain(fx2).passed is False
