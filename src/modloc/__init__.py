@@ -7,6 +7,7 @@ relations, positivity statements, and localization inequalities that the
 construction promises, against an independent finite-difference backend.
 """
 
+from ._heap import pin_mmap_threshold
 from .errors import (
     ConfigError,
     DecompositionFailure,
@@ -57,3 +58,7 @@ from .localization import (
 )
 
 __version__ = "0.1.0"
+
+# large arrays are mapped on their own, so peak memory follows the live
+# arrays from run to run (see modloc._heap)
+pin_mmap_threshold()

@@ -303,4 +303,7 @@ def basis_matrix(spec: BasisSpec, E, which: str = "Z") -> np.ndarray:
         raise ValueError(f"unknown family {which!r}")
     pref = np.exp(extra + k * np.log(arg) - 0.5 * np.log(E))
     rows = laguerre_eval_scaled(spec.M, 2 * k - 1.0, arg, np.exp(-0.5 * arg))
-    return (c[:, None] * rows) * pref[None, :]
+    # scaled in place: no M x len(E) temporary next to the rows
+    rows *= c[:, None]
+    rows *= pref[None, :]
+    return rows
