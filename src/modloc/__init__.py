@@ -50,7 +50,6 @@ from .localization import (
     BumpSpec,
     FourierProfile,
     StateVector,
-    fourier_positive_part,
     make_bump,
     moebius_on_wavefunction,
     positive_frequency,

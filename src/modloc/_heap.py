@@ -3,14 +3,16 @@
 glibc serves an allocation from the brk heap when it is smaller than the
 mmap threshold, and raises that threshold (up to 32 MiB) each time a
 mapped block is freed.  The state pipeline allocates and frees many 4-32
-MiB arrays (FFT profiles, spline tables, recurrence rows), so after the
-first few they land in the heap, where freed holes stay resident.  numpy
-advises transparent huge pages for every array of 4 MiB or more; inside
-the heap that advice lets the kernel fill the resident holes with huge
-pages whenever it has some to spare, so the peak resident set of the same
-run moved by up to 90 MB from one run to the next.  Pinning the threshold
-at 4 MiB maps every huge-page-advised array on its own and unmaps it on
-free: the resident set then follows the live arrays.
+MiB arrays, so after the first few they land in the heap, where freed
+holes stay resident.  numpy advises transparent huge pages for every
+array of 4 MiB or more; inside the heap that advice lets the kernel fill
+the resident holes with huge pages whenever it has some to spare, so the
+peak resident set of the same run moved by up to 90 MB from one run to
+the next.  Pinning the threshold at 4 MiB maps every huge-page-advised
+array on its own and unmaps it on free: the resident set then follows
+the live arrays.  The pin does not move a request that a free chunk
+already in the heap can hold; glibc serves such a request from the heap
+before it consults the threshold.
 """
 
 from __future__ import annotations

@@ -189,7 +189,6 @@ class GridRep:
     def apply_dilation_matrix(self, state: GridState, t: float) -> GridState:
         """exp(-i t D_grid) applied through the cached eigensystem of D."""
         evals, vecs = self.d_eig
-        h = self.grid.spacing
         amps = vecs.conj().T @ state.samples
         out = vecs @ (np.exp(-1j * t * evals) * amps)
         return GridState(samples=out, grid=self.grid)

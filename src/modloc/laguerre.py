@@ -14,7 +14,7 @@ squared-coordinate generator triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -26,7 +26,6 @@ __all__ = [
     "QuadratureRule",
     "BasisSpec",
     "laguerre_eval",
-    "laguerre_eval_scaled",
     "laguerre_rows_logscale",
     "laguerre_log_abs",
     "gauss_laguerre",
@@ -50,32 +49,13 @@ def laguerre_eval(n: int, alpha: float, x):
     return cur
 
 
-def laguerre_eval_scaled(nmax: int, alpha: float, x, scale) -> np.ndarray:
-    """All of scale(x) * L_n^(alpha)(x) for n = 0..nmax-1, shape (nmax, len(x)).
-
-    The per-node scale factor rides through the linear recurrence, so the
-    rows never overflow when scale absorbs the integration weight.
-    """
-    x = np.asarray(x, dtype=float)
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), x.shape)
-    out = np.empty((nmax, x.size), dtype=float)
-    out[0] = scale
-    if nmax > 1:
-        out[1] = (alpha + 1.0 - x) * scale
-    for m in range(1, nmax - 1):
-        out[m + 1] = ((2 * m + alpha + 1.0 - x) * out[m] - (m + alpha) * out[m - 1]) / (
-            m + 1.0
-        )
-    return out
-
-
 def laguerre_rows_logscale(nmax: int, alpha: float, x, log_scale) -> np.ndarray:
     """All of exp(log_scale) * L_n^(alpha)(x) for n = 0..nmax-1.
 
-    Like laguerre_eval_scaled, but the scale enters through its logarithm
-    and the recurrence is renormalized per node, so rows stay finite even
-    when exp(log_scale) underflows while the product does not (large-node
-    quadrature weights against high-degree polynomials).
+    The scale enters through its logarithm and the recurrence is
+    renormalized per node, so rows stay finite even when exp(log_scale)
+    underflows while the product does not (large-node quadrature weights
+    against high-degree polynomials).
     """
     x = np.asarray(x, dtype=float)
     log_scale = np.broadcast_to(np.asarray(log_scale, dtype=float), x.shape)
@@ -252,58 +232,69 @@ def basis_eval(spec: BasisSpec, n: int, E, which: str = "Z") -> np.ndarray:
 
     which = "Z" evaluates the plain family (argument 2 beta E); "Ztilde"
     evaluates the squared-coordinate family (argument 2 beta E^2, extra
-    sqrt(2) prefactor).  Gamma ratios are handled in log space.
+    sqrt(2) prefactor).  It is the last row of basis_matrix at truncation
+    n + 1.
     """
     if not 0 <= n < spec.M:
         raise ValueError(f"basis index {n} outside 0..{spec.M - 1}")
-    E = np.asarray(E, dtype=float)
-    if np.any(E <= 0):
-        raise ValueError("E must be positive")
-    if which == "Z":
-        arg = 2.0 * spec.beta * E
-        extra = 0.0
-        k = spec.k
-        log_norm = spec.log_norm(n)
-    elif which == "Ztilde":
-        arg = 2.0 * spec.beta * E * E
-        extra = 0.5 * np.log(2.0)
-        k = spec.tilde_k
-        log_norm = spec.tilde_log_norm(n)
-    else:
-        raise ValueError(f"unknown family {which!r}")
-    logpref = log_norm + extra + k * np.log(arg) - 0.5 * arg - 0.5 * np.log(E)
-    lag = laguerre_eval_scaled(n + 1, 2 * k - 1.0, arg, np.exp(-0.5 * arg))[n]
-    sign = np.sign(lag)
-    with np.errstate(divide="ignore"):
-        logmag = np.where(lag == 0.0, -np.inf, np.log(np.abs(lag)) + 0.5 * arg)
-    out = sign * np.exp(logpref + logmag)
-    return out
+    return basis_matrix(replace(spec, M=n + 1), E, which=which)[n]
+
+
+# rows are renormalized past this magnitude; one recurrence step grows a
+# row by a factor of order x / n, far inside the 1e58 of headroom left
+_RESCALE = 1e250
 
 
 def basis_matrix(spec: BasisSpec, E, which: str = "Z") -> np.ndarray:
     """All basis functions at once: shape (M, len(E)).
 
-    Shares one scaled recurrence across the whole family, so projecting a
-    state onto M = 256 basis functions costs a single O(M len(E)) sweep.
+    One sweep of the orthonormal recurrence
+        q_{n+1} = ((2n + a + 1 - x) q_n - sqrt(n (n+a)) q_{n-1})
+                  / sqrt((n+1)(n+a+1)),   a = 2k - 1,
+    for q_n = sqrt(n!/Gamma(n+2k)) L_n^(a)(x) runs over all nodes.  The
+    prefactor E^{-1/2} x^k e^{-x/2} / sqrt(Gamma(2k)) stays a per-node log
+    offset: it underflows once x passes about 1490 while the product with
+    the grown q_n does not, so a node's recurrence pair is renormalized
+    whenever it passes 1e250 and the offset takes up the scale.
     """
     E = np.asarray(E, dtype=float)
     if np.any(E <= 0):
         raise ValueError("E must be positive")
     if which == "Z":
-        arg = 2.0 * spec.beta * E
+        x = 2.0 * spec.beta * E
         extra = 0.0
         k = spec.k
-        c = np.exp(spec.log_norm(np.arange(spec.M)))
     elif which == "Ztilde":
-        arg = 2.0 * spec.beta * E * E
+        x = 2.0 * spec.beta * E * E
         extra = 0.5 * np.log(2.0)
         k = spec.tilde_k
-        c = np.exp(spec.tilde_log_norm(np.arange(spec.M)))
     else:
         raise ValueError(f"unknown family {which!r}")
-    pref = np.exp(extra + k * np.log(arg) - 0.5 * np.log(E))
-    rows = laguerre_eval_scaled(spec.M, 2 * k - 1.0, arg, np.exp(-0.5 * arg))
-    # scaled in place: no M x len(E) temporary next to the rows
-    rows *= c[:, None]
-    rows *= pref[None, :]
+    a = 2.0 * k - 1.0
+    logfac = (extra - 0.5 * gammaln(2.0 * k) + k * np.log(x)
+              - 0.5 * np.log(E) - 0.5 * x)
+    fac = np.exp(logfac)
+    rows = np.empty((spec.M, E.size))
+    rows[0] = fac
+    if spec.M == 1:
+        return rows
+    prev = np.ones_like(x)
+    cur = (a + 1.0 - x) / np.sqrt(a + 1.0)
+    np.multiply(cur, fac, out=rows[1])
+    nxt = np.empty_like(x)
+    for n in range(1, spec.M - 1):
+        np.subtract(2 * n + a + 1.0, x, out=nxt)
+        nxt *= cur
+        prev *= np.sqrt(n * (n + a))
+        nxt -= prev
+        nxt *= 1.0 / np.sqrt((n + 1) * (n + a + 1.0))
+        prev, cur, nxt = cur, nxt, prev
+        if cur.max() > _RESCALE or cur.min() < -_RESCALE:
+            big = np.flatnonzero(np.abs(cur) > _RESCALE)
+            s = np.abs(cur[big])
+            cur[big] /= s
+            prev[big] /= s
+            logfac[big] += np.log(s)
+            fac[big] = np.exp(logfac[big])
+        np.multiply(cur, fac, out=rows[n + 1])
     return rows

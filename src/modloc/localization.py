@@ -18,6 +18,7 @@ and the bump oscillation (phase ~ b E) have uniformly resolved wavelength.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -38,7 +39,6 @@ __all__ = [
     "StateVector",
     "make_bump",
     "symplectic",
-    "fourier_positive_part",
     "positive_frequency",
     "positive_part_samples",
     "moebius_on_wavefunction",
@@ -109,55 +109,39 @@ def symplectic(psi, psi2, x) -> float:
     return float(np.trapezoid(psi * d1 - psi2 * d2, x))
 
 
-def fourier_positive_part(x, psi, E, chunk: int = 2048) -> np.ndarray:
-    """psi_plus_tilde(E) = i sqrt(E/pi) int psi(x) e^{iEx} dx (trapezoid in x).
-
-    The global factor i fixes the phase freedom of the inversion so that
-    profiles of real bumps satisfy the modular invariance exp(-pi D) psi =
-    J psi; without it they come out with the opposite sign of J psi.
-    """
-    x = np.asarray(x, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    E = np.asarray(E, dtype=float)
-    w = np.ones_like(x)
-    w[0] = w[-1] = 0.5
-    wpsi = (x[1] - x[0]) * w * psi
-    out = np.empty(E.shape, dtype=complex)
-    flat = E.ravel()
-    res = np.empty(flat.shape, dtype=complex)
-    for i in range(0, flat.size, chunk):
-        Ei = flat[i : i + chunk]
-        res[i : i + chunk] = np.exp(1j * np.outer(Ei, x)) @ wpsi
-    out = res.reshape(E.shape)
-    return 1j * np.sqrt(np.abs(E) / np.pi) * out
-
-
 class FourierProfile:
     """Positive-frequency profile of a sampled bump, evaluable anywhere.
 
-    One zero-padded real FFT gives psi_hat on a uniform energy grid fine
-    enough for cubic-spline resampling at full accuracy; this replaces
-    per-mesh direct Fourier sums, which dominate the cost otherwise.  The
+    psi_hat(E) = dx sum_j psi_j e^{i E x_j} runs over the bump's nonzero
+    samples only, by Horner's rule in z = e^{i E dx}, with the phase
+    e^{i E x_lo} of the first nonzero sample applied once at the end.  The
     bump must vanish at both ends of its x grid (it does by construction,
-    living strictly inside [0, extent]).
+    living strictly inside [0, extent]), so the sum is the trapezoid rule.
+    The energy cutoff E_cut and the continuum norm norm_sq are computed on
+    first use and kept, so every backend projection of one bump shares them.
     """
 
-    def __init__(self, x, psi, target_step: float = 5e-3):
+    def __init__(self, x, psi):
         x = np.asarray(x, dtype=float)
         psi = np.asarray(psi, dtype=float)
-        dx = x[1] - x[0]
-        self.nyquist = np.pi / dx
-        n = max(int(2.0 * np.pi / (target_step * dx)), 4 * x.size)
-        n = 1 << int(np.ceil(np.log2(n)))
-        # int psi e^{iEx} dx = dx * conj(rfft(psi)) at E_k = 2 pi k/(n dx)
-        hat = dx * np.conj(np.fft.rfft(psi, n=n))
-        E_grid = (2.0 * np.pi / (n * dx)) * np.arange(hat.size)
-        self._re = CubicSpline(E_grid, hat.real)
-        self._im = CubicSpline(E_grid, hat.imag)
+        nz = np.flatnonzero(psi)
+        if nz.size == 0:
+            raise ValueError("bump has no support")
+        self.dx = float(x[1] - x[0])
+        self.nyquist = np.pi / self.dx
+        self.x_lo = float(x[nz[0]])
+        self.x_hi = float(x[nz[-1]])
+        self._samples = psi[nz[0]:nz[-1] + 1].copy()
 
     def hat(self, E) -> np.ndarray:
         E = np.asarray(E, dtype=float)
-        return self._re(E) + 1j * self._im(E)
+        z = np.exp(1j * self.dx * E)
+        acc = np.full(E.shape, self._samples[-1], dtype=complex)
+        for p in self._samples[-2::-1].tolist():
+            acc *= z
+            acc += p
+        acc *= self.dx * np.exp(1j * self.x_lo * E)
+        return acc
 
     def positive_part(self, E) -> np.ndarray:
         """psi_plus_tilde(E) = i sqrt(E/pi) psi_hat(E).
@@ -168,20 +152,23 @@ class FourierProfile:
         E = np.asarray(E, dtype=float)
         return 1j * np.sqrt(np.abs(E) / np.pi) * self.hat(E)
 
+    @cached_property
+    def E_cut(self) -> float:
+        """Energy beyond which the profile stays below 1e-10 of its peak on a
+        400-point probe, plus a 20 percent margin, capped at Nyquist."""
+        probe = np.linspace(1.0, self.nyquist, 400)
+        mags = np.abs(self.positive_part(probe))
+        last = np.flatnonzero(mags >= 1e-10 * mags.max())[-1]
+        if last == probe.size - 1:
+            return self.nyquist
+        return min(1.2 * probe[last + 1], self.nyquist)
 
-def _energy_cutoff(profile: FourierProfile, tol: float = 1e-10) -> float:
-    """Smallest E beyond which the profile is negligible, capped at Nyquist."""
-    nyquist = profile.nyquist
-    probe = np.linspace(1.0, nyquist, 400)
-    mags = np.abs(profile.positive_part(probe))
-    peak = mags.max()
-    below = mags < tol * peak
-    cut = nyquist
-    for i in range(len(probe)):
-        if below[i:].all():
-            cut = probe[i]
-            break
-    return min(1.2 * cut, nyquist)
+    @cached_property
+    def norm_sq(self) -> float:
+        """Full |psi_plus_tilde|^2 integral on a state-resolution graded mesh."""
+        u = _umesh(self.E_cut, beta=1.0, M=1, b=self.x_hi)
+        vals = self.positive_part(u * u)
+        return float(_simpson_weights(u) @ (np.abs(vals) ** 2 * 2.0 * u))
 
 
 def _umesh(E_cut: float, beta: float, M: int, b: float, points_per_wave: int = 48,
@@ -266,14 +253,6 @@ class StateVector:
         return GridState(self.data, self.basis)
 
 
-def _continuum_norm_sq(profile: FourierProfile, E_cut: float,
-                       supp_b: float) -> float:
-    """Full |psi_plus_tilde|^2 integral on a state-resolution graded mesh."""
-    u = _umesh(E_cut, beta=1.0, M=1, b=supp_b)
-    vals = profile.positive_part(u * u)
-    return float(_simpson_weights(u) @ (np.abs(vals) ** 2 * 2.0 * u))
-
-
 def positive_frequency(x, psi, target, family: str = "Z",
                        max_residual: float = PROJECTION_GATE,
                        profile: FourierProfile | None = None,
@@ -283,10 +262,10 @@ def positive_frequency(x, psi, target, family: str = "Z",
     target is a BasisSpec (spectral coefficients by graded-mesh quadrature;
     family "Z" or "Ztilde" picks the plain or squared-argument family) or a
     GridSpec (samples at the grid nodes).  A precomputed FourierProfile can
-    be shared across backends for the same bump.  Raises NyquistViolation
-    when the x sampling cannot carry the needed energies and ProjectionLoss
-    when more than max_residual of the continuum mass misses the
-    representation.
+    be shared across backends for the same bump.  Raises ValueError for a
+    bump with no nonzero sample, NyquistViolation when the x sampling cannot
+    carry the needed energies and ProjectionLoss when more than max_residual
+    of the continuum mass misses the representation.
     """
     psi = np.asarray(psi)
     if np.iscomplexobj(psi) and not np.allclose(psi.imag, 0.0):
@@ -298,20 +277,19 @@ def positive_frequency(x, psi, target, family: str = "Z",
     if profile is None:
         profile = FourierProfile(x, psi)
     nyquist = profile.nyquist
-    E_cut = _energy_cutoff(profile)
-    supp_b = float(x[np.nonzero(psi)[0].max()]) if np.any(psi) else 1.0
 
     if isinstance(target, BasisSpec):
         if family not in ("Z", "Ztilde"):
             raise ValueError(f"unknown family {family!r}")
-        if E_cut >= 0.999 * nyquist:
+        if profile.E_cut >= 0.999 * nyquist:
             raise NyquistViolation(
                 f"profile still carries mass at the x-grid Nyquist limit {nyquist:.1f}"
             )
         # the basis sees nothing past its turning point, so the coefficient
         # integral stops at the earlier of basis cap and profile cutoff
-        E_int = min(E_cut, _basis_energy_cap(target, family))
-        u = _umesh(E_int, target.beta, target.M, b=supp_b, family=family)
+        E_int = min(profile.E_cut, _basis_energy_cap(target, family))
+        u = _umesh(E_int, target.beta, target.M, b=profile.x_hi,
+                   family=family)
         E = u * u
         vals = profile.positive_part(E)
         wts = _simpson_weights(u) * 2.0 * u  # dE = 2u du
@@ -320,8 +298,8 @@ def positive_frequency(x, psi, target, family: str = "Z",
         re_im = basis_matrix(target, E, which=family) @ np.stack(
             [f.real, f.imag], axis=1)
         coeffs = re_im[:, 0] + 1j * re_im[:, 1]
-        if E_int < E_cut:
-            norm_sq = _continuum_norm_sq(profile, E_cut, supp_b)
+        if E_int < profile.E_cut:
+            norm_sq = profile.norm_sq
         else:
             norm_sq = float(wts @ np.abs(vals) ** 2)
         rep_norm = float(np.vdot(coeffs, coeffs).real)
@@ -334,7 +312,7 @@ def positive_frequency(x, psi, target, family: str = "Z",
                 f"grid E_max {target.E_max} exceeds the x-grid Nyquist limit "
                 f"{nyquist:.1f}"
             )
-        norm_sq = _continuum_norm_sq(profile, E_cut, supp_b)
+        norm_sq = profile.norm_sq
         samples = profile.positive_part(target.nodes)
         rep_norm = GridState(samples, target).norm_sq()
         residual = abs(norm_sq - rep_norm) / norm_sq
@@ -362,9 +340,7 @@ def positive_part_samples(x, psi, x_eval) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     profile = FourierProfile(x, psi)
-    E_cut = _energy_cutoff(profile)
-    u = _umesh(E_cut, beta=1.0, M=1,
-               b=float(x[np.nonzero(psi)[0].max()]) if np.any(psi) else 1.0)
+    u = _umesh(profile.E_cut, beta=1.0, M=1, b=profile.x_hi)
     vals = profile.positive_part(u * u)
     # dE/(sqrt(4 pi E)) = 2u du/(2 sqrt(pi) u) = du/sqrt(pi)
     x_eval = np.asarray(x_eval, dtype=float)

@@ -28,7 +28,6 @@ __all__ = [
     "act_point",
     "act_interval",
     "iwasawa",
-    "conjugate_subgroup",
     "map_halfline_to",
 ]
 
@@ -214,10 +213,6 @@ class Interval:
         )
 
 
-#: the semicircle [0, +oo]
-I1 = Interval(0.0, INFINITY)
-
-
 def act_interval(g: MoebiusMap, interval: Interval) -> Interval:
     """Endpoint-wise image; orientation (traversal direction) is preserved."""
     return Interval(act_point(g, interval.lo), act_point(g, interval.hi))
@@ -251,25 +246,6 @@ def iwasawa(g: MoebiusMap, underflow=1e-13) -> IwasawaFactors:
             f"lower-right entry {d!r} too small for T-Lambda-P factorization"
         )
     return IwasawaFactors(x=b / d, y=1.0 / d, z=-c / d)
-
-
-def subgroup_element(which: str, param: float) -> MoebiusMap:
-    """Canonical subgroup element: T(t), Lambda(b) (additive), P(z), or R(theta)."""
-    if which == "T":
-        return translation(param)
-    if which == "Lambda":
-        return dilation(param)
-    if which == "P":
-        return special_conformal(param)
-    if which == "R":
-        return rotation(param)
-    raise ValueError(f"unknown subgroup {which!r}")
-
-
-def conjugate_subgroup(g: MoebiusMap, which: str, param: float) -> MoebiusMap:
-    """Return g s(param) g^{-1} for the chosen one-parameter subgroup s."""
-    s = subgroup_element(which, param)
-    return g @ s @ g.inverse()
 
 
 def map_halfline_to(interval: Interval) -> MoebiusMap:

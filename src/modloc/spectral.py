@@ -92,6 +92,13 @@ def _hermitian_tridiagonal(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return A
 
 
+def _bands(k: float, M: int):
+    """Diagonal d_n = n + k and off-diagonal s_n = sqrt((n+1)(n+2k))/2 of
+    the discrete-series ladder, n < M."""
+    n = np.arange(M, dtype=float)
+    return n + k, 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0 * k))
+
+
 def build_generators(spec: BasisSpec) -> GeneratorSet:
     """The plain triple (H, D, C) in closed form.
 
@@ -105,10 +112,8 @@ def build_generators(spec: BasisSpec) -> GeneratorSet:
 
     The truncation keeps the first M rows and columns of each.
     """
-    k, beta, M = spec.k, spec.beta, spec.M
-    n = np.arange(M, dtype=float)
-    d = n + k
-    s = 0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0 * k))
+    beta, M = spec.beta, spec.M
+    d, s = _bands(spec.k, M)
     return GeneratorSet(H=_hermitian_tridiagonal(d / beta, -s / beta),
                         D=_hermitian_tridiagonal(np.zeros(M), 1j * s),
                         C=_hermitian_tridiagonal(beta * d, beta * s),
@@ -224,12 +229,28 @@ def matrix_function(A: HermitianOperator, f: str, param: float | None = None,
                              A.basis)
 
 
-def build_T(gt: GeneratorSet) -> HermitianOperator:
-    """Modular coordinate T = (1/2) log(2 C~) from the tilde triple."""
+def build_T(gt: GeneratorSet, log_M: int | None = None) -> HermitianOperator:
+    """Modular coordinate T = (1/2) log(2 C~) from the tilde triple.
+
+    The logarithm of the truncated 2 C~ is wrong near its last rows, and
+    the error reaches into the rows a state occupies.  log_M > M takes the
+    logarithm at truncation log_M and keeps its leading M x M block, which
+    comes closer to the compression of the untruncated T as log_M grows.
+    2 C~ is the plain C at (k/2 + 1/4, 2 beta), read from its bands.
+    """
     if gt.variant != "tilde":
         raise ValueError("T is built from the tilde triple")
-    logC = matrix_function(HermitianOperator(2.0 * gt.C, "tilde"), "log")
-    return HermitianOperator(0.5 * logC.matrix, "Z")
+    M = gt.M
+    log_M = M if log_M is None else log_M
+    if log_M < M:
+        raise ValueError(f"log_M {log_M} below the truncation {M}")
+    d, s = _bands(gt.spec.tilde_k, log_M)
+    scale = 4.0 * gt.spec.beta
+    evals, vecs = eigh_tridiagonal(scale * d, scale * s)
+    block = slice(0, M)
+    T = 0.5 * spectral_compose(vecs, spectrum_function(evals, "log"),
+                               rows=block, cols=block)
+    return HermitianOperator(T.astype(complex), "Z")
 
 
 def build_Th_Tc(g: GeneratorSet):

@@ -12,7 +12,9 @@ from modloc.laguerre import (
     gauss_laguerre,
     laguerre_eval,
     laguerre_log_abs,
+    laguerre_rows_logscale,
 )
+from modloc.localization import _basis_energy_cap
 
 
 def test_laguerre_eval_against_scipy():
@@ -100,6 +102,31 @@ def test_basis_matrix_matches_basis_eval():
         for n in (0, 3, 7):
             assert np.allclose(B[n], basis_eval(spec, n, E, which=which),
                                rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [384, 1024])
+@pytest.mark.parametrize("which", ["Z", "Ztilde"])
+def test_basis_matrix_no_underflow_on_energy_cap(M, which):
+    # past x = 2 beta E ~ 1490 the factor e^{-x/2} underflows while its
+    # product with the Laguerre row does not; the upper half of the energy
+    # cap holds such nodes, against the log-scaled recurrence
+    spec = BasisSpec(k=1.0, beta=1.0, M=M)
+    cap = _basis_energy_cap(spec, which)
+    E = np.linspace(0.5 * cap, cap, 2000)
+    if which == "Z":
+        x, k, log_norm = 2.0 * E, spec.k, spec.log_norm
+        extra = 0.0
+    else:
+        x, k, log_norm = 2.0 * E * E, spec.tilde_k, spec.tilde_log_norm
+        extra = 0.5 * np.log(2.0)
+    log_scale = extra + k * np.log(x) - 0.5 * np.log(E) - 0.5 * x
+    ref = np.exp(log_norm(np.arange(M)))[:, None] * laguerre_rows_logscale(
+        M, 2.0 * k - 1.0, x, log_scale)
+    B = basis_matrix(spec, E, which=which)
+    assert np.max(np.abs(B - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.max(np.abs(B[-1] - ref[-1])) <= 1e-10 * np.max(np.abs(ref[-1]))
+    assert basis_eval(spec, M - 1, E[-3:], which=which) == pytest.approx(
+        ref[-1, -3:], rel=1e-10)
 
 
 def test_basis_eval_validation():

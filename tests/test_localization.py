@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from fourier_oracle import fourier_positive_part
 from scipy.integrate import simpson
 
 from modloc.errors import (
@@ -16,7 +17,6 @@ from modloc.localization import (
     BumpSpec,
     FourierProfile,
     _simpson_weights,
-    fourier_positive_part,
     make_bump,
     moebius_on_wavefunction,
     positive_frequency,
@@ -74,6 +74,19 @@ def test_profile_matches_direct_fourier(bump):
     direct = fourier_positive_part(x, psi, E)
     assert np.max(np.abs(prof.positive_part(E) - direct)) < 1e-7 * np.max(
         np.abs(direct))
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.0, 2.0), (4.0, 8.0)])
+def test_profile_matches_oracle_up_to_cutoff(a, b):
+    # the fixtures' first bumps: the direct sum over the support against
+    # the outer-product oracle over the whole grid, up to the profile's
+    # own energy cutoff
+    x, psi = make_bump(BumpSpec(a, b, samples=8192))
+    prof = FourierProfile(x, psi)
+    E = np.linspace(1e-3, prof.E_cut, 2001)
+    direct = fourier_positive_part(x, psi, E)
+    err = np.max(np.abs(prof.positive_part(E) - direct))
+    assert err <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_reality_split(bump):
@@ -150,6 +163,14 @@ def test_projection_error_paths(bump):
         positive_frequency(x, psi, BasisSpec(k=1.0, M=64), family="bogus")
     with pytest.raises(ValueError):
         positive_frequency(x[:-1], psi, BasisSpec(k=1.0, M=64))
+
+
+@pytest.mark.parametrize("target", [BasisSpec(k=1.0, M=64),
+                                    GridSpec(N=1024, E_max=40.0)])
+def test_bump_without_support_rejected(bump, target):
+    x, _ = bump
+    with pytest.raises(ValueError, match="bump has no support"):
+        positive_frequency(x, np.zeros_like(x), target, max_residual=1.0)
 
 
 def test_complex_bump_rejected(bump):

@@ -179,6 +179,17 @@ def test_T_spectrum_affine_in_log(gt128):
     assert np.allclose(evals_T, 0.5 * np.log(evals_C), rtol=0, atol=1e-9)
 
 
+def test_T_block_of_larger_truncation(gt128):
+    # log(2 C~) truncated at M is wrong near its last rows; the leading
+    # block of the logarithm at a larger truncation approaches the
+    # compression of the untruncated T
+    ref = build_T(gt128, log_M=16 * 128).matrix
+    assert np.max(np.abs(build_T(gt128).matrix - ref)) > 0.1
+    assert np.max(np.abs(build_T(gt128, log_M=2 * 128).matrix - ref)) < 2e-3
+    with pytest.raises(ValueError):
+        build_T(gt128, log_M=64)
+
+
 def test_Th_Tc_from_plain_only(g128, gt128):
     Th, Tc = build_Th_Tc(g128)
     assert Th.matrix.shape == (128, 128)

@@ -78,6 +78,16 @@ def test_t_bounds_backend_agreement(fx_small):
     assert rep.residual <= rep.tolerance
 
 
+def test_t_bounds_agree_with_heavy_tilde_tail():
+    # this seed's third bump keeps 2e-3 of its squared-argument norm in the
+    # last 32 of 384 rows; against T truncated at M the backends disagreed
+    # by 1.0e-3, above agreement_tol
+    fx = build_interval_fixture(1.0, 2.0, n_bumps=3, seed=3344171363)
+    rep = check_T_bounds(fx)
+    assert rep.passed
+    assert rep.values["worst_agreement"] < 5e-4
+
+
 def test_mutated_C_breaks_chain_and_weights(fx_small):
     g2 = dataclasses.replace(fx_small.g, C=2.0 * fx_small.g.C)
     fx2 = dataclasses.replace(fx_small, g=g2)
@@ -131,6 +141,28 @@ def test_flow_checks_solve_each_generator_once(monkeypatch):
     assert len(calls) == 5
     ver.check_positive_inclusions(g)
     assert len(calls) == 8
+
+
+def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
+    # d_positive, hc_chain, t_bounds and covariance share each fixture's
+    # tables: the grid <T> is computed once per state
+    from modloc.gridop import GridRep
+
+    seen = []
+    expect_T = GridRep.expect_T
+
+    def counted(self, state):
+        seen.append(id(state.samples))
+        return expect_T(self, state)
+
+    monkeypatch.setattr(GridRep, "expect_T", counted)
+    res = run_suite({"intervals": [[1.0, 2.0]], "n_bumps": 3},
+                    scope=["d_positive", "hc_chain", "t_bounds",
+                           "covariance"])
+    assert len(res.reports) == 4
+    assert all(r.error is None for r in res.reports)
+    assert len(seen) == 3
+    assert len(set(seen)) == 3
 
 
 def test_lowest_weights_detects_wrong_target():
