@@ -95,29 +95,41 @@ def test_basis_orthonormality(which):
 
 
 def test_basis_matrix_matches_basis_eval():
+    # against the closed form with scipy's Laguerre polynomials, away from
+    # k = beta = 1
     spec = BasisSpec(k=1.5, beta=0.7, M=8)
     E = np.linspace(0.05, 10.0, 31)
     for which in ("Z", "Ztilde"):
+        if which == "Z":
+            x, k, pre = 2.0 * spec.beta * E, spec.k, 1.0
+        else:
+            x, k, pre = 2.0 * spec.beta * E * E, spec.tilde_k, np.sqrt(2.0)
         B = basis_matrix(spec, E, which=which)
         for n in (0, 3, 7):
-            assert np.allclose(B[n], basis_eval(spec, n, E, which=which),
+            ref = (pre * np.sqrt(gamma(n + 1.0) / gamma(n + 2.0 * k))
+                   * E ** -0.5 * x ** k * np.exp(-0.5 * x)
+                   * eval_genlaguerre(n, 2.0 * k - 1.0, x))
+            assert np.allclose(B[n], ref, rtol=1e-10, atol=1e-12)
+            assert np.allclose(basis_eval(spec, n, E, which=which), ref,
                                rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("k,beta", [(1.0, 1.0), (1.5, 0.7)])
 @pytest.mark.parametrize("M", [384, 1024])
 @pytest.mark.parametrize("which", ["Z", "Ztilde"])
-def test_basis_matrix_no_underflow_on_energy_cap(M, which):
+def test_basis_matrix_no_underflow_on_energy_cap(M, which, k, beta):
     # past x = 2 beta E ~ 1490 the factor e^{-x/2} underflows while its
     # product with the Laguerre row does not; the upper half of the energy
     # cap holds such nodes, against the log-scaled recurrence
-    spec = BasisSpec(k=1.0, beta=1.0, M=M)
+    spec = BasisSpec(k=k, beta=beta, M=M)
     cap = _basis_energy_cap(spec, which)
     E = np.linspace(0.5 * cap, cap, 2000)
     if which == "Z":
-        x, k, log_norm = 2.0 * E, spec.k, spec.log_norm
+        x, k, log_norm = 2.0 * beta * E, spec.k, spec.log_norm
         extra = 0.0
     else:
-        x, k, log_norm = 2.0 * E * E, spec.tilde_k, spec.tilde_log_norm
+        x, k = 2.0 * beta * E * E, spec.tilde_k
+        log_norm = spec.tilde_log_norm
         extra = 0.5 * np.log(2.0)
     log_scale = extra + k * np.log(x) - 0.5 * np.log(E) - 0.5 * x
     ref = np.exp(log_norm(np.arange(M)))[:, None] * laguerre_rows_logscale(
