@@ -34,6 +34,7 @@ __all__ = [
     "report_rows",
     "write_report_csv",
     "write_report_json",
+    "read_report_json",
     "report_markdown",
     "write_curves_csv",
 ]
@@ -207,6 +208,10 @@ def write_state_csv(path, sv: StateVector, n_points: int = 512):
 # ---------------------------------------------------------------------------
 # report exports
 
+_REPORT_FIELDS = ("name", "passed", "residual", "tolerance", "backend",
+                 "error")
+
+
 def report_rows(suite) -> list:
     """Flatten a SuiteResult into one row per check."""
     rows = []
@@ -225,9 +230,7 @@ def report_rows(suite) -> list:
 def write_report_csv(path, suite):
     rows = report_rows(suite)
     with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=list(rows[0].keys()) if rows else
-                           ["name", "passed", "residual", "tolerance",
-                            "backend", "error"])
+        w = csv.DictWriter(f, fieldnames=_REPORT_FIELDS)
         w.writeheader()
         w.writerows(rows)
 
@@ -239,6 +242,38 @@ def write_report_json(path, suite):
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _report_entry_ok(d) -> bool:
+    """True for a check entry that report_rows can print."""
+    return (isinstance(d, dict) and set(_REPORT_FIELDS) <= set(d)
+            and d["passed"] in (True, False, None)
+            and all(d[f] is None or isinstance(d[f], (int, float))
+                    for f in ("residual", "tolerance")))
+
+
+def read_report_json(path) -> dict:
+    """The document write_report_json wrote to path.
+
+    Raises ConfigError when the file cannot be read, is not JSON, is not a
+    MODLOC-REPORT, or lacks a field that the exports print.
+    """
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read report {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "MODLOC-REPORT":
+        raise ConfigError(f"{path} is not a MODLOC-REPORT file")
+    reports = doc.get("reports")
+    if (not isinstance(reports, list) or "aggregate_pass" not in doc
+            or not all(map(_report_entry_ok, reports))):
+        raise ConfigError(
+            f"report {path} needs 'aggregate_pass' and a 'reports' list of "
+            f"entries with {', '.join(_REPORT_FIELDS)}")
+    return doc
 
 
 def report_markdown(suite) -> str:
@@ -340,6 +375,8 @@ class RunConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -348,8 +385,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path) as f:
-            return cls.from_json(f.read())
+        try:
+            with open(path) as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_json(text)
 
     def content_config(self) -> dict:
         """The config fields that determine artifact content: everything

@@ -19,6 +19,7 @@ import numpy as np
 
 from .artifacts import (
     RunConfig,
+    read_report_json,
     report_markdown,
     save_representation,
     save_state,
@@ -168,11 +169,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig, path: str) -> int:
     """Convert a JSON report file to the requested format."""
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "MODLOC-REPORT":
-        print("not a MODLOC-REPORT file", file=sys.stderr)
-        return 2
+    doc = read_report_json(path)
 
     class _R:
         pass

@@ -245,7 +245,8 @@ def basis_eval(spec: BasisSpec, n: int, E, which: str = "Z") -> np.ndarray:
 _RESCALE = 1e250
 
 
-def basis_matrix(spec: BasisSpec, E, which: str = "Z") -> np.ndarray:
+def basis_matrix(spec: BasisSpec, E, which: str = "Z",
+                 weights=None) -> np.ndarray:
     """All basis functions at once: shape (M, len(E)).
 
     One sweep of the orthonormal recurrence
@@ -256,6 +257,11 @@ def basis_matrix(spec: BasisSpec, E, which: str = "Z") -> np.ndarray:
     offset: it underflows once x passes about 1490 while the product with
     the grown q_n does not, so a node's recurrence pair is renormalized
     whenever it passes 1e250 and the offset takes up the scale.
+
+    With weights of shape (len(E), r) the same sweep returns the projection
+    basis_matrix(spec, E, which) @ weights, shape (M, r), without storing a
+    row: the prefactor is folded into the weights, G = fac[:, None] *
+    weights, and row n is q_n @ G.
     """
     E = np.asarray(E, dtype=float)
     if np.any(E <= 0):
@@ -274,13 +280,27 @@ def basis_matrix(spec: BasisSpec, E, which: str = "Z") -> np.ndarray:
     logfac = (extra - 0.5 * gammaln(2.0 * k) + k * np.log(x)
               - 0.5 * np.log(E) - 0.5 * x)
     fac = np.exp(logfac)
-    rows = np.empty((spec.M, E.size))
-    rows[0] = fac
-    if spec.M == 1:
-        return rows
+    if weights is None:
+        out = np.empty((spec.M, E.size))
+
+        def emit(n, q):
+            np.multiply(q, fac, out=out[n])
+    else:
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[0] != E.size:
+            raise ValueError(
+                f"weights must have shape ({E.size}, r), got {weights.shape}")
+        G = fac[:, None] * weights
+        out = np.empty((spec.M, weights.shape[1]))
+
+        def emit(n, q):
+            np.matmul(q, G, out=out[n])
     prev = np.ones_like(x)
+    emit(0, prev)
+    if spec.M == 1:
+        return out
     cur = (a + 1.0 - x) / np.sqrt(a + 1.0)
-    np.multiply(cur, fac, out=rows[1])
+    emit(1, cur)
     nxt = np.empty_like(x)
     for n in range(1, spec.M - 1):
         np.subtract(2 * n + a + 1.0, x, out=nxt)
@@ -296,5 +316,7 @@ def basis_matrix(spec: BasisSpec, E, which: str = "Z") -> np.ndarray:
             prev[big] /= s
             logfac[big] += np.log(s)
             fac[big] = np.exp(logfac[big])
-        np.multiply(cur, fac, out=rows[n + 1])
-    return rows
+            if weights is not None:
+                G[big] = fac[big, None] * weights[big]
+        emit(n + 1, cur)
+    return out

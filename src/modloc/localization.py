@@ -165,8 +165,12 @@ class FourierProfile:
 
     @cached_property
     def norm_sq(self) -> float:
-        """Full |psi_plus_tilde|^2 integral on a state-resolution graded mesh."""
-        u = _umesh(self.E_cut, beta=1.0, M=1, b=self.x_hi)
+        """Full |psi_plus_tilde|^2 integral on a state-resolution graded mesh.
+
+        The modulus drops the phase e^{i E x_lo}, so it oscillates on the
+        scale of the support width x_hi - x_lo rather than of x_hi.
+        """
+        u = _umesh(self.E_cut, beta=1.0, M=1, b=self.x_hi - self.x_lo)
         vals = self.positive_part(u * u)
         return float(_simpson_weights(u) @ (np.abs(vals) ** 2 * 2.0 * u))
 
@@ -294,9 +298,9 @@ def positive_frequency(x, psi, target, family: str = "Z",
         vals = profile.positive_part(E)
         wts = _simpson_weights(u) * 2.0 * u  # dE = 2u du
         f = wts * vals
-        # real GEMV on re/im together: no complex copy of the basis matrix
-        re_im = basis_matrix(target, E, which=family) @ np.stack(
-            [f.real, f.imag], axis=1)
+        # re/im projected inside the recurrence: no basis matrix is stored
+        re_im = basis_matrix(target, E, which=family,
+                             weights=np.stack([f.real, f.imag], axis=1))
         coeffs = re_im[:, 0] + 1j * re_im[:, 1]
         if E_int < profile.E_cut:
             norm_sq = profile.norm_sq

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -239,6 +239,24 @@ def fixture_emax(b: float) -> float:
     return max(40.0, 160.0 / b)
 
 
+@lru_cache(maxsize=1)
+def _unit_T(k: float, M: int) -> np.ndarray:
+    """T at beta = 1/4 (where 2 C~ has the unit bands), read-only and shared.
+
+    The bands of 2 C~ are 4 beta times the unit ones, so T(beta) =
+    _unit_T(k, M) + (1/2) log(4 beta) I and every fixture with the same
+    (k, M) shares this one logarithm.  The squared-argument states keep
+    about 1e-3 of their norm in the last rows, where log(2 C~) truncated at
+    M is wrong by far more than the backend agreement tolerance; at twice
+    the truncation it is not.
+    """
+    gt = build_tilde_generators(build_generators(BasisSpec(k=k, beta=0.25,
+                                                           M=M)))
+    T = build_T(gt, log_M=2 * M).matrix
+    T.setflags(write=False)
+    return T
+
+
 def build_interval_fixture(a: float, b: float, k: float = 1.0,
                            M: int = FIXTURE_M, grid_n: int = 4096,
                            n_bumps: int = N_BUMPS, seed: int = 0,
@@ -258,10 +276,9 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
     spec = BasisSpec(k=k, beta=beta, M=M)
     g = build_generators(spec)
     gt = build_tilde_generators(g)
-    # the squared-argument states keep about 1e-3 of their norm in the
-    # last rows, where log(2 C~) truncated at M is wrong by far more than
-    # the backend agreement tolerance; at twice the truncation it is not
-    T = build_T(gt, log_M=2 * M)
+    T = _unit_T(k, M).copy()
+    T[np.diag_indices(M)] += 0.5 * np.log(4.0 * beta)
+    T = HermitianOperator(T, "Z")
     grid = GridSpec(N=grid_n, E_max=emax)
     rep = build_grid_ops(grid, k)
     rng = np.random.default_rng(seed)

@@ -48,6 +48,36 @@ def test_bad_values_give_config_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,env", [
+    pytest.param(["build", "--config", "{missing}"], None,
+                 id="config-missing"),
+    pytest.param(["build"], "{missing}", id="env-config-missing"),
+    pytest.param(["build", "--config", "{scalar}"], None,
+                 id="config-not-object"),
+    pytest.param(["report", "{missing}"], None, id="report-missing"),
+    pytest.param(["report", "{garbled}"], None, id="report-not-json"),
+    pytest.param(["report", "{bare}"], None, id="report-no-reports"),
+    pytest.param(["report", "{empty_entry}"], None, id="report-empty-entry"),
+])
+def test_unreadable_inputs_give_config_error(argv, env, tmp_path,
+                                              monkeypatch, capsys):
+    paths = {name: tmp_path / f"{name}.json" for name in
+             ("missing", "scalar", "garbled", "bare", "empty_entry")}
+    paths["scalar"].write_text("5")
+    paths["garbled"].write_text("not json {")
+    paths["bare"].write_text(json.dumps({"format": "MODLOC-REPORT"}))
+    paths["empty_entry"].write_text(json.dumps(
+        {"format": "MODLOC-REPORT", "aggregate_pass": True,
+         "reports": [{}]}))
+    if env is not None:
+        monkeypatch.setenv("MODLOC_CONFIG", env.format(**paths))
+    out = tmp_path / "out"
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inverted_interval_rejected_before_compute(capsys):
     code = main(["localize", "--interval", "2", "1"])
     assert code == 2

@@ -141,6 +141,32 @@ def test_basis_matrix_no_underflow_on_energy_cap(M, which, k, beta):
         ref[-1, -3:], rel=1e-10)
 
 
+@pytest.mark.parametrize("k,beta", [(1.0, 1.0), (1.5, 0.7)])
+@pytest.mark.parametrize("M", [1, 2, 384, 1024])
+@pytest.mark.parametrize("which", ["Z", "Ztilde"])
+def test_basis_matrix_weights_match_product(M, which, k, beta):
+    # the projection inside the recurrence against the stored matrix; at
+    # M = 1024 the mesh is the upper half of the energy cap, where nodes
+    # pass x ~ 1490 and the renormalization refreshes the folded weights
+    spec = BasisSpec(k=k, beta=beta, M=M)
+    cap = _basis_energy_cap(spec, which)
+    E = np.linspace(0.5 * cap if M == 1024 else 1e-3, cap, 3000)
+    W = np.random.default_rng(M).standard_normal((E.size, 3))
+    ref = basis_matrix(spec, E, which=which) @ W
+    out = basis_matrix(spec, E, which=which, weights=W)
+    assert out.shape == (M, 3)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_basis_matrix_weights_shape_checked():
+    spec = BasisSpec(k=1.0, M=4)
+    E = np.linspace(0.1, 5.0, 11)
+    with pytest.raises(ValueError):
+        basis_matrix(spec, E, weights=np.ones(11))
+    with pytest.raises(ValueError):
+        basis_matrix(spec, E, weights=np.ones((10, 2)))
+
+
 def test_basis_eval_validation():
     spec = BasisSpec(k=1.0, M=4)
     with pytest.raises(ValueError):

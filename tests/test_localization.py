@@ -17,6 +17,7 @@ from modloc.localization import (
     BumpSpec,
     FourierProfile,
     _simpson_weights,
+    _umesh,
     make_bump,
     moebius_on_wavefunction,
     positive_frequency,
@@ -87,6 +88,37 @@ def test_profile_matches_oracle_up_to_cutoff(a, b):
     direct = fourier_positive_part(x, psi, E)
     err = np.max(np.abs(prof.positive_part(E) - direct))
     assert err <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.0, 2.0), (4.0, 8.0)])
+def test_norm_mesh_matches_refined_mesh(a, b):
+    # |psi_hat|^2 drops the phase e^{i E x_lo}, so the norm mesh is sized to
+    # the support width; the reference resolves the phase (scale x_hi)
+    # with four times the points per wave
+    x, psi = make_bump(BumpSpec(a, b, samples=8192))
+    prof = FourierProfile(x, psi)
+    u = _umesh(prof.E_cut, beta=1.0, M=1, b=prof.x_hi, points_per_wave=192)
+    ref = _simpson_weights(u) @ (
+        np.abs(prof.positive_part(u * u)) ** 2 * 2.0 * u)
+    assert abs(prof.norm_sq - ref) <= 1e-11 * ref
+
+
+def test_projection_stores_no_basis_matrix():
+    # the corner fixture's first bump: its Z basis matrix alone would be
+    # 163 MiB (M = 384 rows of a 53,554-point mesh)
+    import tracemalloc
+
+    from modloc.verification import BUMP_SAMPLES, FIXTURE_M, fixture_beta
+
+    x, psi = make_bump(BumpSpec(0.5, 0.75, samples=BUMP_SAMPLES))
+    spec = BasisSpec(k=1.0, beta=fixture_beta(0.5, 0.75), M=FIXTURE_M)
+    tracemalloc.start()
+    try:
+        positive_frequency(x, psi, spec, family="Z")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_reality_split(bump):

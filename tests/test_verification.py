@@ -165,6 +165,40 @@ def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
     assert len(set(seen)) == 3
 
 
+@pytest.mark.parametrize("beta", [0.3, 1.0, 7.5])
+def test_fixture_T_is_shifted_unit_T(beta):
+    from modloc.spectral import build_T
+
+    fx = build_interval_fixture(1.0, 2.0, M=64, n_bumps=0, beta=beta)
+    ref = build_T(fx.gt, log_M=128).matrix
+    assert np.max(np.abs(fx.T.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fixtures_share_one_unit_T(monkeypatch):
+    import modloc.verification as ver
+
+    calls = []
+    build_T = ver.build_T
+
+    def counted(gt, log_M=None):
+        calls.append((gt.spec.k, gt.M))
+        return build_T(gt, log_M=log_M)
+
+    monkeypatch.setattr(ver, "build_T", counted)
+    ver._unit_T.cache_clear()
+    fx1 = build_interval_fixture(1.0, 2.0, M=64, n_bumps=0)
+    fx2 = build_interval_fixture(4.0, 8.0, M=64, n_bumps=0)
+    assert calls == [(1.0, 64)]
+    unit = ver._unit_T(1.0, 64)
+    assert not unit.flags.writeable
+    with pytest.raises(ValueError):
+        unit[0, 0] = 0.0
+    # each fixture owns its T: the shift never lands in the shared array
+    assert fx1.T.matrix is not unit and fx2.T.matrix is not unit
+    assert not np.shares_memory(fx1.T.matrix, unit)
+    ver._unit_T.cache_clear()
+
+
 def test_lowest_weights_detects_wrong_target():
     rep = check_lowest_weights(ks=(1.0,), M=64)
     assert rep.passed
