@@ -15,11 +15,11 @@ from scipy.linalg import eigh
 
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
+    HermitianOperator,
     build_generators,
     build_T,
     build_tilde_generators,
     interior_residual,
-    rotation_generator,
     unitary_flow,
 )
 
@@ -49,7 +49,7 @@ def main():
               f"[C,D]+iC {interior_residual(C@D-D@C, -1j*C):.2e}, "
               f"[H,C]-2iD {interior_residual(H@C-C@H, 2j*D):.2e}")
 
-    R = unitary_flow(rotation_generator(g), np.pi)
+    R = unitary_flow(HermitianOperator(g.rotation()), np.pi)
     print(f"\nrotation by pi swaps H and C: residual "
           f"{interior_residual(R @ g.H @ R.conj().T, g.C):.2e}")
 

@@ -40,7 +40,6 @@ from .spectral import (
     HermitianOperator,
     build_generators,
     build_T,
-    build_Th_Tc,
     build_tilde_generators,
     matrix_function,
     unitary_flow,
@@ -53,7 +52,6 @@ from .localization import (
     make_bump,
     moebius_on_wavefunction,
     positive_frequency,
-    symplectic,
 )
 
 __version__ = "0.1.0"

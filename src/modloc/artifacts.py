@@ -401,6 +401,8 @@ class RunConfig:
         return data
 
     def suite_config(self) -> dict:
+        """The keys verification.run_suite reads, with this config's
+        values."""
         return {
             "k": self.k, "beta": self.beta, "M": self.M,
             "grid_n": self.grid_n, "grid_emax": self.grid_emax,
@@ -408,4 +410,5 @@ class RunConfig:
             "weyl_M": self.weyl_M, "fixture_M": self.fixture_M,
             "n_bumps": self.n_bumps, "seed": self.seed,
             "intervals": [list(iv) for iv in self.intervals],
+            "bump": self.bump,
         }

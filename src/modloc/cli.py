@@ -10,6 +10,7 @@ producing config and a format version.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -33,10 +34,10 @@ from .laguerre import BasisSpec
 from .localization import BUMP_FAMILIES
 from .spectral import build_generators
 from .verification import (
+    SuiteResult,
     ToleranceProfile,
     build_interval_fixture,
     run_suite,
-    spectral_expectations,
 )
 
 __all__ = ["main"]
@@ -100,33 +101,23 @@ def cmd_localize(cfg: RunConfig) -> int:
               "in_bounds")
     print(("{:>8} " * len(header)).format(*header))
     rows = []
-    for st in fx.states:
-        try:
-            e = spectral_expectations(fx, st)
-            ok = bool(la - 1e-6 <= e["T"] <= lb + 1e-6)
-            row = {"a": st["support"][0], "b": st["support"][1],
-                   "norm": float(np.sqrt(st["Z"].norm_sq)), "H": e["H"],
-                   "C": e["C"], "D": e["D"], "T": e["T"],
-                   "log_a": float(la), "log_b": float(lb),
-                   "in_bounds": ok, "error": ""}
-        except ModlocError as exc:
-            row = {"a": st["support"][0], "b": st["support"][1],
-                   "norm": "", "H": "", "C": "", "D": "", "T": "",
-                   "log_a": float(la), "log_b": float(lb),
-                   "in_bounds": False,
-                   "error": f"{type(exc).__name__}: {exc}"}
+    for st, e in zip(fx.states, fx.spectral_table):
+        row = {"a": st["support"][0], "b": st["support"][1],
+               "norm": float(np.sqrt(st["Z"].norm_sq)), "H": e["H"],
+               "C": e["C"], "D": e["D"], "T": e["T"],
+               "log_a": float(la), "log_b": float(lb),
+               "in_bounds": bool(la - 1e-6 <= e["T"] <= lb + 1e-6)}
         rows.append(row)
         print(("{:>8.4f} {:>8.4f} " + "{:>8.4} " * 5 +
-               "{:>8.4f} {:>8.4f} {:>8} {}").format(
+               "{:>8.4f} {:>8.4f} {:>8}").format(
                    row["a"], row["b"], row["norm"], row["H"], row["C"],
                    row["D"], row["T"], row["log_a"], row["log_b"],
-                   str(row["in_bounds"]), row["error"]))
+                   str(row["in_bounds"])))
     if cfg.out:
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        import csv as _csv
         with open(outdir / "summary.csv", "w", newline="") as f:
-            w = _csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+            w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
             w.writeheader()
             w.writerows(rows)
         for i, st in enumerate(fx.states):
@@ -169,19 +160,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig, path: str) -> int:
     """Convert a JSON report file to the requested format."""
-    doc = read_report_json(path)
-
-    class _R:
-        pass
-
-    reports = []
-    for d in doc["reports"]:
-        r = _R()
-        r.__dict__.update(d)
-        reports.append(r)
-    suite = _R()
-    suite.reports = reports
-    suite.aggregate_pass = doc["aggregate_pass"]
+    suite = SuiteResult.from_dict(read_report_json(path))
     if cfg.format == "csv":
         out = cfg.out or (path + ".csv")
         write_report_csv(out, suite)

@@ -135,14 +135,6 @@ class GridRep:
         gauge = (1j) ** np.arange(n)
         return evals, gauge[:, None] * vecs
 
-    def t_min_eigenvalue(self) -> float:
-        evals = self.ctilde_eig[0]
-        if evals[0] <= 0:
-            raise SpectrumOutOfDomain(
-                f"C~ on the grid is not positive definite: {evals[0]:.3e}"
-            )
-        return float(0.5 * np.log(2.0 * evals[0]))
-
     # -- expectation values ----------------------------------------------
     def expect_H(self, state: GridState) -> float:
         h = self.grid.spacing

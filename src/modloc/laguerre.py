@@ -207,11 +207,6 @@ class BasisSpec:
             raise ValueError("truncation M must be >= 1")
 
     @property
-    def full_group(self) -> bool:
-        """True when k >= 1, the range covered by the main theorems."""
-        return self.k >= 1.0
-
-    @property
     def tilde_k(self) -> float:
         """Lowest weight k/2 + 1/4 of the squared-coordinate companion triple."""
         return 0.5 * self.k + 0.25

@@ -38,7 +38,6 @@ __all__ = [
     "FourierProfile",
     "StateVector",
     "make_bump",
-    "symplectic",
     "positive_frequency",
     "positive_part_samples",
     "moebius_on_wavefunction",
@@ -93,20 +92,6 @@ def make_bump(spec: BumpSpec):
     if peak > 0:
         psi /= peak
     return x, psi
-
-
-def symplectic(psi, psi2, x) -> float:
-    """sigma(psi, psi') = int (psi d psi' - psi' d psi) dx.
-
-    Centered differences and the trapezoid rule on the common grid; exact
-    antisymmetry is inherited from the formula.
-    """
-    psi = np.asarray(psi)
-    psi2 = np.asarray(psi2)
-    x = np.asarray(x)
-    d1 = np.gradient(psi2, x)
-    d2 = np.gradient(psi, x)
-    return float(np.trapezoid(psi * d1 - psi2 * d2, x))
 
 
 class FourierProfile:

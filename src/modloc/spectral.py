@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import OverflowAbort, SpectrumOutOfDomain
+from .errors import SpectrumOutOfDomain
 from .laguerre import BasisSpec
 
 __all__ = [
@@ -32,15 +32,10 @@ __all__ = [
     "spectral_compose",
     "matrix_function",
     "build_T",
-    "build_Th_Tc",
     "unitary_flow",
-    "conjugation_J",
     "j_conjugate_matrix",
-    "translate_generators",
     "interior_block",
     "interior_residual",
-    "rotation_generator",
-    "half_modular_power_apply",
 ]
 
 INTERIOR_FRACTION = 0.8
@@ -48,10 +43,9 @@ INTERIOR_FRACTION = 0.8
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian complex matrix tagged with the basis it lives in."""
+    """Hermitian complex matrix."""
 
     matrix: np.ndarray
-    basis: str = "Z"
 
     def __post_init__(self):
         m = self.matrix
@@ -225,8 +219,7 @@ def matrix_function(A: HermitianOperator, f: str, param: float | None = None,
     eigenvectors; see spectrum_function for f and the domain checks."""
     evals, vecs = tridiagonal_eigh(A.matrix)
     fe = spectrum_function(evals, f, param, eps_factor)
-    return HermitianOperator(spectral_compose(vecs, fe).astype(complex),
-                             A.basis)
+    return HermitianOperator(spectral_compose(vecs, fe).astype(complex))
 
 
 def build_T(gt: GeneratorSet, log_M: int | None = None) -> HermitianOperator:
@@ -250,16 +243,7 @@ def build_T(gt: GeneratorSet, log_M: int | None = None) -> HermitianOperator:
     block = slice(0, M)
     T = 0.5 * spectral_compose(vecs, spectrum_function(evals, "log"),
                                rows=block, cols=block)
-    return HermitianOperator(T.astype(complex), "Z")
-
-
-def build_Th_Tc(g: GeneratorSet):
-    """The two logarithmic coordinates T_h = log H and T_c = log C."""
-    if g.variant != "plain":
-        raise ValueError("T_h, T_c are built from the plain triple")
-    Th = matrix_function(HermitianOperator(g.H, "Z"), "log")
-    Tc = matrix_function(HermitianOperator(g.C, "Z"), "log")
-    return Th, Tc
+    return HermitianOperator(T.astype(complex))
 
 
 def unitary_flow(A: HermitianOperator, t: float, sign: int = 1) -> np.ndarray:
@@ -268,40 +252,13 @@ def unitary_flow(A: HermitianOperator, t: float, sign: int = 1) -> np.ndarray:
     return spectral_compose(vecs, np.exp(1j * sign * t * evals))
 
 
-def conjugation_J(v: np.ndarray) -> np.ndarray:
-    """Modular conjugation on spectral coefficients: componentwise conjugate.
-
-    The basis functions are real-valued, so J acts as plain complex
-    conjugation of the coefficient vector.
-    """
-    return np.conj(v)
-
-
 def j_conjugate_matrix(A: np.ndarray) -> np.ndarray:
-    """Matrix of J A J for antiunitary J = componentwise conjugation."""
-    return np.conj(A)
+    """Matrix of J A J for the modular conjugation J.
 
-
-def translate_generators(g: GeneratorSet, a: float) -> GeneratorSet:
-    """Closed-form conjugation by exp(-i a H): (H, D + aH, C + 2aD + a^2 H).
-
-    With [H, D] = iH and [H, C] = 2iD the flow of exp(-i a H) adds aH to D
-    and 2aD + a^2 H to C; the positive sign of a pairs with the negative
-    flow direction.
+    The basis functions are real-valued, so J acts on spectral
+    coefficients as componentwise complex conjugation.
     """
-    if g.variant != "plain":
-        raise ValueError("translation conjugation applies to the plain triple")
-    return GeneratorSet(
-        H=g.H.copy(),
-        D=g.D + a * g.H,
-        C=g.C + 2.0 * a * g.D + a * a * g.H,
-        spec=g.spec,
-        variant="plain",
-    )
-
-
-def rotation_generator(g: GeneratorSet) -> HermitianOperator:
-    return HermitianOperator(g.rotation(), g.variant)
+    return np.conj(A)
 
 
 def interior_block(A: np.ndarray, fraction: float = INTERIOR_FRACTION) -> np.ndarray:
@@ -317,27 +274,3 @@ def interior_residual(lhs: np.ndarray, rhs: np.ndarray,
     ref = interior_block(rhs, fraction)
     return float(np.linalg.norm(diff, 2) / np.linalg.norm(ref, 2))
 
-
-def half_modular_power_apply(D: np.ndarray, v: np.ndarray,
-                             guard: float = 1e12) -> np.ndarray:
-    """Apply exp(-pi D) (the truncated Delta^{1/2}) to a coefficient vector.
-
-    Works in log space component-by-component in the eigenbasis of D; if the
-    reconstructed norm would exceed the guard, the truncation artifact
-    dominates and OverflowAbort is raised (the caller reports inconclusive).
-    """
-    evals, vecs = tridiagonal_eigh(D)
-    a = vecs.conj().T @ v
-    mag = np.abs(a)
-    with np.errstate(divide="ignore"):
-        logmag = np.where(mag == 0.0, -np.inf, np.log(mag)) - np.pi * evals
-    peak = np.max(logmag)
-    ref = max(float(np.linalg.norm(v)), 1e-300)
-    if peak > np.log(guard * ref):
-        raise OverflowAbort(
-            f"exp(-pi D) amplifies components to e^{peak:.1f}; truncated "
-            "half-modular power is unreliable here"
-        )
-    scaled = np.where(np.isfinite(logmag), np.exp(logmag), 0.0)
-    phases = np.where(mag == 0.0, 0.0, a / np.where(mag == 0.0, 1.0, mag))
-    return vecs @ (scaled * phases)

@@ -14,13 +14,14 @@ pointwise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ModlocError, OverflowAbort
+from .artifacts import RunConfig
+from .errors import ConfigError, OverflowAbort
 from .gridop import GridRep, GridSpec, build_grid_ops
 from .laguerre import BasisSpec
 from .localization import BumpSpec, FourierProfile, make_bump, positive_frequency
@@ -60,10 +61,10 @@ __all__ = [
     "grid_expectations",
 ]
 
-# default bump budget matching the acceptance scale
-N_BUMPS = 20
+# default bump budget and fixture truncation matching the acceptance scale
+N_BUMPS = RunConfig.n_bumps
 BUMP_SAMPLES = 8192
-FIXTURE_M = 384
+FIXTURE_M = RunConfig.fixture_M
 WEYL_BLOCK = 16
 S_INV_WINDOW = 3.0
 S_INV_LADDER = (64, 128, 256, 512)
@@ -278,7 +279,7 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
     gt = build_tilde_generators(g)
     T = _unit_T(k, M).copy()
     T[np.diag_indices(M)] += 0.5 * np.log(4.0 * beta)
-    T = HermitianOperator(T, "Z")
+    T = HermitianOperator(T)
     grid = GridSpec(N=grid_n, E_max=emax)
     rep = build_grid_ops(grid, k)
     rng = np.random.default_rng(seed)
@@ -558,9 +559,9 @@ def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
     U_h(e^{-2 pi t} a) and U_c(a) to U_c(e^{+2 pi t} a); H, D, C are banded
     in this basis, so the flows are interior-exact to round-off and the
     identities hold on the interior block at far below tol.  The
-    J-relations (J X J = X for H, C; = -X for D; J U_h(a) J = U_h(a)^*)
-    are exact at the matrix level because the generators are real (times i
-    for D) and J is componentwise conjugation.
+    J-relations (J X J = X for H, C; = -X for D; J U_h(a) J = U_h(a)^*,
+    the adjoint) are exact at the matrix level because the generators are
+    real (times i for D) and J is componentwise conjugation.
     """
     M = g.M
     if block is None:
@@ -582,7 +583,8 @@ def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
     worst = _worst(values.values())
     Uh = flows["Uh"]
     j_res = {
-        "JUhJ=Uh*": float(np.max(np.abs(j_conjugate_matrix(Uh) - Uh.conj()))),
+        "JUhJ=Uh*": float(np.max(np.abs(j_conjugate_matrix(Uh)
+                                        - Uh.conj().T))),
         "JHJ=H": float(np.max(np.abs(j_conjugate_matrix(g.H) - g.H))),
         "JDJ=-D": float(np.max(np.abs(j_conjugate_matrix(g.D) + g.D))),
         "JCJ=C": float(np.max(np.abs(j_conjugate_matrix(g.C) - g.C))),
@@ -659,6 +661,8 @@ def check_S_invariance_convergence(a: float = 1.0, b: float = 2.0,
     bs = BumpSpec(a, b, samples=BUMP_SAMPLES)
     x, psi = make_bump(bs)
     prof = FourierProfile(x, psi)
+    params = {"interval": [a, b], "k": k, "beta": beta,
+              "ladder": list(ladder), "window": window}
     rs = []
     try:
         for M in ladder:
@@ -683,16 +687,12 @@ def check_S_invariance_convergence(a: float = 1.0, b: float = 2.0,
     except OverflowAbort as exc:
         return CheckReport(
             name="s_invariance", passed=None, residual=None, tolerance=tol,
-            params={"interval": [a, b], "k": k, "beta": beta,
-                    "ladder": list(ladder), "window": window},
-            values={"r": rs}, error=f"OverflowAbort: {exc}")
+            params=params, values={"r": rs}, error=f"OverflowAbort: {exc}")
     non_increasing = all(rs[i + 1] <= rs[i] * 1.05 for i in range(len(rs) - 1))
     passed = bool(non_increasing and rs[-1] <= tol)
     return CheckReport(
         name="s_invariance", passed=passed, residual=float(rs[-1]),
-        tolerance=tol,
-        params={"interval": [a, b], "k": k, "beta": beta,
-                "ladder": list(ladder), "window": window},
+        tolerance=tol, params=params,
         values={"r": rs, "non_increasing": non_increasing})
 
 
@@ -706,20 +706,21 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
     the plain dilation generator in the tilde basis (2 D~) with flow
     parameter -log(scale^2); each transported expectation must land in
     [log(scale^2 a), log(scale^2 b)] within tol and sit near the base
-    value plus log(scale^2).
+    value plus log(scale^2).  The states are flowed, not T: <F T F^* ct>
+    = <W, T W> with W = F^* ct.
     """
     shift = np.log(scale * scale)
     lo = np.log(scale * scale * fx.a)
     hi = np.log(scale * scale * fx.b)
-    F = unitary_flow(HermitianOperator(2.0 * fx.gt.D, "tilde"), -shift)
-    Tg = F @ fx.T.matrix @ F.conj().T
+    F = unitary_flow(HermitianOperator(2.0 * fx.gt.D), -shift)
+    W = F.conj().T @ np.stack([st["Ztilde"].data for st in fx.states], 1)
+    transported = np.real(np.sum(W.conj() * (fx.T.matrix @ W), axis=0))
     excursions = [0.0]
     shifts = [0.0]
     per_state = []
-    for st, es in zip(fx.states, fx.spectral_table):
-        ct = st["Ztilde"].data
+    for st, es, tw in zip(fx.states, fx.spectral_table, transported):
         base = es["T"]
-        val = float(np.real(np.vdot(ct, Tg @ ct))) / es["tilde_norm_sq"]
+        val = float(tw) / es["tilde_norm_sq"]
         excursions += [lo - val, val - hi]
         shifts.append(abs(val - base - shift))
         per_state.append({"support": list(st["support"]), "base": base,
@@ -773,7 +774,7 @@ class SuiteResult:
     reports: list
     aggregate_pass: bool
     config: dict
-    elapsed: float
+    elapsed: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -782,43 +783,38 @@ class SuiteResult:
             "reports": [r.to_dict() for r in self.reports],
         }
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SuiteResult":
+        """The result to_dict wrote; the wall time is not stored, so
+        elapsed is None."""
+        keys = {f.name for f in fields(CheckReport)}
+        reports = [CheckReport(**{k: v for k, v in d.items() if k in keys})
+                   for d in doc["reports"]]
+        return cls(reports=reports, aggregate_pass=doc["aggregate_pass"],
+                   config=doc.get("config", {}), elapsed=None)
+
 
 def _suite_checks(config: dict, profile: ToleranceProfile):
-    """Yield (name, thunk) pairs in deterministic order."""
-    k = config.get("k", 1.0)
-    beta = config.get("beta", 1.0)
-    M = config.get("M", 256)
-    grid_n = config.get("grid_n", 4096)
-    grid_emax = config.get("grid_emax", 40.0)
-    grid_emax_tilde = config.get("grid_emax_tilde", 10.0)
-    weyl_m = config.get("weyl_M", 512)
-    fixture_m = config.get("fixture_M", FIXTURE_M)
-    n_bumps = config.get("n_bumps", N_BUMPS)
-    seed = config.get("seed", 0)
-    intervals = [tuple(iv) for iv in
-                 config.get("intervals", [[1.0, 2.0], [0.5, 1.0], [4.0, 8.0]])]
+    """Yield (name, thunk) pairs in deterministic order for a config with
+    every key of RunConfig.suite_config."""
+    k, beta, M = config["k"], config["beta"], config["M"]
+    grid_n, grid_emax = config["grid_n"], config["grid_emax"]
+    intervals = [tuple(iv) for iv in config["intervals"]]
     cache: dict = {}
 
-    def reps():
-        if "g" not in cache:
-            spec = BasisSpec(k=k, beta=beta, M=M)
-            cache["g"] = build_generators(spec)
-            cache["gt"] = build_tilde_generators(cache["g"])
-        return cache["g"], cache["gt"]
-
-    def weyl_reps():
-        if "gw" not in cache:
-            spec = BasisSpec(k=k, beta=beta, M=weyl_m)
-            cache["gw"] = build_generators(spec)
-            cache["gwt"] = build_tilde_generators(cache["gw"])
-        return cache["gw"], cache["gwt"]
+    def reps(m=M):
+        if m not in cache:
+            g = build_generators(BasisSpec(k=k, beta=beta, M=m))
+            cache[m] = g, build_tilde_generators(g)
+        return cache[m]
 
     def fixture(iv):
-        if ("fx", iv) not in cache:
-            cache[("fx", iv)] = build_interval_fixture(
-                iv[0], iv[1], k=k, M=fixture_m, grid_n=grid_n,
-                n_bumps=n_bumps, seed=seed)
-        return cache[("fx", iv)]
+        if iv not in cache:
+            cache[iv] = build_interval_fixture(
+                *iv, k=k, M=config["fixture_M"], grid_n=grid_n,
+                n_bumps=config["n_bumps"], seed=config["seed"],
+                family=config["bump"])
+        return cache[iv]
 
     yield ("commutators_plain",
            lambda: check_commutators(reps()[0],
@@ -834,7 +830,8 @@ def _suite_checks(config: dict, profile: ToleranceProfile):
     # full 1/h^2 stencil while its smooth modes live at low energy
     yield ("commutators_grid_tilde",
            lambda: check_commutators(
-               build_grid_ops(GridSpec(N=grid_n, E_max=grid_emax_tilde), k),
+               build_grid_ops(GridSpec(N=grid_n,
+                                       E_max=config["grid_emax_tilde"]), k),
                tol=profile.tol("commutators_grid"), triple="tilde"))
     yield ("lowest_weights",
            lambda: check_lowest_weights(beta=beta, M=M,
@@ -849,7 +846,7 @@ def _suite_checks(config: dict, profile: ToleranceProfile):
         yield (f"t_bounds[{iv[0]},{iv[1]}]",
                lambda iv=iv: check_T_bounds(fixture(iv),
                                             tol=profile.tol("t_bounds")))
-    yield ("weyl", lambda: check_weyl(*weyl_reps(),
+    yield ("weyl", lambda: check_weyl(*reps(config["weyl_M"]),
                                       tol=profile.tol("weyl")))
     yield ("positive_inclusions",
            lambda: check_positive_inclusions(
@@ -873,27 +870,30 @@ def run_suite(config: dict | None = None,
               scope: list | None = None) -> SuiteResult:
     """Run the named checks in deterministic order.
 
-    scope is a list of name prefixes; None means everything, an empty list
-    selects nothing.  Per-check exceptions become failed-with-error
-    reports and never abort the suite; inconclusive reports (passed =
-    None) do not count against the aggregate.
+    config overrides RunConfig's suite defaults (RunConfig.suite_config);
+    an unknown key raises ConfigError, while values are left to the checks
+    that use them.  scope is a list of name prefixes; None means
+    everything, an empty list selects nothing.  Per-check exceptions
+    become failed-with-error reports and never abort the suite;
+    inconclusive reports (passed = None) do not count against the aggregate.
     """
     if config is None:
         config = {}
     if isinstance(profile, str):
         profile = ToleranceProfile.preset(profile)
+    full = RunConfig().suite_config()
+    unknown = sorted(set(config) - set(full))
+    if unknown:
+        raise ConfigError(f"unknown suite config keys: {unknown}")
+    full.update(config)
     start = time.perf_counter()
     reports = []
-    for name, thunk in _suite_checks(config, profile):
+    for name, thunk in _suite_checks(full, profile):
         if scope is not None and not any(name.startswith(s) for s in scope):
             continue
         try:
             rep = thunk()
             rep.name = name
-        except ModlocError as exc:
-            rep = CheckReport(name=name, passed=False, residual=None,
-                              tolerance=None,
-                              error=f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # noqa: BLE001 - suite must never abort
             rep = CheckReport(name=name, passed=False, residual=None,
                               tolerance=None,

@@ -1,0 +1,40 @@
+"""The demos run and every exported name resolves, so a deleted or renamed
+function cannot leave a broken demo or export behind."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import modloc
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral_representation.py", "--M", "64"],
+    ["group_geometry.py"],
+    ["local_states.py", "--bumps", "1"],
+    ["convergence_study.py", "--ladder", "64", "128"],
+], ids=lambda argv: argv[0])
+def test_demo_runs(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / argv[0]),
+                           *argv[1:]], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(modloc.__path__)))
+def test_exports_resolve(name):
+    module = importlib.import_module(f"modloc.{name}")
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == []

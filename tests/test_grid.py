@@ -87,7 +87,6 @@ def test_rotation_ground_state_convergence():
 def test_ctilde_positive_and_t_min(rep):
     evals = rep.ctilde_eig[0]
     assert evals[0] > 0
-    assert abs(rep.t_min_eigenvalue() - 0.5 * np.log(2.0 * evals[0])) < 1e-12
 
 
 def test_d_eigenvectors(rep):

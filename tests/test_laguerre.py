@@ -80,8 +80,6 @@ def test_basis_spec_validation():
         BasisSpec(k=1.0, beta=float("nan"))
     spec = BasisSpec(k=1.0)
     assert spec.tilde_k == 0.75
-    assert spec.full_group
-    assert not BasisSpec(k=0.6).full_group
 
 
 @pytest.mark.parametrize("which", ["Z", "Ztilde"])

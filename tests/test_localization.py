@@ -22,7 +22,6 @@ from modloc.localization import (
     moebius_on_wavefunction,
     positive_frequency,
     positive_part_samples,
-    symplectic,
 )
 from modloc.mobius import dilation_matrix, translation
 
@@ -57,15 +56,6 @@ def test_bump_validation():
         BumpSpec(1.0, 2.0, family="gaussian")
     with pytest.raises(DegenerateInterval):
         make_bump(BumpSpec(1.0, 1.001, samples=256))
-
-
-def test_symplectic_antisymmetry(bump):
-    x, psi = bump
-    _, psi2 = make_bump(BumpSpec(1.2, 1.9, samples=8192))
-    s12 = symplectic(psi, psi2, x)
-    s21 = symplectic(psi2, psi, x)
-    assert abs(s12 + s21) < 1e-12 * max(1.0, abs(s12))
-    assert abs(symplectic(psi, psi, x)) < 1e-14
 
 
 def test_profile_matches_direct_fourier(bump):

@@ -13,15 +13,10 @@ from modloc.spectral import (
     HermitianOperator,
     build_generators,
     build_T,
-    build_Th_Tc,
     build_tilde_generators,
-    conjugation_J,
-    half_modular_power_apply,
     interior_residual,
     j_conjugate_matrix,
     matrix_function,
-    rotation_generator,
-    translate_generators,
     tridiagonal_eigh,
     unitary_flow,
 )
@@ -73,7 +68,7 @@ def test_d_spectrum_symmetric(g128):
 
 def test_rotation_swap(g128):
     # exp(i pi (H+C)/2) swaps H with C and flips D
-    R = unitary_flow(rotation_generator(g128), np.pi)
+    R = unitary_flow(HermitianOperator(g128.rotation()), np.pi)
     assert interior_residual(R @ g128.H @ R.conj().T, g128.C) < 1e-4
     assert interior_residual(R @ g128.D @ R.conj().T, -g128.D) < 1e-4
 
@@ -139,7 +134,7 @@ def test_tilde_requires_plain(g128, gt128):
 
 
 def test_matrix_function_against_scipy(g128):
-    R = rotation_generator(g128)
+    R = HermitianOperator(g128.rotation())
     ours = matrix_function(R, "log").matrix
     ref = logm(R.matrix)
     assert np.max(np.abs(ours - ref)) < 1e-8
@@ -154,7 +149,7 @@ def test_matrix_function_against_scipy(g128):
 
 
 def test_matrix_function_domain_errors(g128):
-    D = HermitianOperator(g128.D, "Z")
+    D = HermitianOperator(g128.D)
     with pytest.raises(SpectrumOutOfDomain):
         matrix_function(D, "log")
     with pytest.raises(SpectrumOutOfDomain):
@@ -164,11 +159,11 @@ def test_matrix_function_domain_errors(g128):
 
 
 def test_unitary_flow_is_unitary(g128):
-    U = unitary_flow(HermitianOperator(g128.D, "Z"), 0.7)
+    U = unitary_flow(HermitianOperator(g128.D), 0.7)
     assert np.max(np.abs(U @ U.conj().T - np.eye(128))) < 1e-10
     ref = expm(1j * 0.7 * g128.D)
     assert np.max(np.abs(U - ref)) < 1e-8
-    Um = unitary_flow(HermitianOperator(g128.D, "Z"), 0.7, sign=-1)
+    Um = unitary_flow(HermitianOperator(g128.D), 0.7, sign=-1)
     assert np.max(np.abs(Um - U.conj().T)) < 1e-10
 
 
@@ -190,58 +185,33 @@ def test_T_block_of_larger_truncation(gt128):
         build_T(gt128, log_M=64)
 
 
-def test_Th_Tc_from_plain_only(g128, gt128):
-    Th, Tc = build_Th_Tc(g128)
-    assert Th.matrix.shape == (128, 128)
-    with pytest.raises(ValueError):
-        build_Th_Tc(gt128)
+def test_T_from_tilde_only(g128, gt128):
+    assert build_T(gt128).matrix.shape == (128, 128)
     with pytest.raises(ValueError):
         build_T(g128)
 
 
 def test_translate_generators_closed_form(g128):
-    # conjugation by exp(-i a H) matches the closed form on an interior
-    # block well clear of the truncation boundary
+    # with [H, D] = iH and [H, C] = 2iD, conjugation by exp(-i a H) takes
+    # D to D + aH and C to C + 2aD + a^2 H; checked on an interior block
+    # well clear of the truncation boundary
     a = 1.0
-    U = expm(-1j * a * g128.H)
-    gt = translate_generators(g128, a)
-    assert interior_residual(U @ g128.C @ U.conj().T, gt.C, 0.25) < 1e-5
-    assert interior_residual(U @ g128.D @ U.conj().T, gt.D, 0.25) < 1e-5
-    g0 = translate_generators(g128, 0.0)
-    assert np.array_equal(g0.C, g128.C)
+    H, D, C = g128.H, g128.D, g128.C
+    U = expm(-1j * a * H)
+    assert interior_residual(U @ C @ U.conj().T, C + 2 * a * D + a * a * H,
+                             0.25) < 1e-5
+    assert interior_residual(U @ D @ U.conj().T, D + a * H, 0.25) < 1e-5
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_translated_C_positive(g128, a):
-    gt = translate_generators(g128, a)
-    lo = eigh(gt.C, eigvals_only=True, subset_by_index=(0, 0))[0]
+    Ca = g128.C + 2 * a * g128.D + a * a * g128.H
+    lo = eigh(Ca, eigvals_only=True, subset_by_index=(0, 0))[0]
     assert lo > -1e-8
 
 
 def test_conjugation_J_relations(g128):
-    v = np.array([1.0 + 2.0j, -0.5j])
-    assert np.array_equal(conjugation_J(v), v.conj())
     assert np.max(np.abs(j_conjugate_matrix(g128.H) - g128.H)) < 1e-10
     assert np.max(np.abs(j_conjugate_matrix(g128.D) + g128.D)) < 1e-10
     assert np.max(np.abs(j_conjugate_matrix(g128.C) - g128.C)) < 1e-10
 
-
-def test_half_modular_power():
-    # small truncation: the whole D spectrum stays within the overflow
-    # guard, so the direct eigen-oracle is computable
-    g = build_generators(BasisSpec(k=1.0, beta=1.0, M=8))
-    evals, vecs = eigh(g.D)
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    out = half_modular_power_apply(g.D, v)
-    ref = vecs @ (np.exp(-np.pi * evals) * (vecs.conj().T @ v))
-    assert np.linalg.norm(out - ref) < 1e-8 * np.linalg.norm(ref)
-
-
-def test_half_modular_power_overflow_guard(g128):
-    from modloc.errors import OverflowAbort
-
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    with pytest.raises(OverflowAbort):
-        half_modular_power_apply(g128.D, v)

@@ -6,8 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from modloc.errors import ConfigError
 from modloc.laguerre import BasisSpec
-from modloc.spectral import build_generators, build_tilde_generators
+from modloc.spectral import (
+    HermitianOperator,
+    build_generators,
+    build_tilde_generators,
+    unitary_flow,
+)
 from modloc.verification import (
     REGISTERED_CHECKS,
     CheckReport,
@@ -15,9 +21,12 @@ from modloc.verification import (
     build_interval_fixture,
     check_D_positive,
     check_HC_chain,
+    check_S_invariance_convergence,
     check_T_bounds,
     check_commutators,
+    check_covariance_transport,
     check_lowest_weights,
+    check_positive_inclusions,
     f_alpha_profile,
     run_suite,
 )
@@ -259,3 +268,57 @@ def test_inconclusive_does_not_fail_aggregate():
     sr = SuiteResult(reports=[rep], aggregate_pass=all(
         r.passed is not False for r in [rep]), config={}, elapsed=0.0)
     assert sr.aggregate_pass
+
+
+def test_j_check_detects_complex_hamiltonian():
+    # a complex off-diagonal pair keeps H Hermitian tridiagonal, but then
+    # J U_h J = exp(-i a conj(H)) is no longer the adjoint exp(-i a H)
+    g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
+    H = g.H.copy()
+    H[3, 4] *= 1j
+    H[4, 3] *= -1j
+    rep = check_positive_inclusions(dataclasses.replace(g, H=H))
+    assert rep.values["J"]["JUhJ=Uh*"] > rep.params["j_tol"]
+    assert rep.passed is False
+    assert check_positive_inclusions(g).values["J"]["JUhJ=Uh*"] < 1e-14
+
+
+def test_s_invariance_guard_gives_inconclusive():
+    rep = check_S_invariance_convergence(guard=1.0)
+    assert rep.passed is None
+    assert rep.residual is None
+    assert rep.error.startswith("OverflowAbort")
+
+
+def test_covariance_flows_states_like_conjugated_T(fx_small):
+    # <ct, F T F^* ct> from the flowed states equals the conjugated operator
+    rep = check_covariance_transport(fx_small)
+    F = unitary_flow(HermitianOperator(2.0 * fx_small.gt.D), -np.log(4.0))
+    Tg = F @ fx_small.T.matrix @ F.conj().T
+    for st, ps in zip(fx_small.states, rep.values["per_state"]):
+        ct = st["Ztilde"].data
+        ref = np.vdot(ct, Tg @ ct).real / np.vdot(ct, ct).real
+        assert abs(ps["transported"] - ref) <= 1e-12 * abs(ref)
+
+
+def test_suite_fixtures_use_configured_bump(monkeypatch):
+    import modloc.verification as ver
+
+    built = []
+    build = ver.build_interval_fixture
+
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ver, "build_interval_fixture", recorded)
+    res = run_suite({"intervals": [[1.0, 2.0]], "n_bumps": 1,
+                     "bump": "polynomial-window"}, scope=["d_positive"])
+    assert res.reports[0].error is None
+    assert [st["Z"].provenance["family"] for fx in built
+            for st in fx.states] == ["polynomial-window"]
+
+
+def test_run_suite_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match="nbumps"):
+        run_suite({"nbumps": 3}, scope=[])
