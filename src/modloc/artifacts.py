@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, DecompositionFailure
 from .gridop import GridSpec
 from .laguerre import BasisSpec
-from .localization import BUMP_FAMILIES, StateVector
+from .localization import BUMP_FAMILIES, FIXTURE_FAMILIES, StateVector
 from .spectral import GeneratorSet
 
 __all__ = [
@@ -355,9 +355,13 @@ class RunConfig:
             raise ConfigError("truncation sizes out of range")
         if min(self.n_bumps, self.fixture_M, self.weyl_M) < 1:
             raise ConfigError("n_bumps, fixture_M and weyl_M must be >= 1")
-        if self.bump not in BUMP_FAMILIES:
-            raise ConfigError(f"unknown bump family {self.bump!r}; expected "
-                              f"one of {', '.join(BUMP_FAMILIES)}")
+        if self.bump not in FIXTURE_FAMILIES:
+            why = ("its transform decays only like E^-3, past the fixtures' "
+                   "x-sampling Nyquist limit" if self.bump in BUMP_FAMILIES
+                   else "unknown family")
+            raise ConfigError(f"bump family {self.bump!r} cannot build "
+                              f"fixtures ({why}); expected one of "
+                              f"{', '.join(FIXTURE_FAMILIES)}")
         if self.format not in ("json", "csv", "md"):
             raise ConfigError(f"unknown output format {self.format!r}")
         for iv in self.intervals:

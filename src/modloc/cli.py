@@ -31,7 +31,7 @@ from .artifacts import (
 )
 from .errors import ModlocError
 from .laguerre import BasisSpec
-from .localization import BUMP_FAMILIES
+from .localization import FIXTURE_FAMILIES
 from .spectral import build_generators
 from .verification import (
     SuiteResult,
@@ -52,7 +52,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--grid-emax", type=float, dest="grid_emax")
     p.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"))
     p.add_argument("--bump",
-                   help=f"bump family ({', '.join(BUMP_FAMILIES)})")
+                   help=f"bump family ({', '.join(FIXTURE_FAMILIES)})")
     p.add_argument("--scope", nargs="+", help="check name prefixes")
     p.add_argument("--tol-profile", dest="tol_profile",
                    choices=("default", "strict", "coarse"))

@@ -10,9 +10,10 @@ symplectic-form expression evaluated through Plancherel; the magnitude of
 the inversion constant is fixed by requiring this identity, and the global
 phase i by the modular invariance exp(-pi D) psi = J psi of real bumps).
 
-Projections into either backend use a square-root-graded energy mesh
-u = sqrt(E), on which both the basis oscillation (phase ~ 2 sqrt(n x))
-and the bump oscillation (phase ~ b E) have uniformly resolved wavelength.
+Energy integrals run on 12-node Gauss-Legendre panels in u = sqrt(E) that
+cover all of [0, u_max] (_umesh); in u both the basis oscillation (phase ~
+2 sqrt(n x)) and the bump oscillation (phase ~ b E) have uniformly resolved
+wavelength, and each panel spans one wavelength.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ __all__ = [
 
 PROJECTION_GATE = 1e-4
 BUMP_FAMILIES = ("mollifier", "sine-window", "polynomial-window")
+# the families whose profiles the fixtures' x sampling resolves: the sin^2
+# window's second derivative jumps, so its transform decays only like E^-3
+FIXTURE_FAMILIES = ("mollifier", "polynomial-window")
 
 
 @dataclass(frozen=True)
@@ -150,55 +154,40 @@ class FourierProfile:
 
     @cached_property
     def norm_sq(self) -> float:
-        """Full |psi_plus_tilde|^2 integral on a state-resolution graded mesh.
+        """Full |psi_plus_tilde|^2 integral on state-resolution panels.
 
         The modulus drops the phase e^{i E x_lo}, so it oscillates on the
         scale of the support width x_hi - x_lo rather than of x_hi.
         """
-        u = _umesh(self.E_cut, beta=1.0, M=1, b=self.x_hi - self.x_lo)
+        u, w = _umesh(self.E_cut, beta=1.0, M=1, b=self.x_hi - self.x_lo)
         vals = self.positive_part(u * u)
-        return float(_simpson_weights(u) @ (np.abs(vals) ** 2 * 2.0 * u))
+        return float(w @ (np.abs(vals) ** 2 * 2.0 * u))
 
 
-def _umesh(E_cut: float, beta: float, M: int, b: float, points_per_wave: int = 48,
-           family: str = "Z"):
-    """Square-root-graded energy mesh resolving basis and state oscillations.
+def _umesh(E_cut: float, beta: float, M: int, b: float,
+           nodes_per_panel: int = 12, family: str = "Z"):
+    """Gauss-Legendre panel nodes u and weights w on [0, sqrt(E_cut)]; an
+    energy integral int g dE is w @ (g(u^2) 2u).
 
     In u = sqrt(E) the plain basis phase 2 sqrt(2 beta M) u and the bump
     phase b u^2 both have resolvable wavelength; the squared-argument
     family oscillates uniformly in E instead, which in u means a wavelength
-    shrinking like 1/u, resolved at the far end of the mesh.
+    shrinking like 1/u, resolved at the far end of the mesh.  Each panel
+    spans the shorter wavelength with nodes_per_panel nodes.
     """
+    from numpy.polynomial.legendre import leggauss
+
     u_max = np.sqrt(E_cut)
     lam_state = np.pi / max(b * u_max, 1e-3)
     if family == "Ztilde":
         lam_basis = np.pi / (2.0 * u_max * np.sqrt(2.0 * beta * max(M, 1)))
     else:
         lam_basis = np.pi / np.sqrt(2.0 * beta * max(M, 1))
-    du = min(lam_basis, lam_state) / points_per_wave
-    n = int(np.ceil(u_max / du))
-    return np.linspace(du, u_max, n)
-
-
-def _simpson_weights(u) -> np.ndarray:
-    """Composite Simpson weights of the uniform mesh u, so that
-    _simpson_weights(u) @ y is scipy.integrate.simpson(y, x=u).
-
-    An even point count closes the last interval with the same parabolic
-    correction scipy uses (Cartwright 2017, Eq. 8).
-    """
-    n = len(u)
-    if n < 3:
-        raise ValueError("Simpson weights need at least three points")
-    h = (u[-1] - u[0]) / (n - 1)
-    w = np.zeros(n)
-    m = n if n % 2 else n - 1  # points covered by plain Simpson panels
-    w[:m:2] = 2.0 * h / 3.0
-    w[1:m:2] = 4.0 * h / 3.0
-    w[0] = w[m - 1] = h / 3.0
-    if m < n:
-        w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
-    return w
+    n = int(np.ceil(u_max / min(lam_basis, lam_state)))
+    h = u_max / n
+    t, wt = leggauss(nodes_per_panel)
+    u = (np.arange(n)[:, None] + 0.5 * (t + 1.0)) * h
+    return u.ravel(), np.tile(0.5 * h * wt, n)
 
 
 def _basis_energy_cap(spec: BasisSpec, family: str) -> float:
@@ -248,13 +237,13 @@ def positive_frequency(x, psi, target, family: str = "Z",
                        provenance: dict | None = None) -> StateVector:
     """Positive-frequency part of a real sampled bump, in a chosen backend.
 
-    target is a BasisSpec (spectral coefficients by graded-mesh quadrature;
-    family "Z" or "Ztilde" picks the plain or squared-argument family) or a
-    GridSpec (samples at the grid nodes).  A precomputed FourierProfile can
-    be shared across backends for the same bump.  Raises ValueError for a
-    bump with no nonzero sample, NyquistViolation when the x sampling cannot
-    carry the needed energies and ProjectionLoss when more than max_residual
-    of the continuum mass misses the representation.
+    target is a BasisSpec (spectral coefficients by panel quadrature in
+    sqrt(E); family "Z" or "Ztilde" picks the plain or squared-argument
+    family) or a GridSpec (samples at the grid nodes).  A precomputed
+    FourierProfile can be shared across backends for the same bump.  Raises
+    ValueError for a bump with no nonzero sample, NyquistViolation when the
+    x sampling cannot carry the needed energies and ProjectionLoss when more
+    than max_residual of the continuum mass misses the representation.
     """
     psi = np.asarray(psi)
     if np.iscomplexobj(psi) and not np.allclose(psi.imag, 0.0):
@@ -277,11 +266,11 @@ def positive_frequency(x, psi, target, family: str = "Z",
         # the basis sees nothing past its turning point, so the coefficient
         # integral stops at the earlier of basis cap and profile cutoff
         E_int = min(profile.E_cut, _basis_energy_cap(target, family))
-        u = _umesh(E_int, target.beta, target.M, b=profile.x_hi,
-                   family=family)
+        u, w = _umesh(E_int, target.beta, target.M, b=profile.x_hi,
+                      family=family)
         E = u * u
         vals = profile.positive_part(E)
-        wts = _simpson_weights(u) * 2.0 * u  # dE = 2u du
+        wts = w * 2.0 * u  # dE = 2u du
         f = wts * vals
         # re/im projected inside the recurrence: no basis matrix is stored
         re_im = basis_matrix(target, E, which=family,
@@ -324,17 +313,17 @@ def positive_part_samples(x, psi, x_eval) -> np.ndarray:
     The mode function carries the same phase i as the profile convention,
     so the real bump still splits as psi = 2 Re psi_plus.
 
-    Evaluated on the graded mesh; used for x-space cross-checks of the
-    scalar-product convention.
+    Evaluated on the Gauss-Legendre panels; used for x-space cross-checks
+    of the scalar-product convention.
     """
     x = np.asarray(x, dtype=float)
     profile = FourierProfile(x, psi)
-    u = _umesh(profile.E_cut, beta=1.0, M=1, b=profile.x_hi)
+    u, w = _umesh(profile.E_cut, beta=1.0, M=1, b=profile.x_hi)
     vals = profile.positive_part(u * u)
     # dE/(sqrt(4 pi E)) = 2u du/(2 sqrt(pi) u) = du/sqrt(pi)
     x_eval = np.asarray(x_eval, dtype=float)
     phases = np.exp(-1j * np.outer(x_eval, u * u))
-    return -1j * (phases @ (_simpson_weights(u) * vals)) / np.sqrt(np.pi)
+    return -1j * (phases @ (w * vals)) / np.sqrt(np.pi)
 
 
 def moebius_on_wavefunction(g: MoebiusMap, x, psi) -> np.ndarray:

@@ -229,21 +229,28 @@ def build_T(gt: GeneratorSet, log_M: int | None = None) -> HermitianOperator:
     the error reaches into the rows a state occupies.  log_M > M takes the
     logarithm at truncation log_M and keeps its leading M x M block, which
     comes closer to the compression of the untruncated T as log_M grows.
-    2 C~ is the plain C at (k/2 + 1/4, 2 beta), read from its bands.
     """
     if gt.variant != "tilde":
         raise ValueError("T is built from the tilde triple")
-    M = gt.M
+    return HermitianOperator(_T_from_bands(gt.spec.tilde_k, gt.spec.beta,
+                                           gt.M, log_M))
+
+
+def _T_from_bands(tilde_k: float, beta: float, M: int,
+                  log_M: int | None = None) -> np.ndarray:
+    """Leading M x M block of T = (1/2) log(2 C~) at truncation log_M; 2 C~
+    is the plain C at (k~, 2 beta), read from its bands (4 beta times the
+    discrete-series bands at k~) without forming any generator matrix."""
     log_M = M if log_M is None else log_M
     if log_M < M:
         raise ValueError(f"log_M {log_M} below the truncation {M}")
-    d, s = _bands(gt.spec.tilde_k, log_M)
-    scale = 4.0 * gt.spec.beta
+    d, s = _bands(tilde_k, log_M)
+    scale = 4.0 * beta
     evals, vecs = eigh_tridiagonal(scale * d, scale * s)
     block = slice(0, M)
     T = 0.5 * spectral_compose(vecs, spectrum_function(evals, "log"),
                                rows=block, cols=block)
-    return HermitianOperator(T.astype(complex))
+    return T.astype(complex)
 
 
 def unitary_flow(A: HermitianOperator, t: float, sign: int = 1) -> np.ndarray:

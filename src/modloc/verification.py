@@ -28,7 +28,7 @@ from .localization import BumpSpec, FourierProfile, make_bump, positive_frequenc
 from .spectral import (
     GeneratorSet,
     HermitianOperator,
-    build_T,
+    _T_from_bands,
     build_generators,
     build_tilde_generators,
     interior_residual,
@@ -242,7 +242,8 @@ def fixture_emax(b: float) -> float:
 
 @lru_cache(maxsize=1)
 def _unit_T(k: float, M: int) -> np.ndarray:
-    """T at beta = 1/4 (where 2 C~ has the unit bands), read-only and shared.
+    """T at beta = 1/4 (where 2 C~ has the unit bands), read-only and shared;
+    built from the bands alone, with no generator matrix.
 
     The bands of 2 C~ are 4 beta times the unit ones, so T(beta) =
     _unit_T(k, M) + (1/2) log(4 beta) I and every fixture with the same
@@ -251,9 +252,7 @@ def _unit_T(k: float, M: int) -> np.ndarray:
     M is wrong by far more than the backend agreement tolerance; at twice
     the truncation it is not.
     """
-    gt = build_tilde_generators(build_generators(BasisSpec(k=k, beta=0.25,
-                                                           M=M)))
-    T = build_T(gt, log_M=2 * M).matrix
+    T = _T_from_bands(BasisSpec(k=k, M=M).tilde_k, 0.25, M, log_M=2 * M)
     T.setflags(write=False)
     return T
 

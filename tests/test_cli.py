@@ -48,6 +48,16 @@ def test_bad_values_give_config_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unresolvable_bump_family_gives_config_error(capsys):
+    # the sin^2 window's transform outruns the fixtures' x sampling, so
+    # every fixture check would fail with NyquistViolation
+    code = main(["verify", "--bump", "sine-window", "--scope", "d_positive",
+                 "--interval", "1", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "E^-3" in err
+
+
 @pytest.mark.parametrize("argv,env", [
     pytest.param(["build", "--config", "{missing}"], None,
                  id="config-missing"),

@@ -1,9 +1,10 @@
 """Bumps, Fourier profiles, and positive-frequency projections."""
 
+import functools
+
 import numpy as np
 import pytest
 from fourier_oracle import fourier_positive_part
-from scipy.integrate import simpson
 
 from modloc.errors import (
     DegenerateInterval,
@@ -16,7 +17,6 @@ from modloc.laguerre import BasisSpec
 from modloc.localization import (
     BumpSpec,
     FourierProfile,
-    _simpson_weights,
     _umesh,
     make_bump,
     moebius_on_wavefunction,
@@ -84,18 +84,67 @@ def test_profile_matches_oracle_up_to_cutoff(a, b):
 def test_norm_mesh_matches_refined_mesh(a, b):
     # |psi_hat|^2 drops the phase e^{i E x_lo}, so the norm mesh is sized to
     # the support width; the reference resolves the phase (scale x_hi)
-    # with four times the points per wave
+    # with twice the nodes per panel
     x, psi = make_bump(BumpSpec(a, b, samples=8192))
     prof = FourierProfile(x, psi)
-    u = _umesh(prof.E_cut, beta=1.0, M=1, b=prof.x_hi, points_per_wave=192)
-    ref = _simpson_weights(u) @ (
-        np.abs(prof.positive_part(u * u)) ** 2 * 2.0 * u)
+    u, w = _umesh(prof.E_cut, beta=1.0, M=1, b=prof.x_hi, nodes_per_panel=24)
+    ref = w @ (np.abs(prof.positive_part(u * u)) ** 2 * 2.0 * u)
     assert abs(prof.norm_sq - ref) <= 1e-11 * ref
+
+
+@pytest.fixture(scope="module")
+def first_bumps():
+    # the first (full-width) bump of three fixtures, with its fixture basis
+    from modloc.verification import BUMP_SAMPLES, FIXTURE_M, fixture_beta
+
+    out = {}
+    for a, b in ((0.5, 0.75), (1.0, 2.0), (4.0, 8.0)):
+        x, psi = make_bump(BumpSpec(a, b, samples=BUMP_SAMPLES))
+        spec = BasisSpec(k=1.0, beta=fixture_beta(a, b), M=FIXTURE_M)
+        out[(a, b)] = (x, psi, spec)
+    return out
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.0, 2.0), (4.0, 8.0)])
+def test_projection_converged_in_panel_nodes(first_bumps, monkeypatch, a, b):
+    import modloc.localization as loc
+
+    x, psi, spec = first_bumps[(a, b)]
+    prof = FourierProfile(x, psi)
+
+    def coeffs(family):
+        return positive_frequency(x, psi, spec, family=family,
+                                  max_residual=1.0, profile=prof).data
+
+    at12 = {fam: coeffs(fam) for fam in ("Z", "Ztilde")}
+    monkeypatch.setattr(loc, "_umesh",
+                        functools.partial(_umesh, nodes_per_panel=24))
+    for fam, c12 in at12.items():
+        c24 = coeffs(fam)
+        assert np.linalg.norm(c12 - c24) <= 1e-12 * np.linalg.norm(c24)
+
+
+def test_corner_projection_mesh_size(first_bumps, monkeypatch):
+    # the corner Z projection evaluated the profile at 53,554 Simpson nodes;
+    # 12-node Gauss-Legendre panels need 13,392
+    x, psi, spec = first_bumps[(0.5, 0.75)]
+    prof = FourierProfile(x, psi)
+    assert prof.norm_sq > 0  # E_cut and the norm evaluate their own meshes
+    sizes = []
+    hat = FourierProfile.hat
+
+    def recording(self, E):
+        sizes.append(np.size(E))
+        return hat(self, E)
+
+    monkeypatch.setattr(FourierProfile, "hat", recording)
+    positive_frequency(x, psi, spec, family="Z", profile=prof)
+    assert len(sizes) == 1 and sizes[0] <= 14_000
 
 
 def test_projection_stores_no_basis_matrix():
     # the corner fixture's first bump: its Z basis matrix alone would be
-    # 163 MiB (M = 384 rows of a 53,554-point mesh)
+    # 39 MiB (M = 384 rows of a 13,392-node mesh)
     import tracemalloc
 
     from modloc.verification import BUMP_SAMPLES, FIXTURE_M, fixture_beta
@@ -202,12 +251,28 @@ def test_complex_bump_rejected(bump):
                            max_residual=1.0)
 
 
-@pytest.mark.parametrize("n", [*range(3, 13), 100001, 100000])
-def test_simpson_weights_match_scipy(n):
-    u = np.linspace(0.013, 3.7, n)
-    y = np.cos(3.0 * u) + u ** 2 + 2.0
-    ref = simpson(y, x=u)
-    assert abs(_simpson_weights(u) @ y - ref) <= 1e-13 * abs(ref)
+def test_panel_rule_exact_for_degree_23():
+    # one panel of 12 Legendre nodes integrates u^d exactly for d <= 23
+    u, w = _umesh(2.0, beta=1.0, M=1, b=0.1)
+    assert u.size == 12
+    U = np.sqrt(2.0)
+    for d in range(24):
+        exact = U ** (d + 1) / (d + 1)
+        assert abs(w @ u ** d - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("c,cU2", [(1.0, 10.0), (0.75, 100.0), (2.0, 1e3),
+                                   (0.75, 4e3)])
+def test_panel_rule_resolves_bump_phase(c, cU2):
+    # int_0^U 2u cos(c u^2) du = sin(c U^2)/c, with the bump phase c u^2 up
+    # to the corner fixture's x_hi E_cut ~ 3.8e3.  Each node's phase carries
+    # a rounding error eps c u^2, so the error is measured against the
+    # envelope integral int_0^U 2u du = U^2; 8-node panels miss it on three
+    # of these four
+    U2 = cU2 / c
+    u, w = _umesh(U2, beta=1.0, M=1, b=c)
+    got = w @ (2.0 * u * np.cos(c * u * u))
+    assert abs(got - np.sin(cU2) / c) <= 1e-13 * U2
 
 
 def test_nyquist_violation_for_narrow_bump():

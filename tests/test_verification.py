@@ -187,17 +187,17 @@ def test_fixtures_share_one_unit_T(monkeypatch):
     import modloc.verification as ver
 
     calls = []
-    build_T = ver.build_T
+    T_from_bands = ver._T_from_bands
 
-    def counted(gt, log_M=None):
-        calls.append((gt.spec.k, gt.M))
-        return build_T(gt, log_M=log_M)
+    def counted(tilde_k, beta, M, log_M=None):
+        calls.append((tilde_k, M))
+        return T_from_bands(tilde_k, beta, M, log_M=log_M)
 
-    monkeypatch.setattr(ver, "build_T", counted)
+    monkeypatch.setattr(ver, "_T_from_bands", counted)
     ver._unit_T.cache_clear()
     fx1 = build_interval_fixture(1.0, 2.0, M=64, n_bumps=0)
     fx2 = build_interval_fixture(4.0, 8.0, M=64, n_bumps=0)
-    assert calls == [(1.0, 64)]
+    assert calls == [(0.75, 64)]
     unit = ver._unit_T(1.0, 64)
     assert not unit.flags.writeable
     with pytest.raises(ValueError):
@@ -206,6 +206,18 @@ def test_fixtures_share_one_unit_T(monkeypatch):
     assert fx1.T.matrix is not unit and fx2.T.matrix is not unit
     assert not np.shares_memory(fx1.T.matrix, unit)
     ver._unit_T.cache_clear()
+
+
+def test_unit_T_builds_no_generators(monkeypatch):
+    import modloc.verification as ver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("unit T must not build generator matrices")
+
+    monkeypatch.setattr(ver, "build_generators", refuse)
+    monkeypatch.setattr(ver, "build_tilde_generators", refuse)
+    T = ver._unit_T.__wrapped__(1.0, 64)
+    assert T.shape == (64, 64) and np.all(np.isfinite(T))
 
 
 def test_lowest_weights_detects_wrong_target():
