@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 from fourier_oracle import fourier_positive_part
+from scipy.integrate import simpson
 
 from modloc.errors import (
     DegenerateInterval,
@@ -273,6 +274,19 @@ def test_panel_rule_resolves_bump_phase(c, cU2):
     u, w = _umesh(U2, beta=1.0, M=1, b=c)
     got = w @ (2.0 * u * np.cos(c * u * u))
     assert abs(got - np.sin(cU2) / c) <= 1e-13 * U2
+
+
+@pytest.mark.parametrize("n", [100001, 100000])
+def test_simpson_weights_match_scipy(n):
+    # the panel weights give the value of the composite Simpson mesh they
+    # replace, where that mesh is converged: scipy's simpson on n points,
+    # odd n the plain rule and even n with its Cartwright correction
+    U = 3.7
+    u, w = _umesh(U * U, beta=1.0, M=1, b=1.0)
+    s = np.linspace(0.0, U, n)
+    ref = simpson(np.cos(3.0 * s) + s ** 2 + 2.0, x=s)
+    got = w @ (np.cos(3.0 * u) + u ** 2 + 2.0)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_nyquist_violation_for_narrow_bump():
