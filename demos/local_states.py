@@ -35,9 +35,7 @@ def main():
         c = st["Z"].data
         ct = st["Ztilde"].data
         nt = float(np.vdot(ct, ct).real)
-        eh = float(np.real(np.vdot(c, fx.g.H @ c)))
-        ec = float(np.real(np.vdot(c, fx.g.C @ c)))
-        ed = float(np.real(np.vdot(c, fx.g.D @ c)))
+        eh, ec, ed = (X.expect(c) for X in (fx.g.H, fx.g.C, fx.g.D))
         et = float(np.real(np.vdot(ct, fx.T.matrix @ ct))) / nt
         gs = st["grid"].as_grid_state()
         etg = fx.rep.expect_T(gs) / gs.norm_sq()

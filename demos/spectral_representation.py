@@ -3,7 +3,9 @@
 Assembles the generator triple (H, D, C) for a lowest weight k, the
 squared-coordinate companion triple, and the modular coordinate operator
 T = (1/2) log(2 C~); prints the structural identities that make the
-truncation trustworthy.
+truncation trustworthy.  The generators are held as their three bands
+(spectral.Tridiagonal); np.asarray gives the dense matrix where a
+commutator or a matrix exponential needs one.
 
 Run:  python demos/spectral_representation.py [--k K] [--M M]
 """
@@ -15,7 +17,6 @@ from scipy.linalg import eigh
 
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
-    HermitianOperator,
     build_generators,
     build_T,
     build_tilde_generators,
@@ -35,8 +36,9 @@ def main():
     gt = build_tilde_generators(g)
     print(f"built (H, D, C) at k={args.k}, M={args.M} in closed form")
 
-    lo = eigh(g.rotation(), eigvals_only=True, subset_by_index=(0, 0))[0]
-    lo_t = eigh(gt.rotation(), eigvals_only=True, subset_by_index=(0, 0))[0]
+    lo, lo_t = (trip.rotation().eigh(eigvals_only=True, select="i",
+                                     select_range=(0, 0))[0]
+                for trip in (g, gt))
     print(f"\nlowest rotation eigenvalues (the representation labels):")
     print(f"  plain triple: {lo:.10f}   (lowest weight k = {args.k})")
     print(f"  tilde triple: {lo_t:.10f}   (k/2 + 1/4 = "
@@ -44,18 +46,19 @@ def main():
 
     print("\ninterior-projected sl(2,R) commutators (relative residuals):")
     for tag, trip in (("plain", g), ("tilde", gt)):
-        H, D, C = trip.H, trip.D, trip.C
+        H, D, C = (np.asarray(X) for X in (trip.H, trip.D, trip.C))
         print(f"  {tag}: [H,D]-iH {interior_residual(H@D-D@H, 1j*H):.2e}, "
               f"[C,D]+iC {interior_residual(C@D-D@C, -1j*C):.2e}, "
               f"[H,C]-2iD {interior_residual(H@C-C@H, 2j*D):.2e}")
 
-    R = unitary_flow(HermitianOperator(g.rotation()), np.pi)
+    R = unitary_flow(g.rotation(), np.pi)
+    H, C = np.asarray(g.H), np.asarray(g.C)
     print(f"\nrotation by pi swaps H and C: residual "
-          f"{interior_residual(R @ g.H @ R.conj().T, g.C):.2e}")
+          f"{interior_residual(R @ H @ R.conj().T, C):.2e}")
 
     T = build_T(gt)
     evals_T = np.sort(eigh(T.matrix, eigvals_only=True))
-    evals_C = np.sort(eigh(2.0 * gt.C, eigvals_only=True))
+    evals_C = (2.0 * gt.C).eigh(eigvals_only=True)
     print(f"\nmodular coordinate T = (1/2) log(2 C~):")
     print(f"  spectrum range [{evals_T[0]:.4f}, {evals_T[-1]:.4f}]")
     print(f"  affinity max |spec T - log(spec 2C~)/2| = "

@@ -38,6 +38,7 @@ from .mobius import (
 from .spectral import (
     GeneratorSet,
     HermitianOperator,
+    Tridiagonal,
     build_generators,
     build_T,
     build_tilde_generators,

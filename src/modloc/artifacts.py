@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -19,7 +21,7 @@ from .errors import ConfigError, DecompositionFailure
 from .gridop import GridSpec
 from .laguerre import BasisSpec
 from .localization import BUMP_FAMILIES, FIXTURE_FAMILIES, StateVector
-from .spectral import GeneratorSet
+from .spectral import GeneratorSet, Tridiagonal
 
 __all__ = [
     "REP_MAGIC",
@@ -41,7 +43,7 @@ __all__ = [
 
 REP_MAGIC = "MODLOC-REP"
 STATE_MAGIC = "MODLOC-STATE"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _header_bytes(header: dict) -> bytes:
@@ -103,7 +105,7 @@ def _unpack_arrays(header: dict, payload: bytes) -> dict:
 
 def save_representation(path, g: GeneratorSet, config: dict | None = None):
     """Persist a generator triple: header with build parameters, then the
-    row-major bytes of H, D, C."""
+    diagonal and upper band of H, D and C."""
     header = {
         "format": REP_MAGIC,
         "version": FORMAT_VERSION,
@@ -113,19 +115,31 @@ def save_representation(path, g: GeneratorSet, config: dict | None = None):
         "variant": g.variant,
         "config": config or {},
     }
-    blob = _pack_arrays(header, {"H": g.H, "D": g.D, "C": g.C})
+    blob = _pack_arrays(header, {
+        f"{name}_{band}": getattr(getattr(g, name), band)
+        for name in "HDC" for band in ("diag", "upper")})
     with open(path, "wb") as f:
         f.write(blob)
 
 
 def load_representation(path) -> GeneratorSet:
+    """The triple save_representation wrote; raises DecompositionFailure
+    for a missing band, a diagonal that is complex or not of length M, or
+    an upper band that is not one shorter than its diagonal."""
     with open(path, "rb") as f:
         blob = f.read()
     header, payload = _read_header(blob, REP_MAGIC)
     arrays = _unpack_arrays(header, payload)
     spec = BasisSpec(k=header["k"], beta=header["beta"], M=header["M"])
-    return GeneratorSet(H=arrays["H"], D=arrays["D"], C=arrays["C"],
-                        spec=spec, variant=header["variant"])
+    try:
+        ops = {name: Tridiagonal(arrays.get(name + "_diag"),
+                                 arrays.get(name + "_upper"))
+               for name in "HDC"}
+    except ValueError as exc:
+        raise DecompositionFailure(f"malformed generator bands: {exc}") from exc
+    if any(X.diag.size != spec.M for X in ops.values()):
+        raise DecompositionFailure(f"generator bands not of size M = {spec.M}")
+    return GeneratorSet(**ops, spec=spec, variant=header["variant"])
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +327,12 @@ def write_curves_csv(path, report):
 # ---------------------------------------------------------------------------
 # run configuration
 
+def _is_number(value, kind) -> bool:
+    """A finite instance of the numbers ABC kind that is not a bool."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs, serializable and round-trippable.
@@ -343,10 +363,28 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.k, self.beta, self.grid_emax,
-                                   self.grid_emax_tilde])):
-            raise ConfigError("k, beta, grid_emax and grid_emax_tilde must "
-                              "be finite")
+        ints = ("M", "grid_n", "n_bumps", "fixture_M", "weyl_M", "seed")
+        for name in ("k", "beta", "grid_emax", "grid_emax_tilde") + ints:
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Integral if name in ints
+                              else numbers.Real):
+                raise ConfigError(
+                    f"{name} must be a finite "
+                    f"{'integer' if name in ints else 'real number'}, "
+                    f"got {value!r}")
+        if not (isinstance(self.intervals, list) and self.intervals and all(
+                isinstance(iv, (list, tuple)) and len(iv) == 2
+                and all(_is_number(x, numbers.Real) for x in iv)
+                for iv in self.intervals)):
+            raise ConfigError(f"intervals must be a non-empty list of [a, b] "
+                              f"pairs of real numbers, got {self.intervals!r}")
+        if self.scope is not None and not (
+                isinstance(self.scope, list)
+                and all(isinstance(s, str) for s in self.scope)):
+            raise ConfigError(f"scope must be null or a list of check-name "
+                              f"prefixes, got {self.scope!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.k < 0.5:
             raise ConfigError(f"k must be >= 1/2, got {self.k}")
         if self.beta <= 0:
@@ -362,6 +400,9 @@ class RunConfig:
             raise ConfigError(f"bump family {self.bump!r} cannot build "
                               f"fixtures ({why}); expected one of "
                               f"{', '.join(FIXTURE_FAMILIES)}")
+        if self.tol_profile not in ("default", "strict", "coarse"):
+            raise ConfigError(
+                f"unknown tolerance profile {self.tol_profile!r}")
         if self.format not in ("json", "csv", "md"):
             raise ConfigError(f"unknown output format {self.format!r}")
         for iv in self.intervals:

@@ -2,9 +2,11 @@
 
 This backend exists to be dumb and independent: H is the coordinate, the
 derivatives are second-order central differences with Dirichlet walls at
-both ends, and every derived object comes from dense or tridiagonal
-eigendecompositions of those matrices.  Agreement with the spectral
-backend is the main cross-check of the whole laboratory.
+both ends, and every derived object comes from tridiagonal
+eigendecompositions of those matrices.  It shares the Tridiagonal type
+with the spectral backend; the independence lies in the discretization.
+Agreement with the spectral backend is the main cross-check of the whole
+laboratory.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import SpectrumOutOfDomain, SupportEscapesGrid
+from .spectral import Tridiagonal
 
 __all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops", "grid_dilation"]
 
@@ -61,10 +62,11 @@ class GridState:
 
 
 class GridRep:
-    """Finite-difference (H, D, C) for lowest weight k, plus derived objects.
+    """Finite-difference H, D, C and C~ for lowest weight k, each a
+    Tridiagonal, plus derived objects.
 
-    The operators are real tridiagonal (times -i for D); eigendecompositions
-    are cached so expectation values over many states stay cheap.
+    The eigensystem of C~ is cached so expectation values over many states
+    stay cheap.
     """
 
     def __init__(self, grid: GridSpec, k: float):
@@ -73,48 +75,17 @@ class GridRep:
         self.grid = grid
         self.k = k
         h = grid.spacing
-        E = grid.nodes
-        n = grid.N
-        self.E = E
-
-        sq = np.sqrt(E)
-        # D1: centered first difference, antisymmetric under Dirichlet walls
-        off1 = np.full(n - 1, 1.0 / (2 * h))
-        # A = sqrt(E) D1 sqrt(E): antisymmetric real tridiagonal
-        upper = off1 * sq[:-1] * sq[1:]
-        self._D_upper = upper  # D = -i A, A upper = +upper, lower = -upper
-
+        E = self.E = grid.nodes
+        link = np.sqrt(E[:-1]) * np.sqrt(E[1:])
+        self.H = Tridiagonal(E, np.zeros(E.size - 1))
+        # sqrt(E) D1 sqrt(E) with the centred first difference D1 is real
+        # antisymmetric under Dirichlet walls; D is -i times it
+        self.D = Tridiagonal(np.zeros(E.size), -1j * link / (2 * h))
         # C = -sqrt(E) D2 sqrt(E) + (k^2 - k)/E
-        d2_diag = -2.0 / h**2
-        d2_off = 1.0 / h**2
-        self.C_diag = -d2_diag * E + (k * k - k) / E
-        self.C_off = -d2_off * sq[:-1] * sq[1:]
-        self.H_diag = E.copy()
-
-    # -- sparse matrices -------------------------------------------------
-    @cached_property
-    def H(self) -> sp.spmatrix:
-        return sp.diags(self.H_diag).tocsr()
-
-    @cached_property
-    def D(self) -> sp.spmatrix:
-        u = self._D_upper
-        return sp.diags([-1j * u, 1j * u], offsets=[1, -1]).tocsr()
-
-    @cached_property
-    def C(self) -> sp.spmatrix:
-        return sp.diags(
-            [self.C_off, self.C_diag, self.C_off], offsets=[-1, 0, 1]
-        ).tocsr()
-
-    # -- derived tridiagonal systems ------------------------------------
-    @cached_property
-    def ctilde_bands(self):
-        """Diagonal and off-diagonal of C~ = H^{-1/2} C H^{-1/2} / 2."""
-        inv_sq = 1.0 / np.sqrt(self.E)
-        diag = 0.5 * self.C_diag * inv_sq**2
-        off = 0.5 * self.C_off * inv_sq[:-1] * inv_sq[1:]
-        return diag, off
+        self.C = Tridiagonal(2.0 * E / h**2 + (k * k - k) / E, -link / h**2)
+        # C~ = H^{-1/2} C H^{-1/2} / 2
+        self.Ctilde = Tridiagonal(0.5 * self.C.diag / E,
+                                  0.5 * self.C.upper / link)
 
     @cached_property
     def ctilde_eig(self):
@@ -122,47 +93,18 @@ class GridRep:
         mu, vecs = _unit_ctilde_eig(self.grid.N, self.k)
         return mu / self.grid.spacing ** 2, vecs
 
-    @cached_property
-    def d_eig(self):
-        """Eigensystem of D; done on the equivalent real symmetric matrix.
-
-        With the gauge v_j -> i^j v_j the Hermitian tridiagonal (-i upper,
-        +i lower) maps to a real symmetric tridiagonal with the same
-        spectrum; undoing the gauge gives complex eigenvectors of D.
-        """
-        n = self.grid.N
-        evals, vecs = eigh_tridiagonal(np.zeros(n), self._D_upper)
-        gauge = (1j) ** np.arange(n)
-        return evals, gauge[:, None] * vecs
-
     # -- expectation values ----------------------------------------------
     def expect_H(self, state: GridState) -> float:
-        h = self.grid.spacing
-        return float(h * np.sum(self.H_diag * np.abs(state.samples) ** 2))
+        return self.grid.spacing * self.H.expect(state.samples)
 
     def expect_C(self, state: GridState) -> float:
-        h = self.grid.spacing
-        v = state.samples
-        val = np.sum(self.C_diag * np.abs(v) ** 2) + 2.0 * np.sum(
-            self.C_off * (v[:-1].conj() * v[1:]).real
-        )
-        return float(h * val)
+        return self.grid.spacing * self.C.expect(state.samples)
 
     def expect_D(self, state: GridState) -> float:
-        h = self.grid.spacing
-        v = state.samples
-        # <v, -i A v> with A antisymmetric: 2 Im sum(upper * conj(v_j) v_{j+1})
-        val = 2.0 * np.sum(self._D_upper * (v[:-1].conj() * v[1:]).imag)
-        return float(h * val)
+        return self.grid.spacing * self.D.expect(state.samples)
 
     def expect_Ctilde(self, state: GridState) -> float:
-        h = self.grid.spacing
-        v = state.samples
-        diag, off = self.ctilde_bands
-        val = np.sum(diag * np.abs(v) ** 2) + 2.0 * np.sum(
-            off * (v[:-1].conj() * v[1:]).real
-        )
-        return float(h * val)
+        return self.grid.spacing * self.Ctilde.expect(state.samples)
 
     def expect_T(self, state: GridState) -> float:
         """<T> = sum log(2 lambda)/2 |<v_i, psi>|^2 over the C~ eigensystem."""
@@ -179,34 +121,13 @@ class GridRep:
         return float(np.sum(0.5 * np.log(2.0 * evals) * weights))
 
     def apply_dilation_matrix(self, state: GridState, t: float) -> GridState:
-        """exp(-i t D_grid) applied through the cached eigensystem of D."""
-        evals, vecs = self.d_eig
+        """exp(-i t D_grid) applied through the eigensystem of D."""
+        evals, vecs = self.D.eigh()
         amps = vecs.conj().T @ state.samples
         out = vecs @ (np.exp(-1j * t * evals) * amps)
         return GridState(samples=out, grid=self.grid)
 
     # -- commutator residuals --------------------------------------------
-    def rotation_modes(self, count: int) -> np.ndarray:
-        """Lowest eigenvectors of the grid rotation generator (H + C)/2.
-
-        These are the smooth, well-resolved vectors on which the difference
-        operators are trustworthy; columns of the returned (N, count) array.
-        """
-        _, vecs = eigh_tridiagonal(
-            0.5 * (self.H_diag + self.C_diag), 0.5 * self.C_off,
-            select="i", select_range=(0, count - 1),
-        )
-        return vecs
-
-    def tilde_rotation_modes(self, count: int) -> np.ndarray:
-        """Lowest eigenvectors of the squared-coordinate rotation (H~ + C~)/2."""
-        diag, off = self.ctilde_bands
-        _, vecs = eigh_tridiagonal(
-            0.5 * (0.5 * self.E ** 2 + diag), 0.5 * off,
-            select="i", select_range=(0, count - 1),
-        )
-        return vecs
-
     def smooth_window(self, inner: tuple = (0.3, 1.2),
                       outer: tuple = (0.6, 0.9)) -> np.ndarray:
         """C-infinity cutoff: 0 below inner[0], 1 on the plateau, 0 above
@@ -241,33 +162,27 @@ class GridRep:
         """
         if triple == "plain":
             H, D, C = self.H, self.D, self.C
-            rel = {
-                "HD": (H @ D - D @ H, 1j * H),
-                "CD": (C @ D - D @ C, -1j * C),
-                "HC": (H @ C - C @ H, 2j * D),
-            }
-            base = self.rotation_modes(modes or 48)
+            count = modes or 48
         elif triple == "tilde":
-            diag, off = self.ctilde_bands
-            Ht = sp.diags(0.5 * self.E ** 2).tocsr()
-            Dt = (0.5 * self.D).tocsr()
-            Ct = sp.diags([off, diag, off], offsets=[-1, 0, 1]).tocsr()
-            rel = {
-                "HD": (Ht @ Dt - Dt @ Ht, 1j * Ht),
-                "CD": (Ct @ Dt - Dt @ Ct, -1j * Ct),
-                "HC": (Ht @ Ct - Ct @ Ht, 2j * Dt),
-            }
-            base = self.tilde_rotation_modes(modes or 16)
+            H = Tridiagonal(0.5 * self.E ** 2, np.zeros(self.E.size - 1))
+            D, C = 0.5 * self.D, self.Ctilde
+            count = modes or 16
         else:
             raise ValueError(f"unknown triple {triple!r}")
-        w = self.smooth_window(inner, outer)
-        U, _ = np.linalg.qr(w[:, None] * base)
-        U = U.astype(complex)
+        # the smooth vectors are the lowest modes of the rotation (H + C)/2
+        _, base = (0.5 * (H + C)).eigh(select="i",
+                                       select_range=(0, count - 1))
+        U, _ = np.linalg.qr(self.smooth_window(inner, outer)[:, None] * base)
+        ops = {"H": H, "D": D, "C": C}
+        on_U = {name: X @ U for name, X in ops.items()}
         out = {}
-        for name, (lhs, rhs) in rel.items():
-            diff = lhs @ U - rhs @ U
-            ref = rhs @ U
-            out[name] = float(np.linalg.norm(diff, 2) / np.linalg.norm(ref, 2))
+        for (x, y), z, w in (("HD", 1j, "H"), ("CD", -1j, "C"),
+                             ("HC", 2j, "D")):
+            # [X, Y] = z W, applied to the modes
+            ref = z * on_U[w]
+            diff = ops[x] @ on_U[y] - ops[y] @ on_U[x] - ref
+            out[x + y] = float(np.linalg.norm(diff, 2)
+                               / np.linalg.norm(ref, 2))
         return out
 
 
@@ -281,8 +196,8 @@ def _unit_ctilde_eig(N: int, k: float):
     same (N, k) shares this one solve.
     """
     j = np.arange(1, N + 1, dtype=float)
-    mu, vecs = eigh_tridiagonal(1.0 + (k * k - k) / (2.0 * j * j),
-                                np.full(N - 1, -0.5))
+    mu, vecs = Tridiagonal(1.0 + (k * k - k) / (2.0 * j * j),
+                           np.full(N - 1, -0.5)).eigh()
     mu.setflags(write=False)
     vecs.setflags(write=False)
     return mu, vecs

@@ -4,8 +4,9 @@ modular objects, and the coordinate operators.
 All operators are compressions P_M X P_M onto the first M basis vectors.
 In the lowest-weight basis the generators are exactly tridiagonal, with the
 standard discrete-series matrix elements, so the triples are written down in
-closed form and every eigensystem of a generator-derived matrix comes from
-the equivalent real symmetric tridiagonal problem (tridiagonal_eigh).
+closed form as bands (Tridiagonal), and every eigensystem of a
+generator-derived matrix comes from the equivalent real symmetric
+tridiagonal problem (Tridiagonal.eigh).
 
 Identities that hold for the infinite-dimensional operators are corrupted
 by truncation only near the boundary rows, so they are tested under an
@@ -14,6 +15,7 @@ interior projection (default fraction 0.8).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,11 +25,11 @@ from .errors import SpectrumOutOfDomain
 from .laguerre import BasisSpec
 
 __all__ = [
+    "Tridiagonal",
     "GeneratorSet",
     "HermitianOperator",
     "build_generators",
     "build_tilde_generators",
-    "tridiagonal_eigh",
     "spectrum_function",
     "spectral_compose",
     "matrix_function",
@@ -39,6 +41,89 @@ __all__ = [
 ]
 
 INTERIOR_FRACTION = 0.8
+
+
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """Hermitian tridiagonal matrix held as its bands: a real diagonal and
+    an upper band, with the conjugate of the upper band below the diagonal.
+
+    A @ v acts on a vector or on a block of columns, a real scalar times A
+    and A + B stay banded, and np.asarray(A) is the dense matrix.
+    """
+
+    diag: np.ndarray
+    upper: np.ndarray
+
+    # numpy scalars and arrays on the left defer to the operators below, so
+    # no mixed expression turns into a dense matrix unasked
+    __array_priority__ = 1000
+
+    def __post_init__(self):
+        d, e = np.asarray(self.diag), np.asarray(self.upper)
+        if (d.ndim != 1 or d.dtype.kind not in "iuf"
+                or e.shape != (d.size - 1,) or e.dtype.kind not in "iufc"):
+            raise ValueError(
+                f"a Hermitian tridiagonal needs a real diagonal and an upper "
+                f"band one shorter; got {d.dtype} {d.shape} and {e.dtype} "
+                f"{e.shape}")
+        object.__setattr__(self, "diag", d.astype(float, copy=False))
+        object.__setattr__(self, "upper",
+                           e.astype(np.result_type(e, 1.0), copy=False))
+
+    def __matmul__(self, v):
+        v = np.asarray(v)
+        col = (slice(None),) + (None,) * (v.ndim - 1)
+        e = self.upper[col]
+        out = self.diag[col] * v.astype(np.result_type(e, v), copy=False)
+        out[:-1] += e * v[1:]
+        out[1:] += np.conj(e) * v[:-1]
+        return out
+
+    def __mul__(self, c):
+        if not isinstance(c, numbers.Real):
+            raise TypeError(f"a Hermitian tridiagonal scales only by a real "
+                            f"number, not {c!r}")
+        return Tridiagonal(c * self.diag, c * self.upper)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, Tridiagonal):
+            return NotImplemented
+        return Tridiagonal(self.diag + other.diag, self.upper + other.upper)
+
+    def expect(self, v) -> float:
+        """Re <v, A v>."""
+        return float(np.vdot(v, self @ v).real)
+
+    def eigh(self, eigvals_only: bool = False, select: str = "a",
+             select_range=None):
+        """Eigensystem, with the arguments of scipy's eigh_tridiagonal.
+
+        A real band is solved as it is.  For a complex band the diagonal
+        gauge g_0 = 1, g_{n+1} = g_n conj(e_n)/|e_n| takes the upper band e
+        to |e|, so eigh_tridiagonal solves the equivalent real symmetric
+        problem; the eigenvectors of A are g times the real ones.
+        """
+        e = self.upper
+        mag = np.abs(e) if np.iscomplexobj(e) else e
+        out = eigh_tridiagonal(self.diag, mag, eigvals_only=eigvals_only,
+                               select=select, select_range=select_range)
+        if eigvals_only or mag is e:
+            return out
+        evals, vecs = out
+        phase = np.where(mag > 0.0,
+                         np.conj(e) / np.where(mag > 0.0, mag, 1.0), 1.0)
+        gauge = np.concatenate(([1.0], np.cumprod(phase)))
+        return evals, gauge[:, None] * vecs
+
+    def __array__(self, dtype=None, copy=None):
+        A = np.diag(self.diag.astype(self.upper.dtype))
+        i = np.arange(self.upper.size)
+        A[i, i + 1] = self.upper
+        A[i + 1, i] = np.conj(self.upper)
+        return A if dtype is None else A.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -55,35 +140,25 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Hermitian matrices for one sl(2,R) triple (H, D, C) in the Z basis.
+    """One sl(2,R) triple (H, D, C) in the Z basis, each a Tridiagonal.
 
     variant is "plain" for the triple built from (A.1)-type generators,
     "tilde" for the squared-Hamiltonian triple.
     """
 
-    H: np.ndarray
-    D: np.ndarray
-    C: np.ndarray
+    H: Tridiagonal
+    D: Tridiagonal
+    C: Tridiagonal
     spec: BasisSpec
     variant: str = "plain"
 
     @property
     def M(self) -> int:
-        return self.H.shape[0]
+        return self.H.diag.size
 
-    def rotation(self) -> np.ndarray:
+    def rotation(self) -> Tridiagonal:
         """Generator of rotations (H + C)/2."""
         return 0.5 * (self.H + self.C)
-
-
-def _hermitian_tridiagonal(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Dense complex matrix with the given diagonal and upper band, and the
-    conjugate upper band below the diagonal."""
-    A = np.diag(diag.astype(complex))
-    i = np.arange(upper.size)
-    A[i, i + 1] = upper
-    A[i + 1, i] = np.conj(upper)
-    return A
 
 
 def _bands(k: float, M: int):
@@ -108,9 +183,9 @@ def build_generators(spec: BasisSpec) -> GeneratorSet:
     """
     beta, M = spec.beta, spec.M
     d, s = _bands(spec.k, M)
-    return GeneratorSet(H=_hermitian_tridiagonal(d / beta, -s / beta),
-                        D=_hermitian_tridiagonal(np.zeros(M), 1j * s),
-                        C=_hermitian_tridiagonal(beta * d, beta * s),
+    return GeneratorSet(H=Tridiagonal(d / beta, -s / beta),
+                        D=Tridiagonal(np.zeros(M), 1j * s),
+                        C=Tridiagonal(beta * d, beta * s),
                         spec=spec, variant="plain")
 
 
@@ -132,36 +207,6 @@ def build_tilde_generators(g: GeneratorSet) -> GeneratorSet:
     built = build_generators(
         BasisSpec(k=spec.tilde_k, beta=2.0 * spec.beta, M=spec.M))
     return replace(built, spec=spec, variant="tilde")
-
-
-def tridiagonal_eigh(A: np.ndarray, eigvals_only: bool = False,
-                     select: str = "a", select_range=None):
-    """Eigensystem of a Hermitian tridiagonal matrix, read from its bands.
-
-    The diagonal gauge g_0 = 1, g_{n+1} = g_n conj(e_n)/|e_n| takes the
-    upper band e to |e|, so eigh_tridiagonal (whose arguments follow A)
-    solves the equivalent real symmetric problem; the eigenvectors of A are
-    g times the real ones.  Raises ValueError if A has an entry outside the
-    three bands or non-Hermitian bands; there is no dense fallback.
-    """
-    d = np.diagonal(A)
-    e = np.diagonal(A, 1)
-    if (np.any(d.imag) or np.any(np.diagonal(A, -1) != np.conj(e))
-            or np.count_nonzero(A) > np.count_nonzero(d)
-            + 2 * np.count_nonzero(e)):
-        raise ValueError("matrix is not Hermitian tridiagonal")
-    mag = np.abs(e)
-    out = eigh_tridiagonal(d.real, mag, eigvals_only=eigvals_only,
-                           select=select, select_range=select_range)
-    if eigvals_only:
-        return out
-    evals, vecs = out
-    phase = np.where(mag > 0.0, np.conj(e) / np.where(mag > 0.0, mag, 1.0),
-                     1.0)
-    gauge = np.concatenate(([1.0], np.cumprod(phase)))
-    if not np.any(gauge.imag):
-        gauge = gauge.real
-    return evals, gauge[:, None] * vecs
 
 
 def spectral_compose(vecs: np.ndarray, values: np.ndarray,
@@ -213,11 +258,11 @@ def spectrum_function(evals: np.ndarray, f: str, param: float | None = None,
     return evals ** float(param)
 
 
-def matrix_function(A: HermitianOperator, f: str, param: float | None = None,
+def matrix_function(A: Tridiagonal, f: str, param: float | None = None,
                     eps_factor: float = 1e-10) -> HermitianOperator:
-    """Apply f to the eigenvalues of the tridiagonal A, preserving
-    eigenvectors; see spectrum_function for f and the domain checks."""
-    evals, vecs = tridiagonal_eigh(A.matrix)
+    """Apply f to the eigenvalues of A, preserving eigenvectors; see
+    spectrum_function for f and the domain checks."""
+    evals, vecs = A.eigh()
     fe = spectrum_function(evals, f, param, eps_factor)
     return HermitianOperator(spectral_compose(vecs, fe).astype(complex))
 
@@ -246,16 +291,16 @@ def _T_from_bands(tilde_k: float, beta: float, M: int,
         raise ValueError(f"log_M {log_M} below the truncation {M}")
     d, s = _bands(tilde_k, log_M)
     scale = 4.0 * beta
-    evals, vecs = eigh_tridiagonal(scale * d, scale * s)
+    evals, vecs = Tridiagonal(scale * d, scale * s).eigh()
     block = slice(0, M)
     T = 0.5 * spectral_compose(vecs, spectrum_function(evals, "log"),
                                rows=block, cols=block)
     return T.astype(complex)
 
 
-def unitary_flow(A: HermitianOperator, t: float, sign: int = 1) -> np.ndarray:
-    """exp(i sign t A) for tridiagonal A; unitary to round-off."""
-    evals, vecs = tridiagonal_eigh(A.matrix)
+def unitary_flow(A: Tridiagonal, t: float, sign: int = 1) -> np.ndarray:
+    """exp(i sign t A); unitary to round-off."""
+    evals, vecs = A.eigh()
     return spectral_compose(vecs, np.exp(1j * sign * t * evals))
 
 

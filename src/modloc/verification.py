@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .artifacts import RunConfig
 from .errors import ConfigError, OverflowAbort
@@ -35,7 +34,6 @@ from .spectral import (
     j_conjugate_matrix,
     spectral_compose,
     spectrum_function,
-    tridiagonal_eigh,
     unitary_flow,
 )
 
@@ -333,7 +331,7 @@ def check_commutators(g, interior_fraction: float = 0.8,
             params={"N": g.grid.N, "E_max": g.grid.E_max, "k": g.k,
                     "triple": triple},
             values={k2: float(v) for k2, v in res.items()})
-    H, D, C = g.H, g.D, g.C
+    H, D, C = (np.asarray(X) for X in (g.H, g.D, g.C))
     res = {
         "HD": interior_residual(H @ D - D @ H, 1j * H, interior_fraction),
         "CD": interior_residual(C @ D - D @ C, -1j * C, interior_fraction),
@@ -357,9 +355,8 @@ def check_lowest_weights(ks=(1.0, 1.5, 2.0), beta: float = 1.0, M: int = 256,
         spec = BasisSpec(k=k, beta=beta, M=M)
         g = build_generators(spec)
         gt = build_tilde_generators(g)
-        lo, lo_t = (float(tridiagonal_eigh(x.rotation(), eigvals_only=True,
-                                           select="i",
-                                           select_range=(0, 0))[0])
+        lo, lo_t = (float(x.rotation().eigh(eigvals_only=True, select="i",
+                                            select_range=(0, 0))[0])
                     for x in (g, gt))
         target_t = 0.5 * k + 0.25
         values[f"k={k}"] = {"plain": lo, "tilde": lo_t,
@@ -384,10 +381,10 @@ def spectral_expectations(fx: IntervalFixture, st: dict) -> dict:
     return {
         "norm_sq": float(np.vdot(c, c).real),
         "tilde_norm_sq": nt,
-        "H": float(np.real(np.vdot(c, fx.g.H @ c))),
-        "C": float(np.real(np.vdot(c, fx.g.C @ c))),
-        "D": float(np.real(np.vdot(c, fx.g.D @ c))),
-        "Ctilde": float(np.real(np.vdot(ct, fx.gt.C @ ct))),
+        "H": fx.g.H.expect(c),
+        "C": fx.g.C.expect(c),
+        "D": fx.g.D.expect(c),
+        "Ctilde": fx.gt.C.expect(ct),
         "T": float(np.real(np.vdot(ct, fx.T.matrix @ ct))) / nt,
     }
 
@@ -429,7 +426,7 @@ def check_D_positive(fx: IntervalFixture, tol: float = 1e-8,
     controls = []
     for _ in range(n_control):
         v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        controls.append(np.real(np.vdot(v, fx.g.D @ v)))
+        controls.append(fx.g.D.expect(v))
     control_min = _worst(controls, min)
     passed = bool(worst >= -tol and control_min < 0.0)
     return CheckReport(
@@ -514,13 +511,13 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
     boundary, and the observation window must stay well inside.
     """
     def log_eig(A, scale=1.0):
-        evals, vecs = tridiagonal_eigh(A)
+        evals, vecs = A.eigh()
         return scale * spectrum_function(evals, "log"), vecs
 
     # one eigensystem per generator; T = (1/2) log(2 C~) shares that of 2 C~
     # and the plain dilation generator in the tilde basis is 2 D~
-    eD = tridiagonal_eigh(g.D)
-    evDt, vDt = tridiagonal_eigh(gt.D)
+    eD = g.D.eigh()
+    evDt, vDt = gt.D.eigh()
     pairs = [("Th", log_eig(g.H), eD, -1), ("Tc", log_eig(g.C), eD, +1),
              ("T", log_eig(2.0 * gt.C, 0.5), (2.0 * evDt, vDt), +1)]
     b = slice(0, block)
@@ -566,13 +563,13 @@ def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
     if block is None:
         block = M // 4
     b = slice(0, block)
-    evD, vD = tridiagonal_eigh(g.D)
+    evD, vD = g.D.eigh()
     D_rows = spectral_compose(vD, np.exp(-2j * np.pi * t * evD), rows=b)
     values = {}
     flows = {}
     for name, X, scale in (("Uh", g.H, np.exp(-2.0 * np.pi * t)),
                            ("Uc", g.C, np.exp(2.0 * np.pi * t))):
-        evX, vX = tridiagonal_eigh(X)
+        evX, vX = X.eigh()
         U = flows[name] = spectral_compose(vX, np.exp(1j * a * evX))
         lhs = D_rows @ U @ D_rows.conj().T
         rhs = spectral_compose(vX, np.exp(1j * scale * a * evX), rows=b,
@@ -581,12 +578,13 @@ def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
         values[name] = r
     worst = _worst(values.values())
     Uh = flows["Uh"]
+    H, D, C = (np.asarray(X) for X in (g.H, g.D, g.C))
     j_res = {
         "JUhJ=Uh*": float(np.max(np.abs(j_conjugate_matrix(Uh)
                                         - Uh.conj().T))),
-        "JHJ=H": float(np.max(np.abs(j_conjugate_matrix(g.H) - g.H))),
-        "JDJ=-D": float(np.max(np.abs(j_conjugate_matrix(g.D) + g.D))),
-        "JCJ=C": float(np.max(np.abs(j_conjugate_matrix(g.C) - g.C))),
+        "JHJ=H": float(np.max(np.abs(j_conjugate_matrix(H) - H))),
+        "JDJ=-D": float(np.max(np.abs(j_conjugate_matrix(D) + D))),
+        "JCJ=C": float(np.max(np.abs(j_conjugate_matrix(C) - C))),
     }
     j_worst = _worst(j_res.values())
     values["J"] = j_res
@@ -612,7 +610,7 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5,
     state is returned in values.
     """
     alphas = np.linspace(-1.0, 1.0, n_alpha)
-    evals, vecs = tridiagonal_eigh(2.0 * fx.gt.C)
+    evals, vecs = (2.0 * fx.gt.C).eigh()
     curves = []
     errors = [0.0]
     for st in fx.states[:n_states]:
@@ -670,7 +668,7 @@ def check_S_invariance_convergence(a: float = 1.0, b: float = 2.0,
             sv = positive_frequency(x, psi, sp, family="Z",
                                     max_residual=1e-2, profile=prof)
             v = sv.data
-            evals, vecs = tridiagonal_eigh(gm.D)
+            evals, vecs = gm.D.eigh()
             amps = vecs.conj().T @ v
             sel = np.abs(evals) <= window
             if np.exp(np.pi * window) * np.max(np.abs(amps)) > guard:
@@ -711,7 +709,7 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
     shift = np.log(scale * scale)
     lo = np.log(scale * scale * fx.a)
     hi = np.log(scale * scale * fx.b)
-    F = unitary_flow(HermitianOperator(2.0 * fx.gt.D), -shift)
+    F = unitary_flow(2.0 * fx.gt.D, -shift)
     W = F.conj().T @ np.stack([st["Ztilde"].data for st in fx.states], 1)
     transported = np.real(np.sum(W.conj() * (fx.T.matrix @ W), axis=0))
     excursions = [0.0]
@@ -750,10 +748,8 @@ def check_grid_convergence(k: float = 1.0, E_max: float = 40.0,
     errs = []
     for N in Ns:
         rep = build_grid_ops(GridSpec(N=N, E_max=E_max), k)
-        d = 0.5 * (rep.H_diag + rep.C_diag)
-        e = 0.5 * rep.C_off
-        lo = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                              eigvals_only=True)[0]
+        lo = (0.5 * (rep.H + rep.C)).eigh(eigvals_only=True, select="i",
+                                          select_range=(0, 0))[0]
         errs.append(abs(float(lo) - k))
     orders = [float(np.log2(errs[i] / errs[i + 1]))
               for i in range(len(errs) - 1)]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from modloc import artifacts
 from modloc.artifacts import (
     RunConfig,
     load_representation,
@@ -46,9 +47,10 @@ def test_representation_roundtrip(tmp_path, g64):
     p = tmp_path / "rep.bin"
     save_representation(p, g64, config={"note": "test"})
     g2 = load_representation(p)
-    assert np.array_equal(g2.H, g64.H)
-    assert np.array_equal(g2.D, g64.D)
-    assert np.array_equal(g2.C, g64.C)
+    for name in "HDC":
+        for band in ("diag", "upper"):
+            assert np.array_equal(getattr(getattr(g2, name), band),
+                                  getattr(getattr(g64, name), band))
     assert g2.spec == g64.spec
     assert g2.variant == g64.variant
 
@@ -80,6 +82,39 @@ def test_artifact_format_guards(tmp_path, g64):
     raw.write_bytes(b"\x00" * 32)
     with pytest.raises(DecompositionFailure):
         load_representation(raw)
+
+
+def _rewrite_bands(src, dst, edit):
+    """Copy a representation artifact with edit applied to its arrays."""
+    header, payload = artifacts._read_header(src.read_bytes(),
+                                             artifacts.REP_MAGIC)
+    arrays = artifacts._unpack_arrays(header, payload)
+    edit(arrays)
+    dst.write_bytes(artifacts._pack_arrays(header, arrays))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda a: a.pop("C_upper"), id="missing-band"),
+    pytest.param(lambda a: a.update(D_upper=a["D_upper"][:-1]),
+                 id="upper-too-short"),
+    pytest.param(lambda a: a.update(H_upper=np.append(a["H_upper"], 0.0)),
+                 id="upper-as-long-as-diagonal"),
+    pytest.param(lambda a: a.update(C_diag=a["C_diag"] + 0j),
+                 id="complex-diagonal"),
+    pytest.param(lambda a: a.update(H_diag=a["H_diag"][:-1],
+                                    H_upper=a["H_upper"][:-1]),
+                 id="bands-shorter-than-M"),
+])
+def test_malformed_bands_rejected(tmp_path, g64, edit):
+    p = tmp_path / "rep.bin"
+    save_representation(p, g64)
+    bad = tmp_path / "bad.bin"
+    _rewrite_bands(p, bad, edit)
+    with pytest.raises(DecompositionFailure):
+        load_representation(bad)
+    # the unedited copy still loads
+    _rewrite_bands(p, bad, lambda a: None)
+    assert load_representation(bad).M == 64
 
 
 def test_state_roundtrip(tmp_path, states):

@@ -48,6 +48,26 @@ def test_bad_values_give_config_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    pytest.param("intervals", [[1, 2, 3]], id="interval-triple"),
+    pytest.param("intervals", [["a", 2]], id="interval-string"),
+    pytest.param("intervals", 5, id="intervals-scalar"),
+    pytest.param("M", "abc", id="M-string"),
+    pytest.param("seed", -1, id="seed-negative"),
+    pytest.param("n_bumps", 2.5, id="n_bumps-fraction"),
+    pytest.param("scope", "lowest", id="scope-string"),
+    pytest.param("tol_profile", "bogus", id="tol_profile-unknown"),
+])
+def test_malformed_config_values_give_config_error(field, value, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({field: value}))
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unresolvable_bump_family_gives_config_error(capsys):
     # the sin^2 window's transform outruns the fixtures' x sampling, so
     # every fixture check would fail with NyquistViolation

@@ -38,13 +38,14 @@ def test_grid_spec_validation():
 
 
 def test_operator_structure(rep):
-    # H diagonal = nodes; D anti-Hermitian times -i; C symmetric tridiagonal
-    assert np.allclose(rep.H.diagonal(), rep.grid.nodes)
-    D = rep.D.toarray()
-    assert np.max(np.abs(D + D.conj().T)) < 1e-18 or np.max(
-        np.abs(D - D.conj().T)) < 1e-12
-    C = rep.C.toarray()
-    assert np.max(np.abs(C - C.T)) < 1e-12
+    # H diagonal = nodes; D = -i times a real antisymmetric tridiagonal;
+    # C and C~ real symmetric tridiagonal
+    assert np.array_equal(rep.H.diag, rep.grid.nodes)
+    assert not np.any(rep.H.upper)
+    assert not np.any(rep.D.diag) and not np.any(rep.D.upper.real)
+    assert np.all(rep.D.upper.imag < 0)
+    for X in (rep.C, rep.Ctilde):
+        assert not np.iscomplexobj(X.upper) and np.all(X.upper < 0)
 
 
 def test_k_validation():
@@ -76,7 +77,7 @@ def test_rotation_ground_state_convergence():
     errs = []
     for N in (256, 512, 1024):
         r = build_grid_ops(GridSpec(N=N, E_max=40.0), 1.0)
-        lo = eigh_tridiagonal(0.5 * (r.H_diag + r.C_diag), 0.5 * r.C_off,
+        lo = eigh_tridiagonal(0.5 * (r.H.diag + r.C.diag), 0.5 * r.C.upper,
                               select="i", select_range=(0, 0),
                               eigvals_only=True)[0]
         errs.append(abs(lo - 1.0))
@@ -90,7 +91,7 @@ def test_ctilde_positive_and_t_min(rep):
 
 
 def test_d_eigenvectors(rep):
-    evals, vecs = rep.d_eig
+    evals, vecs = rep.D.eigh()
     D = rep.D
     for i in (0, rep.grid.N // 2, rep.grid.N - 1):
         r = D @ vecs[:, i] - evals[i] * vecs[:, i]
@@ -102,12 +103,12 @@ def test_expectations_match_dense(rep, bump_state):
     gs = sv.as_grid_state()
     h = rep.grid.spacing
     v = gs.samples
-    assert abs(rep.expect_H(gs)
-               - h * np.real(np.vdot(v, rep.H @ v))) < 1e-10
-    assert abs(rep.expect_C(gs)
-               - h * np.real(np.vdot(v, rep.C @ v))) < 1e-8
-    assert abs(rep.expect_D(gs)
-               - h * np.real(np.vdot(v, rep.D @ v))) < 1e-10
+    for expect, X, tol in ((rep.expect_H, rep.H, 1e-10),
+                           (rep.expect_C, rep.C, 1e-8),
+                           (rep.expect_D, rep.D, 1e-10),
+                           (rep.expect_Ctilde, rep.Ctilde, 1e-10)):
+        dense = np.asarray(X)
+        assert abs(expect(gs) - h * np.real(np.vdot(v, dense @ v))) < tol
 
 
 def test_expect_T_in_interval_bounds(rep, bump_state):
@@ -163,7 +164,8 @@ def test_ctilde_eig_matches_direct_solve(k):
     # C~ = h^-2 K(N, k): the shared unit solve rescaled to each E_max
     for emax in (40.0, 213.3):
         r = build_grid_ops(GridSpec(N=1024, E_max=emax), k)
-        direct = eigh_tridiagonal(*r.ctilde_bands, eigvals_only=True)
+        direct = eigh_tridiagonal(r.Ctilde.diag, r.Ctilde.upper,
+                                  eigvals_only=True)
         evals = r.ctilde_eig[0]
         assert np.max(np.abs(evals - direct) / direct) < 1e-9
 
@@ -172,7 +174,7 @@ def test_expect_T_matches_complex_projection(rep, bump_state):
     sv, _ = bump_state
     gs = sv.as_grid_state()
     h = rep.grid.spacing
-    evals, vecs = eigh_tridiagonal(*rep.ctilde_bands)
+    evals, vecs = eigh_tridiagonal(rep.Ctilde.diag, rep.Ctilde.upper)
     amps = h * (vecs.astype(complex).T @ gs.samples)
     ref = np.sum(0.5 * np.log(2.0 * evals) * np.abs(amps) ** 2 / h)
     assert abs(rep.expect_T(gs) - ref) <= 1e-12 * abs(ref)

@@ -10,14 +10,13 @@ from quadrature_oracle import quadrature_generators
 from modloc.errors import SpectrumOutOfDomain
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
-    HermitianOperator,
+    Tridiagonal,
     build_generators,
     build_T,
     build_tilde_generators,
     interior_residual,
     j_conjugate_matrix,
     matrix_function,
-    tridiagonal_eigh,
     unitary_flow,
 )
 
@@ -37,7 +36,7 @@ def gt128(g128):
 def test_h_is_ladder_tridiagonal(g128):
     # x = 2 beta E is tridiagonal in any orthogonal-polynomial basis, with
     # diagonal (n + k)/beta
-    H = g128.H
+    H = np.asarray(g128.H)
     M = H.shape[0]
     off = np.triu(np.abs(H), 2)
     assert np.max(off[: M - 4, : M - 4]) < 1e-10
@@ -48,7 +47,7 @@ def test_h_is_ladder_tridiagonal(g128):
 
 def test_commutators_interior(g128, gt128):
     for g in (g128, gt128):
-        H, D, C = g.H, g.D, g.C
+        H, D, C = (np.asarray(X) for X in (g.H, g.D, g.C))
         assert interior_residual(H @ D - D @ H, 1j * H) < 1e-6
         assert interior_residual(C @ D - D @ C, -1j * C) < 1e-6
         assert interior_residual(H @ C - C @ H, 2j * D) < 1e-6
@@ -68,9 +67,10 @@ def test_d_spectrum_symmetric(g128):
 
 def test_rotation_swap(g128):
     # exp(i pi (H+C)/2) swaps H with C and flips D
-    R = unitary_flow(HermitianOperator(g128.rotation()), np.pi)
-    assert interior_residual(R @ g128.H @ R.conj().T, g128.C) < 1e-4
-    assert interior_residual(R @ g128.D @ R.conj().T, -g128.D) < 1e-4
+    R = unitary_flow(g128.rotation(), np.pi)
+    H, D, C = (np.asarray(X) for X in (g128.H, g128.D, g128.C))
+    assert interior_residual(R @ H @ R.conj().T, C) < 1e-4
+    assert interior_residual(R @ D @ R.conj().T, -D) < 1e-4
 
 
 def test_inverse_coordinate_bound(g128):
@@ -100,32 +100,66 @@ def test_closed_form_matches_quadrature(k, beta):
         for trip, ref_spec in ((g, spec), (gt, tilde_spec)):
             for ours, ref in zip((trip.H, trip.D, trip.C),
                                  quadrature_generators(ref_spec)):
-                err = np.max(np.abs(ours - ref)) / np.max(np.abs(ref))
+                err = (np.max(np.abs(np.asarray(ours) - ref))
+                       / np.max(np.abs(ref)))
                 assert err <= 1e-9, (M, trip.variant, err)
 
 
+def _random_bands(rng, M, complex_band):
+    upper = rng.standard_normal(M - 1)
+    if complex_band:
+        upper = upper + 1j * rng.standard_normal(M - 1)
+    return Tridiagonal(rng.standard_normal(M), upper)
+
+
+@pytest.mark.parametrize("complex_band", [False, True])
+def test_tridiagonal_matches_dense(complex_band):
+    # the band kernels against the dense view and numpy/scipy
+    rng = np.random.default_rng(5)
+    A = _random_bands(rng, 40, complex_band)
+    dense = np.asarray(A)
+    assert dense.dtype == (complex if complex_band else float)
+    assert np.array_equal(dense, dense.conj().T)
+    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    block = rng.standard_normal((40, 3))
+    assert np.max(np.abs(A @ v - dense @ v)) < 1e-13
+    assert np.max(np.abs(A @ block - dense @ block)) < 1e-13
+    assert abs(A.expect(v) - np.vdot(v, dense @ v).real) < 1e-12
+    evals, vecs = A.eigh()
+    assert np.max(np.abs(evals - eigh(dense, eigvals_only=True))) < 1e-12
+    assert np.max(np.abs(dense @ vecs - vecs * evals)) < 1e-12
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(40))) < 1e-12
+    lo = A.eigh(eigvals_only=True, select="i", select_range=(0, 1))
+    assert np.allclose(lo, evals[:2], rtol=0, atol=1e-12)
+    B = _random_bands(rng, 40, not complex_band)
+    assert np.array_equal(np.asarray(2.5 * A + B * 0.5),
+                          2.5 * dense + np.asarray(B) * 0.5)
+
+
+def test_tridiagonal_refuses_complex_scale_and_bad_bands():
+    A = _random_bands(np.random.default_rng(6), 8, True)
+    for scale in (1j, np.complex128(2.0)):
+        with pytest.raises(TypeError):
+            scale * A
+        with pytest.raises(TypeError):
+            A * scale
+    with pytest.raises(ValueError):
+        Tridiagonal(np.ones(8, complex), np.ones(7))
+    with pytest.raises(ValueError):
+        Tridiagonal(np.ones(8), np.ones(8))
+    with pytest.raises(ValueError):
+        Tridiagonal(np.ones((8, 8)), np.ones(7))
+
+
 def test_tridiagonal_eigh_matches_dense(g128):
-    for A in (g128.H, g128.D, g128.C, g128.rotation()):
-        evals, vecs = tridiagonal_eigh(A)
+    for X in (g128.H, g128.D, g128.C, g128.rotation()):
+        A = np.asarray(X)
+        evals, vecs = X.eigh()
         assert np.allclose(evals, eigh(A, eigvals_only=True), rtol=0,
                            atol=1e-9 * np.max(np.abs(evals)))
         assert np.max(np.abs(A @ vecs - vecs * evals)) < 1e-9 * np.max(
             np.abs(evals))
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(128))) < 1e-10
-
-
-def test_tridiagonal_eigh_rejects_off_band(g128):
-    A = g128.C.copy()
-    A[0, 5] = A[5, 0] = 1e-12
-    with pytest.raises(ValueError):
-        tridiagonal_eigh(A)
-    B = g128.D.copy()
-    B[3, 4] = 2.0 * B[3, 4]
-    with pytest.raises(ValueError):
-        tridiagonal_eigh(B)
-    # a dense matrix has no tridiagonal eigensolve and no fallback
-    with pytest.raises(ValueError):
-        matrix_function(HermitianOperator(expm(1e-3 * g128.C)), "log")
 
 
 def test_tilde_requires_plain(g128, gt128):
@@ -134,22 +168,23 @@ def test_tilde_requires_plain(g128, gt128):
 
 
 def test_matrix_function_against_scipy(g128):
-    R = HermitianOperator(g128.rotation())
+    R = g128.rotation()
+    dense = np.asarray(R)
     ours = matrix_function(R, "log").matrix
-    ref = logm(R.matrix)
+    ref = logm(dense)
     assert np.max(np.abs(ours - ref)) < 1e-8
     ours = matrix_function(R, "sqrt").matrix
-    ref = sqrtm(R.matrix)
+    ref = sqrtm(dense)
     assert np.max(np.abs(ours - ref)) < 1e-8
     ours = matrix_function(R, "exp_scaled", param=-0.3).matrix
-    ref = expm(-0.3 * R.matrix)
+    ref = expm(-0.3 * dense)
     assert np.max(np.abs(ours - ref)) < 1e-8
     inv = matrix_function(R, "power", param=-1.0).matrix
-    assert np.max(np.abs(inv @ R.matrix - np.eye(128))) < 1e-8
+    assert np.max(np.abs(inv @ dense - np.eye(128))) < 1e-8
 
 
 def test_matrix_function_domain_errors(g128):
-    D = HermitianOperator(g128.D)
+    D = g128.D
     with pytest.raises(SpectrumOutOfDomain):
         matrix_function(D, "log")
     with pytest.raises(SpectrumOutOfDomain):
@@ -159,11 +194,11 @@ def test_matrix_function_domain_errors(g128):
 
 
 def test_unitary_flow_is_unitary(g128):
-    U = unitary_flow(HermitianOperator(g128.D), 0.7)
+    U = unitary_flow(g128.D, 0.7)
     assert np.max(np.abs(U @ U.conj().T - np.eye(128))) < 1e-10
-    ref = expm(1j * 0.7 * g128.D)
+    ref = expm(1j * 0.7 * np.asarray(g128.D))
     assert np.max(np.abs(U - ref)) < 1e-8
-    Um = unitary_flow(HermitianOperator(g128.D), 0.7, sign=-1)
+    Um = unitary_flow(g128.D, 0.7, sign=-1)
     assert np.max(np.abs(Um - U.conj().T)) < 1e-10
 
 
@@ -196,7 +231,7 @@ def test_translate_generators_closed_form(g128):
     # D to D + aH and C to C + 2aD + a^2 H; checked on an interior block
     # well clear of the truncation boundary
     a = 1.0
-    H, D, C = g128.H, g128.D, g128.C
+    H, D, C = (np.asarray(X) for X in (g128.H, g128.D, g128.C))
     U = expm(-1j * a * H)
     assert interior_residual(U @ C @ U.conj().T, C + 2 * a * D + a * a * H,
                              0.25) < 1e-5
@@ -211,7 +246,8 @@ def test_translated_C_positive(g128, a):
 
 
 def test_conjugation_J_relations(g128):
-    assert np.max(np.abs(j_conjugate_matrix(g128.H) - g128.H)) < 1e-10
-    assert np.max(np.abs(j_conjugate_matrix(g128.D) + g128.D)) < 1e-10
-    assert np.max(np.abs(j_conjugate_matrix(g128.C) - g128.C)) < 1e-10
+    H, D, C = (np.asarray(X) for X in (g128.H, g128.D, g128.C))
+    assert np.max(np.abs(j_conjugate_matrix(H) - H)) < 1e-10
+    assert np.max(np.abs(j_conjugate_matrix(D) + D)) < 1e-10
+    assert np.max(np.abs(j_conjugate_matrix(C) - C)) < 1e-10
 

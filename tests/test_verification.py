@@ -9,7 +9,7 @@ import pytest
 from modloc.errors import ConfigError
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
-    HermitianOperator,
+    Tridiagonal,
     build_generators,
     build_tilde_generators,
     unitary_flow,
@@ -117,8 +117,9 @@ def test_nan_expectation_fails_t_bounds(fx_small):
 
 
 def test_nan_generator_fails_hc_chain(fx_small):
-    C = fx_small.g.C.copy()
-    C[0, 0] = np.nan
+    diag = fx_small.g.C.diag.copy()
+    diag[0] = np.nan
+    C = Tridiagonal(diag, fx_small.g.C.upper)
     fx2 = dataclasses.replace(fx_small,
                               g=dataclasses.replace(fx_small.g, C=C))
     rep = check_HC_chain(fx2)
@@ -138,13 +139,13 @@ def test_flow_checks_solve_each_generator_once(monkeypatch):
     import modloc.verification as ver
 
     calls = []
-    solve = ver.tridiagonal_eigh
+    solve = Tridiagonal.eigh
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return solve(*args, **kwargs)
+    def counted(self, *args, **kwargs):
+        calls.append(self.diag.size)
+        return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(ver, "tridiagonal_eigh", counted)
+    monkeypatch.setattr(Tridiagonal, "eigh", counted)
     g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
     ver.check_weyl(g, build_tilde_generators(g))
     assert len(calls) == 5
@@ -286,9 +287,9 @@ def test_j_check_detects_complex_hamiltonian():
     # a complex off-diagonal pair keeps H Hermitian tridiagonal, but then
     # J U_h J = exp(-i a conj(H)) is no longer the adjoint exp(-i a H)
     g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
-    H = g.H.copy()
-    H[3, 4] *= 1j
-    H[4, 3] *= -1j
+    upper = g.H.upper.astype(complex)
+    upper[3] *= 1j
+    H = Tridiagonal(g.H.diag, upper)
     rep = check_positive_inclusions(dataclasses.replace(g, H=H))
     assert rep.values["J"]["JUhJ=Uh*"] > rep.params["j_tol"]
     assert rep.passed is False
@@ -305,7 +306,7 @@ def test_s_invariance_guard_gives_inconclusive():
 def test_covariance_flows_states_like_conjugated_T(fx_small):
     # <ct, F T F^* ct> from the flowed states equals the conjugated operator
     rep = check_covariance_transport(fx_small)
-    F = unitary_flow(HermitianOperator(2.0 * fx_small.gt.D), -np.log(4.0))
+    F = unitary_flow(2.0 * fx_small.gt.D, -np.log(4.0))
     Tg = F @ fx_small.T.matrix @ F.conj().T
     for st, ps in zip(fx_small.states, rep.values["per_state"]):
         ct = st["Ztilde"].data
