@@ -30,16 +30,10 @@ def main():
     print(f"bounds: log a = {la:.4f}, log b = {lb:.4f}\n")
     print(f"{'support':>16} {'<D>':>10} {'<C>/<H>':>9} {'bound':>13} "
           f"{'<T> spec':>9} {'<T> grid':>9}")
-    for st in fx.states:
+    for st, es, eg in zip(fx.states, fx.spectral_table, fx.grid_table):
         ai, bi = st["support"]
-        c = st["Z"].data
-        ct = st["Ztilde"].data
-        nt = float(np.vdot(ct, ct).real)
-        eh, ec, ed = (X.expect(c) for X in (fx.g.H, fx.g.C, fx.g.D))
-        et = float(np.real(np.vdot(ct, fx.T.matrix @ ct))) / nt
-        gs = st["grid"].as_grid_state()
-        etg = fx.rep.expect_T(gs) / gs.norm_sq()
-        ratio = ec / eh
+        ed, et, etg = es["D"], es["T"], eg["T"]
+        ratio = es["C"] / es["H"]
         ok = a * a <= ratio <= b * b and la <= et <= lb
         print(f"  [{ai:5.3f},{bi:5.3f}] {ed:10.2e} {ratio:9.4f} "
               f"[{a*a:4.2f},{b*b:5.2f}] {et:9.4f} {etg:9.4f}  "

@@ -61,13 +61,36 @@ def _read_header(blob: bytes, magic: str) -> tuple[dict, bytes]:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DecompositionFailure(f"unreadable artifact header: {exc}") from exc
-    if header.get("format") != magic:
-        raise DecompositionFailure(
-            f"expected {magic} artifact, got {header.get('format')!r}")
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != magic:
+        raise DecompositionFailure(f"expected {magic} artifact, got {fmt!r}")
     if header.get("version") != FORMAT_VERSION:
         raise DecompositionFailure(
             f"unsupported {magic} version {header.get('version')!r}")
     return header, blob[nl + 1:]
+
+
+def _fields(doc: dict, where: str, **kinds) -> list:
+    """doc's values at the keys of kinds.  Each must be present and either
+    one of a tuple of allowed values or of a type: str, dict, list, or a
+    numbers ABC, whose values must also be finite and not bool."""
+    values = [doc.get(key) for key in kinds]
+    for (key, kind), value in zip(kinds.items(), values):
+        ok = (value in kind if isinstance(kind, tuple) else
+              _is_number(value, kind) if issubclass(kind, numbers.Number)
+              else isinstance(value, kind))
+        if not ok:
+            raise DecompositionFailure(
+                f"artifact {where} needs {key!r} as {kind!r}, got {value!r}")
+    return values
+
+
+def _spec(cls, doc: dict, where: str, **kinds):
+    """cls built from doc's fields of the given kinds."""
+    try:
+        return cls(*_fields(doc, where, **kinds))
+    except ValueError as exc:
+        raise DecompositionFailure(f"invalid artifact {where}: {exc}") from exc
 
 
 def _pack_arrays(header: dict, arrays: dict) -> bytes:
@@ -85,15 +108,18 @@ def _pack_arrays(header: dict, arrays: dict) -> bytes:
 def _unpack_arrays(header: dict, payload: bytes) -> dict:
     arrays = {}
     offset = 0
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
+    for entry in _fields(header, "header", arrays=list)[0]:
+        try:
+            name, dtype = entry["name"], np.dtype(entry["dtype"])
+            shape = tuple(map(int, entry["shape"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DecompositionFailure(f"malformed array {entry!r}") from exc
         nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
         chunk = payload[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise DecompositionFailure(
-                f"artifact truncated in array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+                f"artifact truncated in array {name!r}")
+        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
         offset += nbytes
     if offset != len(payload):
         raise DecompositionFailure("artifact has trailing bytes")
@@ -124,13 +150,14 @@ def save_representation(path, g: GeneratorSet, config: dict | None = None):
 
 def load_representation(path) -> GeneratorSet:
     """The triple save_representation wrote; raises DecompositionFailure
-    for a missing band, a diagonal that is complex or not of length M, or
-    an upper band that is not one shorter than its diagonal."""
+    for a malformed header field, a missing band, a diagonal that is complex
+    or not of length M, or an upper band not one shorter than it."""
     with open(path, "rb") as f:
         blob = f.read()
     header, payload = _read_header(blob, REP_MAGIC)
     arrays = _unpack_arrays(header, payload)
-    spec = BasisSpec(k=header["k"], beta=header["beta"], M=header["M"])
+    spec = _spec(BasisSpec, header, "header", **_BASES["z-spectral"][2])
+    (variant,) = _fields(header, "header", variant=("plain", "tilde"))
     try:
         ops = {name: Tridiagonal(arrays.get(name + "_diag"),
                                  arrays.get(name + "_upper"))
@@ -139,7 +166,7 @@ def load_representation(path) -> GeneratorSet:
         raise DecompositionFailure(f"malformed generator bands: {exc}") from exc
     if any(X.diag.size != spec.M for X in ops.values()):
         raise DecompositionFailure(f"generator bands not of size M = {spec.M}")
-    return GeneratorSet(**ops, spec=spec, variant=header["variant"])
+    return GeneratorSet(**ops, spec=spec, variant=variant)
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +198,31 @@ def save_state(path, sv: StateVector, config: dict | None = None):
         f.write(blob)
 
 
+# representation: the basis kind of its states, the spec type and its fields
+_BASES = {"z-spectral": ("basis", BasisSpec, {
+              "k": numbers.Real, "beta": numbers.Real, "M": numbers.Integral}),
+          "e-grid": ("grid", GridSpec, {
+              "N": numbers.Integral, "E_max": numbers.Real})}
+
+
 def load_state(path) -> StateVector:
+    """The state save_state wrote; raises DecompositionFailure for a header
+    field that is missing, mistyped or out of range."""
     with open(path, "rb") as f:
         blob = f.read()
     header, payload = _read_header(blob, STATE_MAGIC)
     arrays = _unpack_arrays(header, payload)
-    b = header["basis"]
-    if b["kind"] == "basis":
-        basis = BasisSpec(k=b["k"], beta=b["beta"], M=b["M"])
-    else:
-        basis = GridSpec(N=b["N"], E_max=b["E_max"])
-    return StateVector(representation=header["representation"],
-                       data=arrays["data"], basis=basis,
-                       norm_sq=header["norm_sq"],
-                       projection_residual=header["projection_residual"],
-                       family=header["family"],
-                       provenance=dict(header["provenance"]))
+    rep, b, norm_sq, residual, family, provenance = _fields(
+        header, "header", representation=tuple(_BASES), basis=dict,
+        norm_sq=numbers.Real, projection_residual=numbers.Real, family=str,
+        provenance=dict)
+    kind, cls, kinds = _BASES[rep]
+    _fields(b, "basis", kind=(kind,))
+    basis = _spec(cls, b, "basis", **kinds)
+    (data,) = _fields(arrays, "payload", data=np.ndarray)
+    return StateVector(representation=rep, data=data, basis=basis,
+                       norm_sq=norm_sq, projection_residual=residual,
+                       family=family, provenance=dict(provenance))
 
 
 def state_profile_rows(sv: StateVector, n_points: int = 512):

@@ -17,8 +17,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import SpectrumOutOfDomain, SupportEscapesGrid
-from .spectral import Tridiagonal
+from .errors import SupportEscapesGrid
+from .spectral import HermitianOperator, Tridiagonal, log_spectrum
 
 __all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops", "grid_dilation"]
 
@@ -65,8 +65,8 @@ class GridRep:
     """Finite-difference H, D, C and C~ for lowest weight k, each a
     Tridiagonal, plus derived objects.
 
-    The eigensystem of C~ is cached so expectation values over many states
-    stay cheap.
+    T = (1/2) log(2 C~) is held as its eigensystem, read from the shared
+    unit solve, so expectation values over many states stay cheap.
     """
 
     def __init__(self, grid: GridSpec, k: float):
@@ -88,10 +88,11 @@ class GridRep:
                                   0.5 * self.C.upper / link)
 
     @cached_property
-    def ctilde_eig(self):
-        """Eigensystem of C~ = h^-2 K(N, k), from the shared unit solve."""
+    def T(self) -> HermitianOperator:
+        """(1/2) log(2 C~) with C~ = h^-2 K(N, k), from the shared solve."""
         mu, vecs = _unit_ctilde_eig(self.grid.N, self.k)
-        return mu / self.grid.spacing ** 2, vecs
+        return HermitianOperator(
+            0.5 * log_spectrum(2.0 * mu / self.grid.spacing ** 2), vecs)
 
     # -- expectation values ----------------------------------------------
     def expect_H(self, state: GridState) -> float:
@@ -107,18 +108,7 @@ class GridRep:
         return self.grid.spacing * self.Ctilde.expect(state.samples)
 
     def expect_T(self, state: GridState) -> float:
-        """<T> = sum log(2 lambda)/2 |<v_i, psi>|^2 over the C~ eigensystem."""
-        evals, vecs = self.ctilde_eig
-        if evals[0] <= 0:
-            raise SpectrumOutOfDomain(
-                f"C~ on the grid is not positive definite: {evals[0]:.3e}"
-            )
-        v = state.samples
-        # real and imaginary parts projected together: one real GEMM, and
-        # the N x N eigenvector matrix is never cast to complex
-        amps = vecs.T @ np.stack([v.real, v.imag], axis=1)
-        weights = self.grid.spacing * np.sum(amps * amps, axis=1)
-        return float(np.sum(0.5 * np.log(2.0 * evals) * weights))
+        return float(self.grid.spacing * self.T.expect(state.samples))
 
     def apply_dilation_matrix(self, state: GridState, t: float) -> GridState:
         """exp(-i t D_grid) applied through the eigensystem of D."""

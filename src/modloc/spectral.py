@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -30,13 +31,12 @@ __all__ = [
     "HermitianOperator",
     "build_generators",
     "build_tilde_generators",
-    "spectrum_function",
+    "log_spectrum",
     "spectral_compose",
     "matrix_function",
     "build_T",
     "unitary_flow",
     "j_conjugate_matrix",
-    "interior_block",
     "interior_residual",
 ]
 
@@ -126,16 +126,43 @@ class Tridiagonal:
         return A if dtype is None else A.astype(dtype, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Hermitian complex matrix."""
+    """Hermitian operator held as its eigensystem: real eigenvalues and the
+    eigenvectors as columns.  When vecs holds only the leading rows of a
+    larger solve, the operator is that solve's compression onto those rows.
+    The dense matrix is composed only when asked for.
+    """
 
-    matrix: np.ndarray
+    evals: np.ndarray
+    vecs: np.ndarray
 
     def __post_init__(self):
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("matrix is not Hermitian")
+        e, V = np.asarray(self.evals), np.asarray(self.vecs)
+        if (e.ndim != 1 or e.dtype.kind not in "iuf" or V.ndim != 2
+                or V.shape[1] != e.size or V.shape[0] > e.size):
+            raise ValueError(f"not an eigensystem: eigenvalues {e.dtype} "
+                             f"{e.shape}, eigenvectors {V.shape}")
+
+    def weights(self, v) -> np.ndarray:
+        """|V^* v|^2, the spectral weights of a vector or of each column of
+        a block."""
+        v, V = np.asarray(v), self.vecs
+        if np.iscomplexobj(V):
+            return np.abs(V.conj().T @ v) ** 2
+        # real and imaginary parts projected together: one real GEMM, and
+        # V is never cast to complex
+        amps = V.T @ np.stack([v.real, v.imag], -1).reshape(len(v), -1)
+        return np.sum((amps * amps).reshape(-1, *v.shape[1:], 2), axis=-1)
+
+    def expect(self, v):
+        """<v, A v> for a vector, or for each column of a block."""
+        return self.evals @ self.weights(v)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix V diag(evals) V^*."""
+        return spectral_compose(self.vecs, self.evals)
 
 
 @dataclass(frozen=True)
@@ -216,86 +243,51 @@ def spectral_compose(vecs: np.ndarray, values: np.ndarray,
     return (vecs[rows] * values) @ vecs[cols].conj().T
 
 
-_SPECTRAL_FUNCTIONS = {"sqrt", "inv_sqrt", "log", "exp_scaled", "power"}
+def log_spectrum(evals: np.ndarray) -> np.ndarray:
+    """log of a positive definite matrix's eigenvalues, each of which must
+    exceed 1e-10 times the largest; a silent clamp would corrupt the bounds
+    on the coordinate operators, so anything below raises."""
+    cut = 1e-10 * max(evals.max(), 0.0)
+    if evals.min() <= cut:
+        raise SpectrumOutOfDomain(f"log needs eigenvalues above {cut:.3e}; "
+                                  f"got {evals.min():.3e}")
+    return np.log(evals)
 
 
-def spectrum_function(evals: np.ndarray, f: str, param: float | None = None,
-                      eps_factor: float = 1e-10) -> np.ndarray:
-    """f applied to a Hermitian matrix's eigenvalues, with domain checks.
-
-    For log and inv_sqrt the eigenvalues must exceed eps_factor times the
-    largest one; anything below raises rather than being clamped, since a
-    silent clamp would corrupt the bounds on the coordinate operator.
-    """
-    if f not in _SPECTRAL_FUNCTIONS:
-        raise ValueError(f"unknown matrix function {f!r}")
-    eps = eps_factor * max(evals.max(), 0.0)
-    if f in ("sqrt", "log", "inv_sqrt") or (f == "power" and param is not None
-                                            and not float(param).is_integer()):
-        if evals.min() < -eps:
-            raise SpectrumOutOfDomain(
-                f"{f} needs a positive semidefinite matrix; min eigenvalue "
-                f"{evals.min():.3e}"
-            )
-    if f in ("log", "inv_sqrt") or (f == "power" and param is not None and param < 0):
-        if evals.min() <= eps:
-            raise SpectrumOutOfDomain(
-                f"{f} needs eigenvalues above the cut {eps:.3e}; got "
-                f"{evals.min():.3e}"
-            )
-    if f == "sqrt":
-        return np.sqrt(np.maximum(evals, 0.0))
-    if f == "inv_sqrt":
-        return evals ** -0.5
-    if f == "log":
-        return np.log(evals)
-    if f == "exp_scaled":
-        if param is None:
-            raise ValueError("exp_scaled needs a scale parameter")
-        return np.exp(param * evals)
-    if param is None:
-        raise ValueError("power needs an exponent")
-    return evals ** float(param)
-
-
-def matrix_function(A: Tridiagonal, f: str, param: float | None = None,
-                    eps_factor: float = 1e-10) -> HermitianOperator:
-    """Apply f to the eigenvalues of A, preserving eigenvectors; see
-    spectrum_function for f and the domain checks."""
+def matrix_function(A: Tridiagonal, f) -> HermitianOperator:
+    """f(A) for a callable f on the eigenvalues, eigenvectors kept."""
     evals, vecs = A.eigh()
-    fe = spectrum_function(evals, f, param, eps_factor)
-    return HermitianOperator(spectral_compose(vecs, fe).astype(complex))
+    return HermitianOperator(f(evals), vecs)
 
 
 def build_T(gt: GeneratorSet, log_M: int | None = None) -> HermitianOperator:
     """Modular coordinate T = (1/2) log(2 C~) from the tilde triple.
 
     The logarithm of the truncated 2 C~ is wrong near its last rows, and
-    the error reaches into the rows a state occupies.  log_M > M takes the
-    logarithm at truncation log_M and keeps its leading M x M block, which
-    comes closer to the compression of the untruncated T as log_M grows.
+    the error reaches into the rows a state occupies.  log_M > M solves at
+    truncation log_M and keeps the leading M rows of the eigenvectors: the
+    compression of that T, closer to that of the untruncated T as log_M
+    grows.  2 C~ is 4 beta times the discrete-series bands at k~, so every
+    beta shares one unit solve.
     """
     if gt.variant != "tilde":
         raise ValueError("T is built from the tilde triple")
-    return HermitianOperator(_T_from_bands(gt.spec.tilde_k, gt.spec.beta,
-                                           gt.M, log_M))
+    log_M = gt.M if log_M is None else log_M
+    if log_M < gt.M:
+        raise ValueError(f"log_M {log_M} below the truncation {gt.M}")
+    mu, vecs = _unit_ladder_eig(gt.spec.tilde_k, log_M)
+    return HermitianOperator(0.5 * log_spectrum(4.0 * gt.spec.beta * mu),
+                             vecs[:gt.M])
 
 
-def _T_from_bands(tilde_k: float, beta: float, M: int,
-                  log_M: int | None = None) -> np.ndarray:
-    """Leading M x M block of T = (1/2) log(2 C~) at truncation log_M; 2 C~
-    is the plain C at (k~, 2 beta), read from its bands (4 beta times the
-    discrete-series bands at k~) without forming any generator matrix."""
-    log_M = M if log_M is None else log_M
-    if log_M < M:
-        raise ValueError(f"log_M {log_M} below the truncation {M}")
-    d, s = _bands(tilde_k, log_M)
-    scale = 4.0 * beta
-    evals, vecs = Tridiagonal(scale * d, scale * s).eigh()
-    block = slice(0, M)
-    T = 0.5 * spectral_compose(vecs, spectrum_function(evals, "log"),
-                               rows=block, cols=block)
-    return T.astype(complex)
+@lru_cache(maxsize=1)
+def _unit_ladder_eig(k: float, M: int):
+    """Eigensystem of the discrete-series bands (d, s) at (k, M), read-only
+    and shared; built from the bands alone, with no generator matrix."""
+    mu, vecs = Tridiagonal(*_bands(k, M)).eigh()
+    mu.setflags(write=False)
+    vecs.setflags(write=False)
+    return mu, vecs
 
 
 def unitary_flow(A: Tridiagonal, t: float, sign: int = 1) -> np.ndarray:
@@ -313,16 +305,11 @@ def j_conjugate_matrix(A: np.ndarray) -> np.ndarray:
     return np.conj(A)
 
 
-def interior_block(A: np.ndarray, fraction: float = INTERIOR_FRACTION) -> np.ndarray:
-    """Compression onto the first ceil(fraction * M) basis vectors."""
-    m = int(np.ceil(fraction * A.shape[0]))
-    return A[:m, :m]
-
-
 def interior_residual(lhs: np.ndarray, rhs: np.ndarray,
                       fraction: float = INTERIOR_FRACTION) -> float:
-    """|| P (lhs - rhs) P ||_2 / || P rhs P ||_2 on the interior block."""
-    diff = interior_block(lhs - rhs, fraction)
-    ref = interior_block(rhs, fraction)
-    return float(np.linalg.norm(diff, 2) / np.linalg.norm(ref, 2))
+    """|| P (lhs - rhs) P ||_2 / || P rhs P ||_2, with P the compression onto
+    the first ceil(fraction * M) basis vectors."""
+    b = slice(0, int(np.ceil(fraction * rhs.shape[0])))
+    return float(np.linalg.norm((lhs - rhs)[b, b], 2)
+                 / np.linalg.norm(rhs[b, b], 2))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -27,14 +27,14 @@ from .localization import BumpSpec, FourierProfile, make_bump, positive_frequenc
 from .spectral import (
     GeneratorSet,
     HermitianOperator,
-    _T_from_bands,
+    build_T,
     build_generators,
     build_tilde_generators,
     interior_residual,
     j_conjugate_matrix,
+    log_spectrum,
+    matrix_function,
     spectral_compose,
-    spectrum_function,
-    unitary_flow,
 )
 
 __all__ = [
@@ -238,23 +238,6 @@ def fixture_emax(b: float) -> float:
     return max(40.0, 160.0 / b)
 
 
-@lru_cache(maxsize=1)
-def _unit_T(k: float, M: int) -> np.ndarray:
-    """T at beta = 1/4 (where 2 C~ has the unit bands), read-only and shared;
-    built from the bands alone, with no generator matrix.
-
-    The bands of 2 C~ are 4 beta times the unit ones, so T(beta) =
-    _unit_T(k, M) + (1/2) log(4 beta) I and every fixture with the same
-    (k, M) shares this one logarithm.  The squared-argument states keep
-    about 1e-3 of their norm in the last rows, where log(2 C~) truncated at
-    M is wrong by far more than the backend agreement tolerance; at twice
-    the truncation it is not.
-    """
-    T = _T_from_bands(BasisSpec(k=k, M=M).tilde_k, 0.25, M, log_M=2 * M)
-    T.setflags(write=False)
-    return T
-
-
 def build_interval_fixture(a: float, b: float, k: float = 1.0,
                            M: int = FIXTURE_M, grid_n: int = 4096,
                            n_bumps: int = N_BUMPS, seed: int = 0,
@@ -274,9 +257,9 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
     spec = BasisSpec(k=k, beta=beta, M=M)
     g = build_generators(spec)
     gt = build_tilde_generators(g)
-    T = _unit_T(k, M).copy()
-    T[np.diag_indices(M)] += 0.5 * np.log(4.0 * beta)
-    T = HermitianOperator(T)
+    # squared-argument states keep about 1e-3 of their norm in the last
+    # rows, where log(2 C~) truncated at M is wrong; at 2M it is not
+    T = build_T(gt, log_M=2 * M)
     grid = GridSpec(N=grid_n, E_max=emax)
     rep = build_grid_ops(grid, k)
     rng = np.random.default_rng(seed)
@@ -385,7 +368,7 @@ def spectral_expectations(fx: IntervalFixture, st: dict) -> dict:
         "C": fx.g.C.expect(c),
         "D": fx.g.D.expect(c),
         "Ctilde": fx.gt.C.expect(ct),
-        "T": float(np.real(np.vdot(ct, fx.T.matrix @ ct))) / nt,
+        "T": float(fx.T.expect(ct)) / nt,
     }
 
 
@@ -510,19 +493,19 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
     matrices, so their truncation error decays only algebraically from the
     boundary, and the observation window must stay well inside.
     """
-    def log_eig(A, scale=1.0):
-        evals, vecs = A.eigh()
-        return scale * spectrum_function(evals, "log"), vecs
-
     # one eigensystem per generator; T = (1/2) log(2 C~) shares that of 2 C~
     # and the plain dilation generator in the tilde basis is 2 D~
     eD = g.D.eigh()
     evDt, vDt = gt.D.eigh()
-    pairs = [("Th", log_eig(g.H), eD, -1), ("Tc", log_eig(g.C), eD, +1),
-             ("T", log_eig(2.0 * gt.C, 0.5), (2.0 * evDt, vDt), +1)]
+    pairs = [("Th", matrix_function(g.H, log_spectrum), eD, -1),
+             ("Tc", matrix_function(g.C, log_spectrum), eD, +1),
+             ("T", matrix_function(2.0 * gt.C,
+                                   lambda e: 0.5 * log_spectrum(e)),
+              (2.0 * evDt, vDt), +1)]
     b = slice(0, block)
     values = {}
-    for name, (xe, xv), (de, dv), s in pairs:
+    for name, X, (de, dv), s in pairs:
+        xe, xv = X.evals, X.vecs
         sub = {}
         for t in ts:
             ph_v = np.exp(-1j * t * de)
@@ -604,21 +587,21 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5,
                     n_alpha: int = 21, tol: float = 1e-8) -> CheckReport:
     """F(alpha) = a^{-2 alpha} <(2 C~)^alpha> / |psi|^2 on [-1, 1].
 
-    Checks F(0) = 1 (definition, with the represented norm), F(-1) <= 1,
-    and discrete convexity: F is a positive combination of exponentials in
-    alpha, so all second differences must be >= -tol.  Curve data for each
-    state is returned in values.
+    With (2 C~)^alpha = exp(2 alpha T), F = a^{-2 alpha} sum_j e^{2 alpha
+    t_j} w_j / |psi|^2 over the fixture T's eigensystem.  Checks F(0) = 1
+    (definition, with the represented norm), F(-1) <= 1, and discrete
+    convexity: F is a positive combination of exponentials in alpha, so
+    all second differences must be >= -tol.  Curve data for each state is
+    returned in values.
     """
     alphas = np.linspace(-1.0, 1.0, n_alpha)
-    evals, vecs = (2.0 * fx.gt.C).eigh()
+    powers = np.exp(2.0 * np.outer(alphas, fx.T.evals))
     curves = []
     errors = [0.0]
     for st in fx.states[:n_states]:
         ct = st["Ztilde"].data
         nt = float(np.vdot(ct, ct).real)
-        amps = np.abs(vecs.conj().T @ ct) ** 2 / nt
-        F = np.array([fx.a ** (-2.0 * al) * float(np.sum(evals ** al * amps))
-                      for al in alphas])
+        F = fx.a ** (-2.0 * alphas) * (powers @ fx.T.weights(ct)) / nt
         i0 = n_alpha // 2
         d2 = np.diff(F, 2)
         errors += [abs(F[i0] - 1.0), F[0] - 1.0, -d2.min()]
@@ -704,14 +687,15 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
     parameter -log(scale^2); each transported expectation must land in
     [log(scale^2 a), log(scale^2 b)] within tol and sit near the base
     value plus log(scale^2).  The states are flowed, not T: <F T F^* ct>
-    = <W, T W> with W = F^* ct.
+    = <W, T W> with W = F^* ct, flowed through the eigensystem of 2 D~.
     """
     shift = np.log(scale * scale)
     lo = np.log(scale * scale * fx.a)
     hi = np.log(scale * scale * fx.b)
-    F = unitary_flow(2.0 * fx.gt.D, -shift)
-    W = F.conj().T @ np.stack([st["Ztilde"].data for st in fx.states], 1)
-    transported = np.real(np.sum(W.conj() * (fx.T.matrix @ W), axis=0))
+    evals, vecs = (2.0 * fx.gt.D).eigh()
+    cts = np.stack([st["Ztilde"].data for st in fx.states], 1)
+    W = vecs @ (np.exp(1j * shift * evals)[:, None] * (vecs.conj().T @ cts))
+    transported = fx.T.expect(W)
     excursions = [0.0]
     shifts = [0.0]
     per_state = []
@@ -871,6 +855,7 @@ def run_suite(config: dict | None = None,
     everything, an empty list selects nothing.  Per-check exceptions
     become failed-with-error reports and never abort the suite;
     inconclusive reports (passed = None) do not count against the aggregate.
+    The result records the resolved config, the profile name and scope.
     """
     if config is None:
         config = {}
@@ -895,7 +880,7 @@ def run_suite(config: dict | None = None,
                               error=f"{type(exc).__name__}: {exc}")
         reports.append(rep)
     aggregate = all(r.passed is not False for r in reports)
-    cfg = dict(config)
+    cfg = dict(full)
     cfg["profile"] = profile.name
     cfg["scope"] = scope
     return SuiteResult(reports=reports, aggregate_pass=bool(aggregate),

@@ -117,6 +117,52 @@ def test_malformed_bands_rejected(tmp_path, g64, edit):
     assert load_representation(bad).M == 64
 
 
+def _rewrite_header(src, dst, magic, edit):
+    """Copy an artifact with edit applied to its header."""
+    header, payload = artifacts._read_header(src.read_bytes(), magic)
+    edit(header)
+    dst.write_bytes(artifacts._header_bytes(header) + payload)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda h: h.pop("k"), id="missing-k"),
+    pytest.param(lambda h: h.pop("arrays"), id="missing-arrays"),
+    pytest.param(lambda h: h.update(k="x"), id="k-not-a-number"),
+    pytest.param(lambda h: h.update(M=0), id="M-zero"),
+    pytest.param(lambda h: h.update(variant="bogus"), id="unknown-variant"),
+])
+def test_malformed_representation_header_rejected(tmp_path, g64, edit):
+    p = tmp_path / "rep.bin"
+    save_representation(p, g64)
+    bad = tmp_path / "bad.bin"
+    _rewrite_header(p, bad, artifacts.REP_MAGIC, edit)
+    with pytest.raises(DecompositionFailure):
+        load_representation(bad)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda h: h.pop("basis"), id="missing-basis"),
+    pytest.param(lambda h: h.pop("norm_sq"), id="missing-norm_sq"),
+    pytest.param(lambda h: h["basis"].update(kind="bogus"),
+                 id="unknown-basis-kind"),
+    pytest.param(lambda h: h["basis"].update(M="x"), id="M-not-a-number"),
+    pytest.param(lambda h: h.update(representation="bogus"),
+                 id="unknown-representation"),
+    pytest.param(lambda h: h.update(representation="e-grid"),
+                 id="representation-of-other-kind"),
+])
+def test_malformed_state_header_rejected(tmp_path, states, edit):
+    p = tmp_path / "state.bin"
+    save_state(p, states[0])
+    bad = tmp_path / "bad.bin"
+    _rewrite_header(p, bad, artifacts.STATE_MAGIC, edit)
+    with pytest.raises(DecompositionFailure):
+        load_state(bad)
+    # the unedited copy still loads
+    _rewrite_header(p, bad, artifacts.STATE_MAGIC, lambda h: None)
+    assert load_state(bad).representation == "z-spectral"
+
+
 def test_state_roundtrip(tmp_path, states):
     sv, svg = states
     for i, s in enumerate((sv, svg)):
@@ -203,5 +249,7 @@ def test_runconfig_content_excludes_output():
     c1 = RunConfig(out="/tmp/a.json")
     c2 = RunConfig(out="/tmp/b.json", format="csv")
     assert c1.content_config() == c2.content_config()
-    assert "intervals" in c1.suite_config() or True
+    assert set(c1.suite_config()) == {
+        "k", "beta", "M", "grid_n", "grid_emax", "grid_emax_tilde", "weyl_M",
+        "fixture_M", "n_bumps", "seed", "intervals", "bump"}
     assert c1.suite_config()["M"] == 256

@@ -86,8 +86,12 @@ def test_rotation_ground_state_convergence():
 
 
 def test_ctilde_positive_and_t_min(rep):
-    evals = rep.ctilde_eig[0]
-    assert evals[0] > 0
+    # C~ is positive definite, and the least eigenvalue of T is half the
+    # log of twice its lowest one
+    lo = eigh_tridiagonal(rep.Ctilde.diag, rep.Ctilde.upper, select="i",
+                          select_range=(0, 0), eigvals_only=True)[0]
+    assert lo > 0
+    assert abs(rep.T.evals[0] - 0.5 * np.log(2.0 * lo)) < 1e-9
 
 
 def test_d_eigenvectors(rep):
@@ -166,7 +170,7 @@ def test_ctilde_eig_matches_direct_solve(k):
         r = build_grid_ops(GridSpec(N=1024, E_max=emax), k)
         direct = eigh_tridiagonal(r.Ctilde.diag, r.Ctilde.upper,
                                   eigvals_only=True)
-        evals = r.ctilde_eig[0]
+        evals = 0.5 * np.exp(2.0 * r.T.evals)
         assert np.max(np.abs(evals - direct) / direct) < 1e-9
 
 
@@ -183,10 +187,11 @@ def test_expect_T_matches_complex_projection(rep, bump_state):
 def test_ctilde_eigensystem_shared_per_n_and_k():
     r1 = build_grid_ops(GridSpec(N=512, E_max=40.0), 1.0)
     r2 = build_grid_ops(GridSpec(N=512, E_max=53.3), 1.0)
-    (mu1, v1), (mu2, v2) = r1.ctilde_eig, r2.ctilde_eig
+    v1, v2 = r1.T.vecs, r2.T.vecs
     assert v1 is v2
     assert not v1.flags.writeable
     with pytest.raises(ValueError):
         v1[0, 0] = 0.0
-    ratio = (r1.grid.spacing / r2.grid.spacing) ** 2
-    assert np.allclose(mu2, mu1 * ratio, rtol=1e-14)
+    # C~ scales by h^-2, so T shifts by log(h1 / h2)
+    shift = np.log(r1.grid.spacing / r2.grid.spacing)
+    assert np.allclose(r2.T.evals - r1.T.evals, shift, rtol=0, atol=1e-13)

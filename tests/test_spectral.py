@@ -10,12 +10,14 @@ from quadrature_oracle import quadrature_generators
 from modloc.errors import SpectrumOutOfDomain
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
+    HermitianOperator,
     Tridiagonal,
     build_generators,
     build_T,
     build_tilde_generators,
     interior_residual,
     j_conjugate_matrix,
+    log_spectrum,
     matrix_function,
     unitary_flow,
 )
@@ -170,27 +172,72 @@ def test_tilde_requires_plain(g128, gt128):
 def test_matrix_function_against_scipy(g128):
     R = g128.rotation()
     dense = np.asarray(R)
-    ours = matrix_function(R, "log").matrix
+    ours = matrix_function(R, log_spectrum).matrix
     ref = logm(dense)
     assert np.max(np.abs(ours - ref)) < 1e-8
-    ours = matrix_function(R, "sqrt").matrix
+    ours = matrix_function(R, np.sqrt).matrix
     ref = sqrtm(dense)
     assert np.max(np.abs(ours - ref)) < 1e-8
-    ours = matrix_function(R, "exp_scaled", param=-0.3).matrix
+    ours = matrix_function(R, lambda e: np.exp(-0.3 * e)).matrix
     ref = expm(-0.3 * dense)
     assert np.max(np.abs(ours - ref)) < 1e-8
-    inv = matrix_function(R, "power", param=-1.0).matrix
+    inv = matrix_function(R, np.reciprocal).matrix
     assert np.max(np.abs(inv @ dense - np.eye(128))) < 1e-8
 
 
 def test_matrix_function_domain_errors(g128):
+    # D has a symmetric spectrum: the log is refused, not clamped, and a
+    # bare numpy function warns instead of returning NaN silently
     D = g128.D
     with pytest.raises(SpectrumOutOfDomain):
-        matrix_function(D, "log")
+        matrix_function(D, log_spectrum)
     with pytest.raises(SpectrumOutOfDomain):
-        matrix_function(D, "sqrt")
+        log_spectrum(np.array([1.0, 1e-12]))
+    with pytest.warns(RuntimeWarning):
+        matrix_function(D, np.sqrt)
+    with pytest.raises(TypeError):
+        matrix_function(D, "log")
+
+
+@pytest.mark.parametrize("complex_vecs", [False, True])
+def test_hermitian_operator_matches_dense(complex_vecs):
+    rng = np.random.default_rng(5)
+    n, m = 40, 25
+    A = rng.standard_normal((n, n))
+    if complex_vecs:
+        A = A + 1j * rng.standard_normal((n, n))
+    A = A + A.conj().T
+    evals, vecs = eigh(A)
+    op = HermitianOperator(evals, vecs)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    B = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    scale = np.max(np.abs(A))
+    assert np.max(np.abs(op.matrix - A)) < 1e-12 * scale
+    assert np.allclose(op.weights(v), np.abs(vecs.conj().T @ v) ** 2,
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(op.weights(B), np.abs(vecs.conj().T @ B) ** 2,
+                       rtol=1e-12, atol=1e-12)
+    assert abs(op.expect(v) - np.vdot(v, A @ v).real) < 1e-11 * scale
+    ref = np.real(np.sum(B.conj() * (A @ B), axis=0))
+    assert np.max(np.abs(op.expect(B) - ref)) < 1e-11 * scale
+    # the leading rows of V: the compression onto the first m vectors
+    comp = HermitianOperator(evals, vecs[:m])
+    Am = A[:m, :m]
+    assert np.max(np.abs(comp.matrix - Am)) < 1e-12 * scale
+    assert abs(comp.expect(v[:m]) - np.vdot(v[:m], Am @ v[:m]).real) < (
+        1e-11 * scale)
+    ref = np.real(np.sum(B[:m].conj() * (Am @ B[:m]), axis=0))
+    assert np.max(np.abs(comp.expect(B[:m]) - ref)) < 1e-11 * scale
+
+
+def test_hermitian_operator_shapes_checked():
+    evals, vecs = np.arange(4.0), np.eye(4)
     with pytest.raises(ValueError):
-        matrix_function(D, "nonsense")
+        HermitianOperator(evals, vecs[:, :3])
+    with pytest.raises(ValueError):
+        HermitianOperator(evals + 0j, vecs)
+    with pytest.raises(ValueError):
+        HermitianOperator(evals[:3], vecs[:, :3])
 
 
 def test_unitary_flow_is_unitary(g128):

@@ -10,6 +10,7 @@ from modloc.errors import ConfigError
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
     Tridiagonal,
+    build_T,
     build_generators,
     build_tilde_generators,
     unitary_flow,
@@ -177,48 +178,96 @@ def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
 
 @pytest.mark.parametrize("beta", [0.3, 1.0, 7.5])
 def test_fixture_T_is_shifted_unit_T(beta):
-    from modloc.spectral import build_T
+    # the shared unit solve shifted by (1/2) log(4 beta) is the leading
+    # block of (1/2) log(2 C~) at 2M, solved densely at this beta
+    from scipy.linalg import eigh
 
     fx = build_interval_fixture(1.0, 2.0, M=64, n_bumps=0, beta=beta)
-    ref = build_T(fx.gt, log_M=128).matrix
+    gt2 = build_tilde_generators(build_generators(
+        dataclasses.replace(fx.spec, M=128)))
+    lam, V = eigh(2.0 * np.asarray(gt2.C))
+    ref = ((0.5 * np.log(lam) * V) @ V.conj().T)[:64, :64]
     assert np.max(np.abs(fx.T.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_fixtures_share_one_unit_T(monkeypatch):
-    import modloc.verification as ver
+    # fixtures with the same (k, M) make one eigensolve of the unit bands
+    # at 2M; beta only shifts the eigenvalues of T
+    import modloc.spectral as sp
 
     calls = []
-    T_from_bands = ver._T_from_bands
+    solve = Tridiagonal.eigh
 
-    def counted(tilde_k, beta, M, log_M=None):
-        calls.append((tilde_k, M))
-        return T_from_bands(tilde_k, beta, M, log_M=log_M)
+    def counted(self, *args, **kwargs):
+        calls.append(self.diag.size)
+        return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(ver, "_T_from_bands", counted)
-    ver._unit_T.cache_clear()
+    monkeypatch.setattr(Tridiagonal, "eigh", counted)
+    sp._unit_ladder_eig.cache_clear()
     fx1 = build_interval_fixture(1.0, 2.0, M=64, n_bumps=0)
     fx2 = build_interval_fixture(4.0, 8.0, M=64, n_bumps=0)
-    assert calls == [(0.75, 64)]
-    unit = ver._unit_T(1.0, 64)
+    assert calls == [128]
+    unit = sp._unit_ladder_eig(0.75, 128)[1]
     assert not unit.flags.writeable
     with pytest.raises(ValueError):
-        unit[0, 0] = 0.0
-    # each fixture owns its T: the shift never lands in the shared array
-    assert fx1.T.matrix is not unit and fx2.T.matrix is not unit
-    assert not np.shares_memory(fx1.T.matrix, unit)
-    ver._unit_T.cache_clear()
+        fx1.T.vecs[0, 0] = 0.0
+    assert np.shares_memory(fx1.T.vecs, unit)
+    assert np.shares_memory(fx2.T.vecs, unit)
+    shift = 0.5 * np.log(fx2.spec.beta / fx1.spec.beta)
+    assert np.allclose(fx2.T.evals - fx1.T.evals, shift, rtol=0, atol=1e-13)
+    sp._unit_ladder_eig.cache_clear()
 
 
 def test_unit_T_builds_no_generators(monkeypatch):
-    import modloc.verification as ver
+    import modloc.spectral as sp
+
+    gt = build_tilde_generators(build_generators(BasisSpec(k=1.0, M=64)))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("unit T must not build generator matrices")
+        raise AssertionError("T must not build generator matrices")
 
-    monkeypatch.setattr(ver, "build_generators", refuse)
-    monkeypatch.setattr(ver, "build_tilde_generators", refuse)
-    T = ver._unit_T.__wrapped__(1.0, 64)
-    assert T.shape == (64, 64) and np.all(np.isfinite(T))
+    monkeypatch.setattr(sp, "build_generators", refuse)
+    monkeypatch.setattr(sp, "build_tilde_generators", refuse)
+    sp._unit_ladder_eig.cache_clear()
+    T = sp.build_T(gt, log_M=128)
+    assert T.vecs.shape == (64, 128) and np.all(np.isfinite(T.evals))
+
+
+def test_table_T_matches_dense_T(fx_small):
+    dense = build_T(fx_small.gt, log_M=2 * fx_small.spec.M).matrix
+    for st, es in zip(fx_small.states, fx_small.spectral_table):
+        ct = st["Ztilde"].data
+        ref = np.vdot(ct, dense @ ct).real / np.vdot(ct, ct).real
+        assert abs(es["T"] - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+def test_f_alpha_is_compressed_power_at_2M(fx_small):
+    # F(alpha) reads the compression of (2 C~)^alpha taken at 2M, like T
+    from scipy.linalg import fractional_matrix_power
+
+    M = fx_small.spec.M
+    gt2 = build_tilde_generators(build_generators(
+        dataclasses.replace(fx_small.spec, M=2 * M)))
+    two_C = 2.0 * np.asarray(gt2.C)
+    rep = f_alpha_profile(fx_small, n_states=2)
+    for st, curve in zip(fx_small.states, rep.values["curves"]):
+        ct = st["Ztilde"].data
+        nt = np.vdot(ct, ct).real
+        for i in (0, 5, 15, 20):
+            al = curve["alphas"][i]
+            P = fractional_matrix_power(two_C, al)[:M, :M]
+            ref = fx_small.a ** (-2.0 * al) * np.vdot(ct, P @ ct).real / nt
+            assert abs(curve["F"][i] - ref) <= 1e-9 * ref
+
+
+def test_fixture_checks_compose_no_dense_T(fx_small):
+    # a copy with its own T and expectation tables
+    fx = dataclasses.replace(
+        fx_small, T=build_T(fx_small.gt, log_M=2 * fx_small.spec.M))
+    for check in (check_D_positive, check_HC_chain, check_T_bounds,
+                  f_alpha_profile, check_covariance_transport):
+        assert check(fx).passed
+    assert "matrix" not in vars(fx.T)
 
 
 def test_lowest_weights_detects_wrong_target():
@@ -241,6 +290,14 @@ def test_run_suite_empty_scope():
     res = run_suite(scope=[])
     assert res.reports == []
     assert res.aggregate_pass
+
+
+def test_run_suite_records_resolved_config():
+    from modloc.artifacts import RunConfig
+
+    res = run_suite({"n_bumps": 1}, scope=[])
+    assert res.config == {**RunConfig(n_bumps=1).suite_config(),
+                          "profile": "default", "scope": []}
 
 
 def test_run_suite_scope_filter():
