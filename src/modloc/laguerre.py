@@ -25,67 +25,10 @@ from .errors import EigenFailure
 __all__ = [
     "QuadratureRule",
     "BasisSpec",
-    "laguerre_eval",
-    "laguerre_rows_logscale",
     "laguerre_log_abs",
     "gauss_laguerre",
     "basis_eval",
 ]
-
-
-def laguerre_eval(n: int, alpha: float, x):
-    """L_n^(alpha)(x) by the stable three-term recurrence; vectorized in x."""
-    x = np.asarray(x, dtype=float)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev
-    cur = alpha + 1.0 - x
-    for m in range(1, n):
-        prev, cur = cur, ((2 * m + alpha + 1.0 - x) * cur - (m + alpha) * prev) / (
-            m + 1.0
-        )
-    return cur
-
-
-def laguerre_rows_logscale(nmax: int, alpha: float, x, log_scale) -> np.ndarray:
-    """All of exp(log_scale) * L_n^(alpha)(x) for n = 0..nmax-1.
-
-    The scale enters through its logarithm and the recurrence is
-    renormalized per node, so rows stay finite even when exp(log_scale)
-    underflows while the product does not (large-node quadrature weights
-    against high-degree polynomials).
-    """
-    x = np.asarray(x, dtype=float)
-    log_scale = np.broadcast_to(np.asarray(log_scale, dtype=float), x.shape)
-    out = np.empty((nmax, x.size), dtype=float)
-
-    def emit(vals, logoff):
-        mag = np.abs(vals)
-        with np.errstate(divide="ignore"):
-            lm = np.where(mag == 0.0, -np.inf, np.log(mag))
-        return np.sign(vals) * np.exp(lm + logoff + log_scale)
-
-    prev = np.ones_like(x)
-    logoff = np.zeros_like(x)
-    out[0] = emit(prev, logoff)
-    if nmax == 1:
-        return out
-    cur = alpha + 1.0 - x
-    out[1] = emit(cur, logoff)
-    for m in range(1, nmax - 1):
-        prev, cur = cur, (
-            (2 * m + alpha + 1.0 - x) * cur - (m + alpha) * prev
-        ) / (m + 1.0)
-        big = np.abs(cur) > 1e250
-        if np.any(big):
-            s = np.where(big, np.abs(cur), 1.0)
-            prev = prev / s
-            cur = cur / s
-            logoff = logoff + np.log(s)
-        out[m + 1] = emit(cur, logoff)
-    return out
 
 
 def laguerre_log_abs(n: int, alpha: float, x):

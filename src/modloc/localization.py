@@ -41,6 +41,7 @@ __all__ = [
     "make_bump",
     "positive_frequency",
     "positive_part_samples",
+    "project_bumps",
     "moebius_on_wavefunction",
 ]
 
@@ -98,39 +99,80 @@ def make_bump(spec: BumpSpec):
     return x, psi
 
 
-class FourierProfile:
-    """Positive-frequency profile of a sampled bump, evaluable anywhere.
+# samples per block of the positive-frequency sum, and energies per chunk of
+# its power table: a chunk's table of z^0 .. z^63 is 256 KiB and stays in
+# cache for the GEMM that reads it
+_BLOCK = 64
+_CHUNK = 256
 
-    psi_hat(E) = dx sum_j psi_j e^{i E x_j} runs over the bump's nonzero
-    samples only, by Horner's rule in z = e^{i E dx}, with the phase
-    e^{i E x_lo} of the first nonzero sample applied once at the end.  The
-    bump must vanish at both ends of its x grid (it does by construction,
-    living strictly inside [0, extent]), so the sum is the trapezoid rule.
-    The energy cutoff E_cut and the continuum norm norm_sq are computed on
-    first use and kept, so every backend projection of one bump shares them.
+
+class FourierProfile:
+    """Positive-frequency profiles of real bumps on one uniform x grid.
+
+    psi is one bump, shape (n,), or a block of bumps as columns, (n, r);
+    every value below is per bump, on a trailing axis for a block.
+    psi_hat(E) = dx sum_j psi_j e^{i E x_j} runs from the first to the last
+    sample where any bump is nonzero, with the phase e^{i E x_lo} applied
+    at the end.  With z = e^{i E dx} the sum is blocked, sum_m (z^B)^m
+    sum_t psi_{mB+t} z^t with B = 64: the powers z^t come by repeated
+    multiplication, which keeps Horner's accuracy, one real GEMM of the
+    (blocks * bumps x B) sample matrix against them gives every inner sum,
+    and Horner's rule in z^B finishes.  The bumps vanish at both ends of the x
+    grid, so the sum is the trapezoid rule.  E_cut and norm_sq are computed
+    on first use and kept, so every backend projection shares them.
     """
 
     def __init__(self, x, psi):
         x = np.asarray(x, dtype=float)
-        psi = np.asarray(psi, dtype=float)
-        nz = np.flatnonzero(psi)
-        if nz.size == 0:
+        psi = np.asarray(psi)
+        if np.iscomplexobj(psi) and not np.allclose(psi.imag, 0.0):
+            raise ValueError("bump must be real")
+        if psi.shape[0] != x.size:
+            raise ValueError("samples and grid disagree")
+        self._single = psi.ndim == 1
+        psi = psi.real.astype(float).reshape(x.size, -1)
+        self._bumps = psi.shape[1]
+        live = psi != 0.0
+        if self._bumps == 0 or not live.any(axis=0).all():
             raise ValueError("bump has no support")
+        rows = np.flatnonzero(live.any(axis=1))
         self.dx = float(x[1] - x[0])
         self.nyquist = np.pi / self.dx
-        self.x_lo = float(x[nz[0]])
-        self.x_hi = float(x[nz[-1]])
-        self._samples = psi[nz[0]:nz[-1] + 1].copy()
+        self.x_lo = float(x[rows[0]])
+        self.x_hi = float(x[rows[-1]])
+        s = psi[rows[0]:rows[-1] + 1]
+        s = np.pad(s, ((0, -len(s) % _BLOCK), (0, 0)))
+        # row m * r + c holds block m of bump c
+        self._blocks = (s.reshape(-1, _BLOCK, self._bumps).transpose(0, 2, 1)
+                        .reshape(-1, _BLOCK))
+
+    def _per_bump(self, v):
+        """v without its bump axis, a scalar for a 0-d result, for one bump."""
+        return v[..., 0][()] if self._single else v
 
     def hat(self, E) -> np.ndarray:
         E = np.asarray(E, dtype=float)
-        z = np.exp(1j * self.dx * E)
-        acc = np.full(E.shape, self._samples[-1], dtype=complex)
-        for p in self._samples[-2::-1].tolist():
-            acc *= z
-            acc += p
-        acc *= self.dx * np.exp(1j * self.x_lo * E)
-        return acc
+        flat = E.ravel()
+        out = np.empty((self._bumps, flat.size), dtype=complex)
+        for i in range(0, flat.size, _CHUNK):
+            e = flat[i:i + _CHUNK]
+            z = np.exp(1j * self.dx * e)
+            P = np.empty((_BLOCK, e.size), dtype=complex)
+            P[0] = 1.0
+            P[1] = z
+            for t in range(2, _BLOCK):
+                np.multiply(P[t - 1], z, out=P[t])
+            # rows of P viewed as float interleave re and im, so the real
+            # GEMM's rows view back as complex
+            S = (self._blocks @ P.view(float)).view(complex)
+            S = S.reshape(-1, self._bumps, e.size)
+            zB = P[-1] * z
+            acc = S[-1]
+            for m in range(len(S) - 2, -1, -1):
+                acc = acc * zB + S[m]
+            out[:, i:i + e.size] = acc
+        out *= self.dx * np.exp(1j * self.x_lo * flat)
+        return self._per_bump(out.T.reshape(E.shape + (self._bumps,)))
 
     def positive_part(self, E) -> np.ndarray:
         """psi_plus_tilde(E) = i sqrt(E/pi) psi_hat(E).
@@ -139,29 +181,32 @@ class FourierProfile:
         modular invariance exp(-pi D) psi = J psi (J = conjugation).
         """
         E = np.asarray(E, dtype=float)
-        return 1j * np.sqrt(np.abs(E) / np.pi) * self.hat(E)
+        fac = 1j * np.sqrt(np.abs(E) / np.pi)
+        return (fac if self._single else fac[..., None]) * self.hat(E)
 
     @cached_property
-    def E_cut(self) -> float:
+    def E_cut(self):
         """Energy beyond which the profile stays below 1e-10 of its peak on a
         400-point probe, plus a 20 percent margin, capped at Nyquist."""
         probe = np.linspace(1.0, self.nyquist, 400)
-        mags = np.abs(self.positive_part(probe))
-        last = np.flatnonzero(mags >= 1e-10 * mags.max())[-1]
-        if last == probe.size - 1:
-            return self.nyquist
-        return min(1.2 * probe[last + 1], self.nyquist)
+        mags = np.abs(self.positive_part(probe)).reshape(probe.size, -1)
+        # one past the last probe point at or above the threshold
+        stop = np.max((mags >= 1e-10 * mags.max(axis=0))
+                      * np.arange(1, probe.size + 1)[:, None], axis=0)
+        return self._per_bump(np.minimum(np.append(1.2 * probe, np.inf)[stop],
+                                         self.nyquist))
 
     @cached_property
-    def norm_sq(self) -> float:
+    def norm_sq(self):
         """Full |psi_plus_tilde|^2 integral on state-resolution panels.
 
         The modulus drops the phase e^{i E x_lo}, so it oscillates on the
         scale of the support width x_hi - x_lo rather than of x_hi.
         """
-        u, w = _umesh(self.E_cut, beta=1.0, M=1, b=self.x_hi - self.x_lo)
-        vals = self.positive_part(u * u)
-        return float(w @ (np.abs(vals) ** 2 * 2.0 * u))
+        u, w = _umesh(np.max(self.E_cut), beta=1.0, M=1,
+                      b=self.x_hi - self.x_lo)
+        vals = self.positive_part(u * u).reshape(u.size, -1)
+        return self._per_bump((w * 2.0 * u) @ np.abs(vals) ** 2)
 
 
 def _umesh(E_cut: float, beta: float, M: int, b: float,
@@ -235,76 +280,78 @@ def positive_frequency(x, psi, target, family: str = "Z",
                        max_residual: float = PROJECTION_GATE,
                        profile: FourierProfile | None = None,
                        provenance: dict | None = None) -> StateVector:
-    """Positive-frequency part of a real sampled bump, in a chosen backend.
+    """Positive-frequency part of one real sampled bump in a chosen backend:
+    project_bumps on the bump's FourierProfile, which may be shared across
+    backends."""
+    if profile is None:
+        profile = FourierProfile(x, psi)
+    return project_bumps(profile, target, family, max_residual,
+                         [provenance or {}])[0]
+
+
+def project_bumps(profile: FourierProfile, target, family: str = "Z",
+                  max_residual: float = PROJECTION_GATE,
+                  provenance: list | None = None) -> list:
+    """Positive-frequency parts of every bump of a profile in one backend,
+    one StateVector per bump.
 
     target is a BasisSpec (spectral coefficients by panel quadrature in
     sqrt(E); family "Z" or "Ztilde" picks the plain or squared-argument
-    family) or a GridSpec (samples at the grid nodes).  A precomputed
-    FourierProfile can be shared across backends for the same bump.  Raises
-    ValueError for a bump with no nonzero sample, NyquistViolation when the
-    x sampling cannot carry the needed energies and ProjectionLoss when more
-    than max_residual of the continuum mass misses the representation.
+    family) or a GridSpec (samples at the grid nodes).  The bumps share one
+    energy mesh, sized by the largest cutoff and the union support, and one
+    Laguerre sweep projects the real and imaginary parts of all of them.
+    provenance holds one dict per bump.  Raises NyquistViolation when the x
+    sampling cannot carry the needed energies and ProjectionLoss when more
+    than max_residual of some bump's continuum mass misses the
+    representation.
     """
-    psi = np.asarray(psi)
-    if np.iscomplexobj(psi) and not np.allclose(psi.imag, 0.0):
-        raise ValueError("bump must be real")
-    psi = np.asarray(psi.real, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if psi.size != x.size:
-        raise ValueError("samples and grid disagree")
-    if profile is None:
-        profile = FourierProfile(x, psi)
-    nyquist = profile.nyquist
-
     if isinstance(target, BasisSpec):
         if family not in ("Z", "Ztilde"):
             raise ValueError(f"unknown family {family!r}")
-        if profile.E_cut >= 0.999 * nyquist:
+        cut = np.atleast_1d(profile.E_cut)
+        if cut.max() >= 0.999 * profile.nyquist:
             raise NyquistViolation(
-                f"profile still carries mass at the x-grid Nyquist limit {nyquist:.1f}"
-            )
+                f"profile still carries mass at the x-grid Nyquist limit "
+                f"{profile.nyquist:.1f}")
         # the basis sees nothing past its turning point, so the coefficient
         # integral stops at the earlier of basis cap and profile cutoff
-        E_int = min(profile.E_cut, _basis_energy_cap(target, family))
+        E_int = min(cut.max(), _basis_energy_cap(target, family))
         u, w = _umesh(E_int, target.beta, target.M, b=profile.x_hi,
                       family=family)
         E = u * u
-        vals = profile.positive_part(E)
+        vals = profile.positive_part(E).reshape(E.size, -1)
         wts = w * 2.0 * u  # dE = 2u du
-        f = wts * vals
+        f = wts[:, None] * vals
         # re/im projected inside the recurrence: no basis matrix is stored
         re_im = basis_matrix(target, E, which=family,
-                             weights=np.stack([f.real, f.imag], axis=1))
-        coeffs = re_im[:, 0] + 1j * re_im[:, 1]
-        if E_int < profile.E_cut:
-            norm_sq = profile.norm_sq
-        else:
-            norm_sq = float(wts @ np.abs(vals) ** 2)
-        rep_norm = float(np.vdot(coeffs, coeffs).real)
-        residual = abs(norm_sq - rep_norm) / norm_sq
-        sv = StateVector("z-spectral", coeffs, target, norm_sq,
-                         residual, family, provenance or {})
+                             weights=np.concatenate([f.real, f.imag], 1))
+        data = re_im[:, :f.shape[1]] + 1j * re_im[:, f.shape[1]:]
+        norm_sq = wts @ np.abs(vals) ** 2
+        if E_int < cut.max():
+            norm_sq = np.where(E_int < cut, profile.norm_sq, norm_sq)
+        rep_norm = np.sum(np.abs(data) ** 2, axis=0)
+        kind = "z-spectral"
     elif isinstance(target, GridSpec):
-        if target.E_max >= nyquist:
+        if target.E_max >= profile.nyquist:
             raise NyquistViolation(
                 f"grid E_max {target.E_max} exceeds the x-grid Nyquist limit "
-                f"{nyquist:.1f}"
-            )
-        norm_sq = profile.norm_sq
-        samples = profile.positive_part(target.nodes)
-        rep_norm = GridState(samples, target).norm_sq()
-        residual = abs(norm_sq - rep_norm) / norm_sq
-        sv = StateVector("e-grid", samples, target, norm_sq, residual, "grid",
-                         provenance or {})
+                f"{profile.nyquist:.1f}")
+        norm_sq = np.atleast_1d(profile.norm_sq)
+        data = profile.positive_part(target.nodes).reshape(target.N, -1)
+        rep_norm = target.spacing * np.sum(np.abs(data) ** 2, axis=0)
+        kind, family = "e-grid", "grid"
     else:
         raise TypeError(f"unsupported projection target {type(target)!r}")
-
-    if sv.projection_residual > max_residual:
+    residual = np.abs(norm_sq - rep_norm) / norm_sq
+    lost = residual > max_residual
+    if lost.any():
         raise ProjectionLoss(
-            f"projection residual {sv.projection_residual:.2e} exceeds "
-            f"{max_residual:.0e}"
-        )
-    return sv
+            f"projection residual {residual[lost].max():.2e} exceeds "
+            f"{max_residual:.0e}")
+    columns = np.ascontiguousarray(data.T)
+    return [StateVector(kind, columns[j], target, float(norm_sq[j]),
+                        float(residual[j]), family, prov)
+            for j, prov in enumerate(provenance or [{} for _ in columns])]
 
 
 def positive_part_samples(x, psi, x_eval) -> np.ndarray:

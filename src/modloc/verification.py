@@ -23,7 +23,8 @@ from .artifacts import RunConfig
 from .errors import ConfigError, OverflowAbort
 from .gridop import GridRep, GridSpec, build_grid_ops
 from .laguerre import BasisSpec
-from .localization import BumpSpec, FourierProfile, make_bump, positive_frequency
+from .localization import (BumpSpec, FourierProfile, make_bump,
+                           positive_frequency, project_bumps)
 from .spectral import (
     GeneratorSet,
     HermitianOperator,
@@ -55,8 +56,6 @@ __all__ = [
     "check_grid_convergence",
     "run_suite",
     "SuiteResult",
-    "spectral_expectations",
-    "grid_expectations",
 ]
 
 # default bump budget and fixture truncation matching the acceptance scale
@@ -207,7 +206,8 @@ class IntervalFixture:
 
     spectral_table and grid_table hold each state's expectation table in
     one backend, computed on first use and read by every check of the
-    fixture; dataclasses.replace gives a copy that computes its own.
+    fixture; <T> of all states is one GEMM against each backend's T
+    eigenvectors.  dataclasses.replace gives a copy that computes its own.
     """
 
     a: float
@@ -221,13 +221,38 @@ class IntervalFixture:
     states: list  # dicts: sub-interval, spectral/tilde/grid StateVectors
     seed: int
 
+    def block(self, backend: str) -> np.ndarray:
+        """The backend's data of every state, one column per state."""
+        return np.stack([st[backend].data for st in self.states], axis=1)
+
     @cached_property
     def spectral_table(self) -> list:
-        return [spectral_expectations(self, st) for st in self.states]
+        """<H>, <C>, <D> on the plain coefficients, <C~> and the normalized
+        <T> on the squared-argument ones, with both norms."""
+        table = []
+        Ts = self.T.expect(self.block("Ztilde")) if self.states else ()
+        for st, t in zip(self.states, Ts):
+            c, ct = st["Z"].data, st["Ztilde"].data
+            nt = float(np.vdot(ct, ct).real)
+            table.append({"norm_sq": float(np.vdot(c, c).real),
+                          "tilde_norm_sq": nt, "H": self.g.H.expect(c),
+                          "C": self.g.C.expect(c), "D": self.g.D.expect(c),
+                          "Ctilde": self.gt.C.expect(ct), "T": float(t) / nt})
+        return table
 
     @cached_property
     def grid_table(self) -> list:
-        return [grid_expectations(self, st) for st in self.states]
+        """The same table as spectral_table, in the grid backend."""
+        rep, table = self.rep, []
+        Ts = rep.T.expect(self.block("grid")) if self.states else ()
+        for st, t in zip(self.states, Ts):
+            gs = st["grid"].as_grid_state()
+            ng = gs.norm_sq()
+            table.append({"norm_sq": ng, "tilde_norm_sq": ng,
+                          "H": rep.expect_H(gs), "C": rep.expect_C(gs),
+                          "D": rep.expect_D(gs), "Ctilde": rep.expect_Ctilde(gs),
+                          "T": float(rep.grid.spacing * t) / ng})
+        return table
 
 
 def fixture_beta(a: float, b: float) -> float:
@@ -248,7 +273,8 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
 
     The first bump fills [a, b]; the rest sit on random sub-intervals with
     width at least 0.6 (b - a), so every state is local in [a, b] while the
-    ensemble varies.  One Fourier profile per bump feeds all backends.
+    ensemble varies.  All bumps share one x grid, so one blocked Fourier
+    profile feeds one batched projection per backend.
     """
     if beta is None:
         beta = fixture_beta(a, b)
@@ -263,32 +289,34 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
     grid = GridSpec(N=grid_n, E_max=emax)
     rep = build_grid_ops(grid, k)
     rng = np.random.default_rng(seed)
-    states = []
     w = b - a
+    bumps = []
     for i in range(n_bumps):
         if i == 0:
             ai, bi = a, b
         else:
             ai = a + 0.2 * w * rng.random()
             bi = b - 0.2 * w * rng.random()
-        bs = BumpSpec(ai, bi, family=family, samples=BUMP_SAMPLES,
-                      extent_factor=4.0 * b / bi)
-        x, psi = make_bump(bs)
-        prof = FourierProfile(x, psi)
-        prov = {"interval": [a, b], "support": [ai, bi], "seed": seed,
-                "index": i, "family": family}
-        sv = positive_frequency(x, psi, spec, family="Z", profile=prof,
-                                provenance=prov)
+        bumps.append(BumpSpec(ai, bi, family=family, samples=BUMP_SAMPLES,
+                              extent_factor=4.0 * b / bi))
+    states = []
+    if bumps:
+        # every bump lives on the first one's x grid, [0, 4b]
+        samples = [make_bump(bs) for bs in bumps]
+        prof = FourierProfile(samples[0][0],
+                              np.stack([psi for _, psi in samples], 1))
+        prov = [{"interval": [a, b], "support": [bs.a, bs.b], "seed": seed,
+                 "index": i, "family": family} for i, bs in enumerate(bumps)]
+        svs = project_bumps(prof, spec, "Z", provenance=prov)
         # the squared-argument family converges slowly at the origin
         # (coefficient tail ~ u^{1/4}); its norm residual is near 1e-2 at
         # the default M and falls only slowly with M
-        svt = positive_frequency(x, psi, spec, family="Ztilde",
-                                 max_residual=3e-2, profile=prof,
-                                 provenance=prov)
-        svg = positive_frequency(x, psi, grid, max_residual=1e-3,
-                                 profile=prof, provenance=prov)
-        states.append({"support": (ai, bi), "Z": sv, "Ztilde": svt,
-                       "grid": svg, "bump": bs})
+        svts = project_bumps(prof, spec, "Ztilde", max_residual=3e-2,
+                             provenance=prov)
+        svgs = project_bumps(prof, grid, max_residual=1e-3, provenance=prov)
+        states = [{"support": (bs.a, bs.b), "Z": sv, "Ztilde": svt,
+                   "grid": svg, "bump": bs}
+                  for bs, sv, svt, svg in zip(bumps, svs, svts, svgs)]
     return IntervalFixture(a=a, b=b, spec=spec, g=g, gt=gt, T=T, grid=grid,
                            rep=rep, states=states, seed=seed)
 
@@ -355,36 +383,11 @@ def check_lowest_weights(ks=(1.0, 1.5, 2.0), beta: float = 1.0, M: int = 256,
 # ---------------------------------------------------------------------------
 # localization chain checks
 
-def spectral_expectations(fx: IntervalFixture, st: dict) -> dict:
-    """<H>, <C>, <D> on the plain coefficients, <C~> and the normalized <T>
-    on the squared-argument ones, with both norms."""
-    c = st["Z"].data
-    ct = st["Ztilde"].data
-    nt = float(np.vdot(ct, ct).real)
-    return {
-        "norm_sq": float(np.vdot(c, c).real),
-        "tilde_norm_sq": nt,
-        "H": fx.g.H.expect(c),
-        "C": fx.g.C.expect(c),
-        "D": fx.g.D.expect(c),
-        "Ctilde": fx.gt.C.expect(ct),
-        "T": float(fx.T.expect(ct)) / nt,
-    }
-
-
-def grid_expectations(fx: IntervalFixture, st: dict) -> dict:
-    """The same table as spectral_expectations, in the grid backend."""
-    gs = st["grid"].as_grid_state()
-    ng = gs.norm_sq()
-    return {
-        "norm_sq": ng,
-        "tilde_norm_sq": ng,
-        "H": fx.rep.expect_H(gs),
-        "C": fx.rep.expect_C(gs),
-        "D": fx.rep.expect_D(gs),
-        "Ctilde": fx.rep.expect_Ctilde(gs),
-        "T": fx.rep.expect_T(gs) / ng,
-    }
+def _no_states(name: str, fx: IntervalFixture, tol: float) -> CheckReport:
+    """A fixture check on a fixture without states fails: no evidence is no
+    pass."""
+    return CheckReport(name, False, None, tol, {"interval": [fx.a, fx.b]},
+                       error="fixture has no states")
 
 
 def check_D_positive(fx: IntervalFixture, tol: float = 1e-8,
@@ -397,6 +400,8 @@ def check_D_positive(fx: IntervalFixture, tol: float = 1e-8,
     report fails if the control finds none, which would mean the check
     cannot distinguish anything.
     """
+    if not fx.states:
+        return _no_states("d_positive", fx, tol)
     per_state = []
     expectations = []
     for st, es, eg in zip(fx.states, fx.spectral_table, fx.grid_table):
@@ -428,6 +433,8 @@ def check_HC_chain(fx: IntervalFixture, tol: float = 0.0) -> CheckReport:
     tol = 0 demands strict slack, which the propositions promise for
     states local in the open interval.
     """
+    if not fx.states:
+        return _no_states("hc_chain", fx, tol)
     a2, b2 = fx.a ** 2, fx.b ** 2
     per_state = []
     for st, es, eg in zip(fx.states, fx.spectral_table, fx.grid_table):
@@ -452,6 +459,8 @@ def check_T_bounds(fx: IntervalFixture, tol: float = 1e-6,
     """log a - tol <= <T>/|psi|^2 <= log b + tol in both backends, and the
     two backends agree on <T>/|psi|^2 to agreement_tol (relative).  The
     residual is the worst bound excursion, the number tol gates."""
+    if not fx.states:
+        return _no_states("t_bounds", fx, tol)
     la, lb = np.log(fx.a), np.log(fx.b)
     excursions = [0.0]
     agreements = [0.0]
@@ -594,6 +603,8 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5,
     all second differences must be >= -tol.  Curve data for each state is
     returned in values.
     """
+    if not fx.states:
+        return _no_states("f_alpha", fx, tol)
     alphas = np.linspace(-1.0, 1.0, n_alpha)
     powers = np.exp(2.0 * np.outer(alphas, fx.T.evals))
     curves = []
@@ -689,11 +700,13 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
     value plus log(scale^2).  The states are flowed, not T: <F T F^* ct>
     = <W, T W> with W = F^* ct, flowed through the eigensystem of 2 D~.
     """
+    if not fx.states:
+        return _no_states("covariance", fx, tol)
     shift = np.log(scale * scale)
     lo = np.log(scale * scale * fx.a)
     hi = np.log(scale * scale * fx.b)
     evals, vecs = (2.0 * fx.gt.D).eigh()
-    cts = np.stack([st["Ztilde"].data for st in fx.states], 1)
+    cts = fx.block("Ztilde")
     W = vecs @ (np.exp(1j * shift * evals)[:, None] * (vecs.conj().T @ cts))
     transported = fx.T.expect(W)
     excursions = [0.0]

