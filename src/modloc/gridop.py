@@ -2,9 +2,10 @@
 
 This backend exists to be dumb and independent: H is the coordinate, the
 derivatives are second-order central differences with Dirichlet walls at
-both ends, and every derived object comes from tridiagonal
-eigendecompositions of those matrices.  It shares the Tridiagonal type
-with the spectral backend; the independence lies in the discretization.
+both ends, and every derived object comes from those tridiagonal bands:
+their eigendecompositions, or for T shifted band solves.  It shares the
+Tridiagonal type with the spectral backend; the independence lies in the
+discretization.
 Agreement with the spectral backend is the main cross-check of the whole
 laboratory.
 """
@@ -12,13 +13,13 @@ laboratory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import SupportEscapesGrid
-from .spectral import HermitianOperator, Tridiagonal, log_spectrum
+from .spectral import Tridiagonal, TridiagonalLog
 
 __all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops", "grid_dilation"]
 
@@ -65,8 +66,8 @@ class GridRep:
     """Finite-difference H, D, C and C~ for lowest weight k, each a
     Tridiagonal, plus derived objects.
 
-    T = (1/2) log(2 C~) is held as its eigensystem, read from the shared
-    unit solve, so expectation values over many states stay cheap.
+    T = (1/2) log(2 C~) is held as the bands of 2 C~ (up to a power of the
+    spacing), and <T> comes from shifted tridiagonal solves: no N x N array.
     """
 
     def __init__(self, grid: GridSpec, k: float):
@@ -88,11 +89,17 @@ class GridRep:
                                   0.5 * self.C.upper / link)
 
     @cached_property
-    def T(self) -> HermitianOperator:
-        """(1/2) log(2 C~) with C~ = h^-2 K(N, k), from the shared solve."""
-        mu, vecs = _unit_ctilde_eig(self.grid.N, self.k)
-        return HermitianOperator(
-            0.5 * log_spectrum(2.0 * mu / self.grid.spacing ** 2), vecs)
+    def T(self) -> TridiagonalLog:
+        """(1/2) log(2 C~) = (1/2) log(2K) - log h.
+
+        With E_j = j h the bands of C~ = h^-2 K(N, k) are h^-2 (1 + (k^2 -
+        k)/(2 j^2)) on the diagonal and -1/(2 h^2) off it, so the unit
+        matrix 2K depends only on (N, k), and E_max only shifts T.
+        """
+        N, k = self.grid.N, self.k
+        j = np.arange(1, N + 1, dtype=float)
+        two_K = Tridiagonal(2.0 + (k * k - k) / (j * j), np.full(N - 1, -1.0))
+        return TridiagonalLog(two_K, 0.5, -float(np.log(self.grid.spacing)))
 
     # -- expectation values ----------------------------------------------
     def expect_H(self, state: GridState) -> float:
@@ -174,23 +181,6 @@ class GridRep:
             out[x + y] = float(np.linalg.norm(diff, 2)
                                / np.linalg.norm(ref, 2))
         return out
-
-
-@lru_cache(maxsize=1)
-def _unit_ctilde_eig(N: int, k: float):
-    """Eigensystem of K(N, k) = h^2 C~, read-only and shared.
-
-    With E_j = j h the bands of C~ are h^-2 (1 + (k^2 - k)/(2 j^2)) on the
-    diagonal and -1/(2 h^2) off it, so the eigenvectors depend only on
-    (N, k) and E_max merely rescales the eigenvalues: every grid with the
-    same (N, k) shares this one solve.
-    """
-    j = np.arange(1, N + 1, dtype=float)
-    mu, vecs = Tridiagonal(1.0 + (k * k - k) / (2.0 * j * j),
-                           np.full(N - 1, -0.5)).eigh()
-    mu.setflags(write=False)
-    vecs.setflags(write=False)
-    return mu, vecs
 
 
 def _smooth_step(u) -> np.ndarray:

@@ -21,6 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dptsv
 
 from .errors import SpectrumOutOfDomain
 from .laguerre import BasisSpec
@@ -29,6 +30,7 @@ __all__ = [
     "Tridiagonal",
     "GeneratorSet",
     "HermitianOperator",
+    "TridiagonalLog",
     "build_generators",
     "build_tilde_generators",
     "log_spectrum",
@@ -41,6 +43,13 @@ __all__ = [
 ]
 
 INTERIOR_FRACTION = 0.8
+# resolvent quadrature of log A (TridiagonalLog): the trapezoid step in
+# s = log y, how far the window of solves reaches below the least and above
+# the largest eigenvalue of A (in s), and the order of the closed-form tail
+# series beyond the window
+LOG_STEP = 0.6
+LOG_REACH = (10.0, 6.0)
+LOG_TAIL_ORDER = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +172,96 @@ class HermitianOperator:
     def matrix(self) -> np.ndarray:
         """The dense matrix V diag(evals) V^*."""
         return spectral_compose(self.vecs, self.evals)
+
+
+@dataclass(frozen=True, eq=False)
+class TridiagonalLog:
+    """scale * log(A) + shift for a real positive definite Tridiagonal A,
+    held as A's bands and read only through expectation values.
+
+    log lambda = int_R [e^s/(1 + e^s) - e^s/(lambda + e^s)] ds, and the
+    trapezoid rule converges geometrically on it (the integrand is analytic
+    in the strip |Im s| < pi), so <v, log A v> is a sum of shifted
+    tridiagonal solves <v, (A + e^s)^{-1} v> on the bands: O(N) work and
+    memory per node, no eigenvectors (Trefethen & Weideman, SIAM Rev. 56
+    (2014) 385).  The nodes run from LOG_REACH[0] below log lambda_min to
+    LOG_REACH[1] above log lambda_max; beyond them the integrand is a power
+    series in e^{-s} with coefficients |v|^2 - <v, A^n v> on the right, and
+    in e^s with |v|^2 - <v, A^-n v> on the left, whose node sums are
+    geometric, so both infinite tails are summed in closed form.
+    """
+
+    A: Tridiagonal
+    scale: float = 1.0
+    shift: float = 0.0
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.A.upper):
+            raise ValueError("TridiagonalLog needs a real band")
+
+    @cached_property
+    def extremes(self) -> np.ndarray:
+        """The least and the largest eigenvalue of A, from eigenvalue-only
+        solves; log_spectrum's domain guard applies."""
+        last = self.A.diag.size - 1
+        ends = np.array([self.A.eigh(eigvals_only=True, select="i",
+                                     select_range=(i, i))[0]
+                         for i in (0, last)])
+        log_spectrum(ends)
+        return ends
+
+    @property
+    def spectral_range(self) -> tuple:
+        """The least and the largest eigenvalue of scale * log(A) + shift."""
+        lo, hi = self.scale * np.log(self.extremes) + self.shift
+        return float(lo), float(hi)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The trapezoid nodes s of the window of solves."""
+        first, last = np.log(self.extremes) + (-LOG_REACH[0], LOG_REACH[1])
+        return first + LOG_STEP * np.arange(
+            int(np.ceil((last - first) / LOG_STEP)) + 1)
+
+    def _solve(self, shift: float, X: np.ndarray) -> np.ndarray:
+        """(A + shift)^{-1} X for a real block X (LAPACK dptsv)."""
+        _, _, out, info = dptsv(self.A.diag + shift, self.A.upper, X)
+        if info:
+            raise np.linalg.LinAlgError(
+                f"dptsv: A + {shift:.3e} not positive definite (info {info})")
+        return out
+
+    def expect(self, v):
+        """<v, (scale log A + shift) v> for a vector, or for each column of
+        a block."""
+        v = np.asarray(v)
+        # real and imaginary parts solved together as one real block
+        X = np.stack([v.real, v.imag], -1).reshape(len(v), -1)
+        norms = np.einsum("ij,ij->j", X, X)
+        s = self.nodes
+        total = np.zeros_like(norms)
+        for y in np.exp(s):
+            total += (y / (1.0 + y)) * norms - y * np.einsum(
+                "ij,ij->j", X, self._solve(y, X))
+        n = np.arange(1, LOG_TAIL_ORDER + 1)
+        geo = (-1.0) ** n / np.expm1(n * LOG_STEP)
+        up = _moments(lambda W: np.exp(-s[-1]) * (self.A @ W), X)
+        down = _moments(lambda W: np.exp(s[0]) * self._solve(0.0, W), X)
+        total += geo @ (np.exp(-n * s[-1])[:, None] * norms - up)
+        total -= geo @ (np.exp(n * s[0])[:, None] * norms - down)
+        out = self.scale * LOG_STEP * total + self.shift * norms
+        return out.reshape(*v.shape[1:], 2).sum(-1)
+
+
+def _moments(step, X: np.ndarray) -> np.ndarray:
+    """<X, B^n X> column by column for n = 1..LOG_TAIL_ORDER, where step
+    applies the symmetric B: with W_j = B^j X, <X, B^n X> = <W_{n//2},
+    W_{(n+1)//2}>, so the series needs only ceil(order/2) steps."""
+    W = [X]
+    for _ in range((LOG_TAIL_ORDER + 1) // 2):
+        W.append(step(W[-1]))
+    return np.array([np.einsum("ij,ij->j", W[n // 2], W[(n + 1) // 2])
+                     for n in range(1, LOG_TAIL_ORDER + 1)])
 
 
 @dataclass(frozen=True)

@@ -206,8 +206,10 @@ class IntervalFixture:
 
     spectral_table and grid_table hold each state's expectation table in
     one backend, computed on first use and read by every check of the
-    fixture; <T> of all states is one GEMM against each backend's T
-    eigenvectors.  dataclasses.replace gives a copy that computes its own.
+    fixture; <T> of all states is one block evaluation in each backend (a
+    GEMM against the spectral T eigenvectors, one set of shifted band
+    solves on the grid).  dataclasses.replace gives a copy that computes
+    its own.
     """
 
     a: float
@@ -458,12 +460,15 @@ def check_T_bounds(fx: IntervalFixture, tol: float = 1e-6,
                    agreement_tol: float = 1e-3) -> CheckReport:
     """log a - tol <= <T>/|psi|^2 <= log b + tol in both backends, and the
     two backends agree on <T>/|psi|^2 to agreement_tol (relative).  The
-    residual is the worst bound excursion, the number tol gates."""
+    residual is the signed worst bound excursion, the number tol gates:
+    negative when every state sits inside the bounds, by that margin.
+    values["failed_gates"] names the gates ("bound", "agreement") that
+    failed."""
     if not fx.states:
         return _no_states("t_bounds", fx, tol)
     la, lb = np.log(fx.a), np.log(fx.b)
-    excursions = [0.0]
-    agreements = [0.0]
+    excursions = []
+    agreements = []
     per_state = []
     for st, es, eg in zip(fx.states, fx.spectral_table, fx.grid_table):
         for val in (es["T"], eg["T"]):
@@ -475,15 +480,19 @@ def check_T_bounds(fx: IntervalFixture, tol: float = 1e-6,
                           "agreement": float(agree)})
     worst_out = _worst(excursions)
     worst_agree = _worst(agreements)
-    passed = bool(worst_out <= tol and worst_agree <= agreement_tol)
+    failed = [gate for gate, ok in
+              (("bound", worst_out <= tol),
+               ("agreement", worst_agree <= agreement_tol)) if not ok]
     return CheckReport(
-        name="t_bounds", passed=passed,
+        name="t_bounds", passed=not failed,
         residual=float(worst_out), tolerance=tol,
         params={"interval": [fx.a, fx.b], "bounds": [float(la), float(lb)],
-                "agreement_tol": agreement_tol, "n_states": len(fx.states)},
+                "agreement_tol": agreement_tol, "n_states": len(fx.states),
+                "grid_T_nodes": int(fx.rep.T.nodes.size),
+                "grid_T_range": list(fx.rep.T.spectral_range)},
         values={"worst_excursion": float(worst_out),
                 "worst_agreement": float(worst_agree),
-                "per_state": per_state})
+                "failed_gates": failed, "per_state": per_state})
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +708,8 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
     [log(scale^2 a), log(scale^2 b)] within tol and sit near the base
     value plus log(scale^2).  The states are flowed, not T: <F T F^* ct>
     = <W, T W> with W = F^* ct, flowed through the eigensystem of 2 D~.
+    The residual is the signed worst excursion from the image bounds,
+    negative by the margin when every state lands inside.
     """
     if not fx.states:
         return _no_states("covariance", fx, tol)
@@ -709,8 +720,8 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
     cts = fx.block("Ztilde")
     W = vecs @ (np.exp(1j * shift * evals)[:, None] * (vecs.conj().T @ cts))
     transported = fx.T.expect(W)
-    excursions = [0.0]
-    shifts = [0.0]
+    excursions = []
+    shifts = []
     per_state = []
     for st, es, tw in zip(fx.states, fx.spectral_table, transported):
         base = es["T"]

@@ -26,6 +26,10 @@ def _two_product(a, b):
 def fourier_positive_part(x, psi, E, chunk: int = 128) -> np.ndarray:
     """psi_plus_tilde(E) = i sqrt(E/pi) int psi(x) e^{iEx} dx (trapezoid in x).
 
+    psi is one bump, shape (x,), or a block of bumps on the same grid, shape
+    (x, bumps); each phase table is built once for the whole block, and the
+    result has shape E.shape or E.shape + (bumps,).
+
     The global factor i fixes the phase freedom of the inversion so that
     profiles of real bumps satisfy the modular invariance exp(-pi D) psi =
     J psi; without it they come out with the opposite sign of J psi.
@@ -35,11 +39,12 @@ def fourier_positive_part(x, psi, E, chunk: int = 128) -> np.ndarray:
     E = np.asarray(E, dtype=float)
     w = np.ones_like(x)
     w[0] = w[-1] = 0.5
-    wpsi = (x[1] - x[0]) * w * psi
+    wpsi = (x[1] - x[0]) * (w * psi.T).T
     flat = E.ravel()
-    res = np.empty(flat.shape, dtype=complex)
+    res = np.empty(flat.shape + psi.shape[1:], dtype=complex)
     for i in range(0, flat.size, chunk):
         p, e = _two_product(flat[i : i + chunk, None], x[None, :])
         # e^{i(p + e)} = e^{ip} (1 + ie) to far below round-off: |e| < 1e-12
         res[i : i + chunk] = (np.exp(1j * p) * (1.0 + 1j * e)) @ wpsi
-    return 1j * np.sqrt(np.abs(E) / np.pi) * res.reshape(E.shape)
+    scale = np.sqrt(np.abs(flat) / np.pi).reshape(-1, *(1,) * (psi.ndim - 1))
+    return 1j * (scale * res).reshape(E.shape + psi.shape[1:])

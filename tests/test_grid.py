@@ -86,12 +86,14 @@ def test_rotation_ground_state_convergence():
 
 
 def test_ctilde_positive_and_t_min(rep):
-    # C~ is positive definite, and the least eigenvalue of T is half the
-    # log of twice its lowest one
-    lo = eigh_tridiagonal(rep.Ctilde.diag, rep.Ctilde.upper, select="i",
-                          select_range=(0, 0), eigvals_only=True)[0]
-    assert lo > 0
-    assert abs(rep.T.evals[0] - 0.5 * np.log(2.0 * lo)) < 1e-9
+    # C~ is positive definite, and the least (largest) eigenvalue of T is
+    # half the log of twice its lowest (highest) one
+    evals = eigh_tridiagonal(rep.Ctilde.diag, rep.Ctilde.upper,
+                             eigvals_only=True)
+    assert evals[0] > 0
+    t_min, t_max = rep.T.spectral_range
+    assert abs(t_min - 0.5 * np.log(2.0 * evals[0])) < 1e-9
+    assert abs(t_max - 0.5 * np.log(2.0 * evals[-1])) < 1e-9
 
 
 def test_d_eigenvectors(rep):
@@ -163,17 +165,72 @@ def test_grid_state_norm():
     assert abs(GridState(v, grid).norm_sq() - 64 * grid.spacing) < 1e-12
 
 
+def _dense_T(rep):
+    """Oracle: eigenvalues of (1/2) log(2 C~) and eigenvectors of C~, from
+    the dense eigensystem of the grid's own C~ bands."""
+    evals, vecs = eigh_tridiagonal(rep.Ctilde.diag, rep.Ctilde.upper)
+    return 0.5 * np.log(2.0 * evals), vecs
+
+
+def _dense_expect(t, vecs, v):
+    return t @ np.abs(vecs.T @ v) ** 2
+
+
+def _rayleigh_T(N, k):
+    """Oracle: eigenvectors of the unit bands 2K(N, k) = 2 h^2 C~ from the
+    dense tridiagonal solve, and log of their eigenvalues as Rayleigh
+    quotients summed over the differences of each eigenvector.
+
+    2K = -D2 + c with c_j = (k^2 - k)/j^2, so <u, 2K u> = sum_j (u_{j+1} -
+    u_j)^2 + sum_j c_j u_j^2 (u_0 = u_{N+1} = 0): a sum of squares, exact to
+    round-off relative to the eigenvalue, where the solver's eigenvalues
+    are exact only relative to |2K| ~ 4 (relative error up to 3e-10 at
+    N = 4096).
+    """
+    j = np.arange(1, N + 1, dtype=float)
+    c = (k * k - k) / (j * j)
+    _, vecs = eigh_tridiagonal(2.0 + c, np.full(N - 1, -1.0))
+    du = np.diff(vecs, axis=0)
+    lam = (np.einsum("ij,ij->j", du, du) + vecs[0] ** 2 + vecs[-1] ** 2
+           + np.einsum("i,ij,ij->j", c, vecs, vecs))
+    return np.log(lam), vecs
+
+
+@pytest.mark.parametrize("N", [1024, 4096])
+@pytest.mark.parametrize("k", [0.5, 0.75, 1.0, 1.5, 3.0])
+def test_expect_T_matches_dense_oracle(bump_state, k, N):
+    # T = (1/2) log(2K) - log h on the bump's profile sampled on the grid
+    # and on a random vector, at the fixtures' smallest and largest E_max
+    _, prof = bump_state
+    log_lam, vecs = _rayleigh_T(N, k)
+    rng = np.random.default_rng(11)
+    for emax in (40.0, 160.0):
+        rep = build_grid_ops(GridSpec(N=N, E_max=emax), k)
+        h = rep.grid.spacing
+        v = np.stack([prof.positive_part(rep.grid.nodes),
+                      rng.standard_normal(N) + 1j * rng.standard_normal(N)],
+                     axis=1)
+        # real GEMMs: the complex product would cast vecs to complex
+        weights = (vecs.T @ v.real) ** 2 + (vecs.T @ v.imag) ** 2
+        ref = h * ((0.5 * log_lam - np.log(h)) @ weights)
+        got = [rep.expect_T(GridState(col, rep.grid)) for col in v.T]
+        assert np.all(np.abs(np.subtract(got, ref)) <= 1e-12 * np.abs(ref))
+
+
 @pytest.mark.parametrize("k", [1.0, 1.5])
 def test_ctilde_eig_matches_direct_solve(k):
-    # C~ = h^-2 K(N, k): the shared unit solve rescaled to each E_max
+    # C~ = h^-2 K(N, k): T built from the unit bands has the spectrum and
+    # the expectation values of the direct solve of C~ at each E_max
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
     for emax in (40.0, 213.3):
         r = build_grid_ops(GridSpec(N=1024, E_max=emax), k)
-        direct = eigh_tridiagonal(r.Ctilde.diag, r.Ctilde.upper,
-                                  eigvals_only=True)
-        evals = 0.5 * np.exp(2.0 * r.T.evals)
-        assert np.max(np.abs(evals - direct) / direct) < 1e-9
-
-
+        t, vecs = _dense_T(r)
+        # relative error of the extreme eigenvalues of C~
+        err = np.expm1(2.0 * (np.array(r.T.spectral_range) - t[[0, -1]]))
+        assert np.max(np.abs(err)) < 1e-9
+        ref = _dense_expect(t, vecs, v)
+        assert abs(r.T.expect(v) - ref) < 1e-9 * abs(ref)
 def test_expect_T_matches_complex_projection(rep, bump_state):
     sv, _ = bump_state
     gs = sv.as_grid_state()
@@ -185,13 +242,22 @@ def test_expect_T_matches_complex_projection(rep, bump_state):
 
 
 def test_ctilde_eigensystem_shared_per_n_and_k():
+    # T reads the unit bands 2K(N, k), the same for every E_max; C~ scales
+    # by h^-2, so T shifts by log(h1 / h2), in the spectral range and in
+    # every expectation value
     r1 = build_grid_ops(GridSpec(N=512, E_max=40.0), 1.0)
     r2 = build_grid_ops(GridSpec(N=512, E_max=53.3), 1.0)
-    v1, v2 = r1.T.vecs, r2.T.vecs
-    assert v1 is v2
-    assert not v1.flags.writeable
-    with pytest.raises(ValueError):
-        v1[0, 0] = 0.0
-    # C~ scales by h^-2, so T shifts by log(h1 / h2)
+    for band in ("diag", "upper"):
+        assert np.array_equal(getattr(r1.T.A, band), getattr(r2.T.A, band))
     shift = np.log(r1.grid.spacing / r2.grid.spacing)
-    assert np.allclose(r2.T.evals - r1.T.evals, shift, rtol=0, atol=1e-13)
+    assert np.allclose(np.subtract(r2.T.spectral_range, r1.T.spectral_range),
+                       shift, rtol=0, atol=1e-13)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((512, 2)) + 1j * rng.standard_normal((512, 2))
+    v /= np.linalg.norm(v, axis=0)
+    assert np.allclose(r2.T.expect(v) - r1.T.expect(v), shift, rtol=0,
+                       atol=1e-13)
+    # and against the dense eigensystem of each grid's own C~
+    for r in (r1, r2):
+        ref = _dense_expect(*_dense_T(r), v)
+        assert np.all(np.abs(r.T.expect(v) - ref) <= 1e-12 * np.abs(ref))

@@ -12,6 +12,7 @@ from modloc.laguerre import BasisSpec
 from modloc.spectral import (
     HermitianOperator,
     Tridiagonal,
+    TridiagonalLog,
     build_generators,
     build_T,
     build_tilde_generators,
@@ -238,6 +239,38 @@ def test_hermitian_operator_shapes_checked():
         HermitianOperator(evals + 0j, vecs)
     with pytest.raises(ValueError):
         HermitianOperator(evals[:3], vecs[:, :3])
+
+
+def test_tridiagonal_log_matches_eigensystem(gt128):
+    # (1/2) log(2 C~) by resolvent quadrature on the bands against the
+    # eigensystem T of the same matrix, for a vector, a block and a real
+    # vector; the shift adds shift * |v|^2
+    two_C = 2.0 * gt128.C
+    T = build_T(gt128)
+    op = TridiagonalLog(two_C, 0.5, 0.25)
+    rng = np.random.default_rng(9)
+    B = rng.standard_normal((128, 3)) + 1j * rng.standard_normal((128, 3))
+    norms = np.sum(np.abs(B) ** 2, axis=0)
+    ref = T.expect(B) + 0.25 * norms
+    assert np.all(np.abs(op.expect(B) - ref) <= 1e-12 * np.abs(ref))
+    assert abs(op.expect(B[:, 0]) - ref[0]) <= 1e-12 * abs(ref[0])
+    v = B[:, 1].real
+    assert abs(op.expect(v) - T.expect(v) - 0.25 * v @ v) <= 1e-12 * abs(
+        T.expect(v))
+    assert np.allclose(op.spectral_range, T.evals[[0, -1]] + 0.25, rtol=0,
+                       atol=1e-9)
+
+
+def test_tridiagonal_log_domain_guard(g128):
+    # the log needs a real, positive definite band with lambda_min above
+    # 1e-10 lambda_max: refused, never clamped
+    with pytest.raises(ValueError):
+        TridiagonalLog(g128.D)
+    v = np.ones(3)
+    for diag in ([1.0, -1.0, 1.0], [1.0, 1e-12, 1.0]):
+        op = TridiagonalLog(Tridiagonal(np.array(diag), np.zeros(2)))
+        with pytest.raises(SpectrumOutOfDomain):
+            op.expect(v)
 
 
 def test_unitary_flow_is_unitary(g128):

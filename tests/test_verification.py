@@ -117,6 +117,97 @@ def test_nan_expectation_fails_t_bounds(fx_small):
     assert np.isnan(rep.residual)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_grid_sample_fails_t_bounds(fx_small, bad):
+    # one bad sample of one grid state reaches <T> through the band
+    # solves: the check fails, it never passes (an inf meets inf - inf on
+    # the way, which numpy flags as invalid and these tests make an error)
+    st = dict(fx_small.states[1])
+    data = st["grid"].data.copy()
+    data[100] = bad
+    st["grid"] = dataclasses.replace(st["grid"], data=data)
+    fx2 = dataclasses.replace(fx_small,
+                              states=[fx_small.states[0], st,
+                                      *fx_small.states[2:]])
+    with np.errstate(invalid="ignore"):
+        rep = check_T_bounds(fx2)
+    assert rep.passed is False
+    assert not np.isfinite(fx2.grid_table[1]["T"])
+    assert "bound" in rep.values["failed_gates"]
+
+
+def test_t_bounds_and_covariance_report_signed_margin(fx_small):
+    # both checks seeded their evidence with 0.0 and so reported residual
+    # 0.0 on every interval; the residual is the signed worst excursion,
+    # negative by the margin when every state is inside the bounds
+    rep = check_T_bounds(fx_small)
+    la, lb = rep.params["bounds"]
+    vals = [ps[b] for ps in rep.values["per_state"]
+            for b in ("spectral", "grid")]
+    assert rep.residual == max(max(la - v, v - lb) for v in vals)
+    assert rep.residual < 0 and rep.passed
+    assert rep.values["failed_gates"] == []
+    cov = check_covariance_transport(fx_small)
+    lo, hi = cov.params["image_bounds"]
+    vals = [ps["transported"] for ps in cov.values["per_state"]]
+    assert cov.residual == max(max(lo - v, v - hi) for v in vals)
+    assert cov.residual < 0 and cov.passed
+
+
+def test_t_bounds_names_failed_gates(fx_small):
+    swapped = dataclasses.replace(fx_small, a=fx_small.b, b=fx_small.a)
+    assert check_T_bounds(swapped).values["failed_gates"] == ["bound"]
+    rep = check_T_bounds(fx_small, agreement_tol=0.0)
+    assert rep.passed is False and rep.residual < 0
+    assert rep.values["failed_gates"] == ["agreement"]
+    rep = check_T_bounds(swapped, agreement_tol=0.0)
+    assert rep.values["failed_gates"] == ["bound", "agreement"]
+
+
+def test_t_bounds_reports_grid_quadrature(fx_small):
+    # the node count and the spectral range [1/2 log(2 lambda_min), 1/2
+    # log(2 lambda_max)] of the grid T, lambda over C~
+    from scipy.linalg import eigh_tridiagonal
+
+    rep = check_T_bounds(fx_small)
+    C = fx_small.rep.Ctilde
+    ends = [eigh_tridiagonal(C.diag, C.upper, eigvals_only=True, select="i",
+                             select_range=(i, i))[0]
+            for i in (0, C.diag.size - 1)]
+    assert np.allclose(rep.params["grid_T_range"], 0.5 * np.log(2.0 *
+                       np.array(ends)), rtol=0, atol=1e-9)
+    assert rep.params["grid_T_nodes"] == fx_small.rep.T.nodes.size > 0
+
+
+def test_grid_table_makes_no_dense_eigensystem(monkeypatch):
+    # <T> on the grid comes from band solves: no full eigensolve, and no
+    # N x N array (the dense eigenvectors alone are 134 MB at N = 4096);
+    # k = 1.5 is a (N, k) no other fixture uses, so no earlier solve held
+    # anywhere can stand in for one made here
+    import tracemalloc
+
+    import modloc.spectral as sp
+
+    fx = build_interval_fixture(1.0, 2.0, k=1.5, n_bumps=3)
+    assert fx.grid.N == 4096
+    selects = []
+    solve = sp.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        selects.append(kwargs.get("select", "a"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "eigh_tridiagonal", counted)
+    tracemalloc.start()
+    try:
+        assert len(fx.grid_table) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "a" not in selects
+    assert peak < 32 * 2 ** 20
+
+
 def test_nan_generator_fails_hc_chain(fx_small):
     diag = fx_small.g.C.diag.copy()
     diag[0] = np.nan
@@ -158,29 +249,36 @@ def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
     # d_positive, hc_chain, t_bounds and covariance share each fixture's
     # tables: <T> of all states is one block against each backend's T, and
     # covariance adds one block of flowed states
-    from modloc.spectral import HermitianOperator
+    from modloc.spectral import HermitianOperator, TridiagonalLog
 
-    seen = []
-    expect = HermitianOperator.expect
+    seen = {HermitianOperator: [], TridiagonalLog: []}
 
-    def counted(self, v):
-        seen.append(np.shape(v))
-        return expect(self, v)
+    def count(cls):
+        expect = cls.expect
 
-    monkeypatch.setattr(HermitianOperator, "expect", counted)
+        def counted(self, v):
+            seen[cls].append(np.shape(v))
+            return expect(self, v)
+
+        monkeypatch.setattr(cls, "expect", counted)
+
+    count(HermitianOperator)
+    count(TridiagonalLog)
     res = run_suite({"intervals": [[1.0, 2.0]], "n_bumps": 3},
                     scope=["d_positive", "hc_chain", "t_bounds",
                            "covariance"])
     assert len(res.reports) == 4
     assert all(r.error is None for r in res.reports)
-    assert sorted(seen) == [(384, 3), (384, 3), (4096, 3)]
+    assert sorted(seen[HermitianOperator]) == [(384, 3), (384, 3)]
+    assert seen[TridiagonalLog] == [(4096, 3)]
 
 
 def test_fixture_projects_all_bumps_in_one_pass(monkeypatch):
     # one Laguerre sweep per family for all five bumps, and each table
-    # projects its backend's T eigenvectors once
+    # reads <T> in its backend once: one projection onto the spectral T
+    # eigenvectors, one grid quadrature
     import modloc.localization as loc
-    from modloc.spectral import HermitianOperator
+    from modloc.spectral import HermitianOperator, TridiagonalLog
 
     sweeps = []
     sweep = loc.basis_matrix
@@ -196,12 +294,21 @@ def test_fixture_projects_all_bumps_in_one_pass(monkeypatch):
         projections.append(np.shape(v))
         return weights(self, v)
 
+    quadratures = []
+    grid_expect = TridiagonalLog.expect
+
+    def counted_expect(self, v):
+        quadratures.append(np.shape(v))
+        return grid_expect(self, v)
+
     monkeypatch.setattr(loc, "basis_matrix", counted_sweep)
     monkeypatch.setattr(HermitianOperator, "weights", counted_weights)
+    monkeypatch.setattr(TridiagonalLog, "expect", counted_expect)
     fx = build_interval_fixture(1.0, 2.0, n_bumps=5)
     assert [(w, s[1]) for w, s in sweeps] == [("Z", 10), ("Ztilde", 10)]
     assert len(fx.spectral_table) == 5 and projections == [(384, 5)]
-    assert len(fx.grid_table) == 5 and projections[1:] == [(4096, 5)]
+    assert len(fx.grid_table) == 5 and quadratures == [(4096, 5)]
+    assert projections == [(384, 5)]
 
 
 @pytest.mark.parametrize("a,b,n_bumps", [(1.0, 2.0, 4), (0.5, 1.0, 4),
@@ -312,12 +419,15 @@ def test_f_alpha_is_compressed_power_at_2M(fx_small):
         dataclasses.replace(fx_small.spec, M=2 * M)))
     two_C = 2.0 * np.asarray(gt2.C)
     rep = f_alpha_profile(fx_small, n_states=2)
-    for st, curve in zip(fx_small.states, rep.values["curves"]):
-        ct = st["Ztilde"].data
-        nt = np.vdot(ct, ct).real
-        for i in (0, 5, 15, 20):
-            al = curve["alphas"][i]
-            P = fractional_matrix_power(two_C, al)[:M, :M]
+    curves = rep.values["curves"]
+    for i in (0, 5, 15, 20):
+        # every curve shares the alpha mesh: one power per alpha
+        al = curves[0]["alphas"][i]
+        P = fractional_matrix_power(two_C, al)[:M, :M]
+        for st, curve in zip(fx_small.states, curves):
+            assert curve["alphas"][i] == al
+            ct = st["Ztilde"].data
+            nt = np.vdot(ct, ct).real
             ref = fx_small.a ** (-2.0 * al) * np.vdot(ct, P @ ct).real / nt
             assert abs(curve["F"][i] - ref) <= 1e-9 * ref
 
