@@ -4,8 +4,8 @@ Assembles the generator triple (H, D, C) for a lowest weight k, the
 squared-coordinate companion triple, and the modular coordinate operator
 T = (1/2) log(2 C~); prints the structural identities that make the
 truncation trustworthy.  The generators are held as their three bands
-(spectral.Tridiagonal); np.asarray gives the dense matrix where a
-commutator or a matrix exponential needs one.
+(spectral.Tridiagonal), which act on vectors and on blocks of columns;
+the commutators are read as in the verify suite's check_commutators.
 
 Run:  python demos/spectral_representation.py [--k K] [--M M]
 """
@@ -23,6 +23,7 @@ from modloc.spectral import (
     interior_residual,
     unitary_flow,
 )
+from modloc.verification import check_commutators
 
 
 def main():
@@ -46,15 +47,14 @@ def main():
 
     print("\ninterior-projected sl(2,R) commutators (relative residuals):")
     for tag, trip in (("plain", g), ("tilde", gt)):
-        H, D, C = (np.asarray(X) for X in (trip.H, trip.D, trip.C))
-        print(f"  {tag}: [H,D]-iH {interior_residual(H@D-D@H, 1j*H):.2e}, "
-              f"[C,D]+iC {interior_residual(C@D-D@C, -1j*C):.2e}, "
-              f"[H,C]-2iD {interior_residual(H@C-C@H, 2j*D):.2e}")
+        res = check_commutators(trip).values
+        print(f"  {tag}: [H,D]-iH {res['HD']:.2e}, [C,D]+iC {res['CD']:.2e}, "
+              f"[H,C]-2iD {res['HC']:.2e}")
 
     R = unitary_flow(g.rotation(), np.pi)
-    H, C = np.asarray(g.H), np.asarray(g.C)
+    swapped = R @ (g.H @ R.conj().T)
     print(f"\nrotation by pi swaps H and C: residual "
-          f"{interior_residual(R @ H @ R.conj().T, C):.2e}")
+          f"{interior_residual(swapped, g.C @ np.eye(g.M)):.2e}")
 
     T = build_T(gt)
     evals_T = np.sort(eigh(T.matrix, eigvals_only=True))

@@ -18,7 +18,6 @@ from .errors import (
     OverflowAbort,
     ProjectionLoss,
     SpectrumOutOfDomain,
-    SupportEscapesGrid,
 )
 from .laguerre import BasisSpec, QuadratureRule, basis_eval, gauss_laguerre
 from .mobius import (
@@ -45,13 +44,12 @@ from .spectral import (
     matrix_function,
     unitary_flow,
 )
-from .gridop import GridRep, GridSpec, GridState, build_grid_ops, grid_dilation
+from .gridop import GridRep, GridSpec, GridState, build_grid_ops
 from .localization import (
     BumpSpec,
     FourierProfile,
     StateVector,
     make_bump,
-    moebius_on_wavefunction,
     positive_frequency,
 )
 

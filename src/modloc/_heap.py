@@ -13,8 +13,9 @@ its own and unmaps it on free: the resident set then follows the live
 arrays.  glibc serves a request from a free chunk already in the heap
 before it consults the threshold, so the pin sits at 1 MiB, below the
 4 MiB advice size: mid-size arrays freed together in the heap would
-otherwise coalesce into chunks that take in the large ones (a fixture's
-dense 2.25 MiB generator matrices left a 17.5 MB chunk behind).
+otherwise coalesce into chunks that take in the large ones (such as the
+2.25 MiB complex 384 x 384 eigenvectors of 2 D~ that the covariance check
+solves).
 """
 
 from __future__ import annotations

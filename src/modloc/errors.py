@@ -17,10 +17,6 @@ class SpectrumOutOfDomain(ModlocError):
     """A matrix function (log, inverse square root) was asked for outside its domain."""
 
 
-class SupportEscapesGrid(ModlocError):
-    """A transformed wavefunction would leave the sampling grid."""
-
-
 class NyquistViolation(ModlocError):
     """The energy-side resolution cannot represent the x-side sampling."""
 

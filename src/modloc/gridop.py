@@ -16,17 +16,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import SupportEscapesGrid
 from .spectral import Tridiagonal, TridiagonalLog
 
-__all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops", "grid_dilation"]
-
-# exp(-i t D) pushes a profile to (exp(-t/2) psi(exp(-t) E)); the printed
-# flow direction corresponds to the opposite parameter sign, frozen here
-# after pinning it against the matrix exponential of D_grid
-DILATION_FLOW_SIGN = -1
+__all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops"]
 
 
 @dataclass(frozen=True)
@@ -117,13 +110,6 @@ class GridRep:
     def expect_T(self, state: GridState) -> float:
         return float(self.grid.spacing * self.T.expect(state.samples))
 
-    def apply_dilation_matrix(self, state: GridState, t: float) -> GridState:
-        """exp(-i t D_grid) applied through the eigensystem of D."""
-        evals, vecs = self.D.eigh()
-        amps = vecs.conj().T @ state.samples
-        out = vecs @ (np.exp(-1j * t * evals) * amps)
-        return GridState(samples=out, grid=self.grid)
-
     # -- commutator residuals --------------------------------------------
     def smooth_window(self, inner: tuple = (0.3, 1.2),
                       outer: tuple = (0.6, 0.9)) -> np.ndarray:
@@ -195,26 +181,3 @@ def _smooth_step(u) -> np.ndarray:
 def build_grid_ops(grid: GridSpec, k: float) -> GridRep:
     """Finite-difference generator triple on the grid (see GridRep)."""
     return GridRep(grid, k)
-
-
-def grid_dilation(state: GridState, t: float,
-                  sign: int = DILATION_FLOW_SIGN) -> GridState:
-    """Exact integral flow of the dilation: scaled resampling of the profile.
-
-    (flow(t) psi)(E) = e^{s t/2} psi(e^{s t} E) with the frozen sign s that
-    matches exp(-i t D_grid).  Interpolation is cubic; the profile must not
-    be pushed past the outer wall.
-    """
-    grid = state.grid
-    E = grid.nodes
-    s = np.exp(sign * t)
-    # support check: significant mass must stay inside the grid
-    mags = np.abs(state.samples)
-    tail = mags[int(0.95 * grid.N):]
-    if s > 1.0 and np.max(tail, initial=0.0) > 1e-8 * np.max(mags):
-        raise SupportEscapesGrid("dilated profile would cross the outer wall")
-    spline_re = CubicSpline(E, state.samples.real, extrapolate=False)
-    spline_im = CubicSpline(E, state.samples.imag, extrapolate=False)
-    Es = s * E
-    vals = np.nan_to_num(spline_re(Es)) + 1j * np.nan_to_num(spline_im(Es))
-    return GridState(samples=np.exp(sign * t / 2.0) * vals, grid=grid)

@@ -22,17 +22,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import (
-    DegenerateInterval,
-    NyquistViolation,
-    ProjectionLoss,
-    SupportEscapesGrid,
-)
+from .errors import DegenerateInterval, NyquistViolation, ProjectionLoss
 from .gridop import GridSpec, GridState
 from .laguerre import BasisSpec, basis_matrix
-from .mobius import INFINITY, MoebiusMap, act_point
 
 __all__ = [
     "BumpSpec",
@@ -40,9 +33,7 @@ __all__ = [
     "StateVector",
     "make_bump",
     "positive_frequency",
-    "positive_part_samples",
     "project_bumps",
-    "moebius_on_wavefunction",
 ]
 
 PROJECTION_GATE = 1e-4
@@ -352,54 +343,3 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
     return [StateVector(kind, columns[j], target, float(norm_sq[j]),
                         float(residual[j]), family, prov)
             for j, prov in enumerate(provenance or [{} for _ in columns])]
-
-
-def positive_part_samples(x, psi, x_eval) -> np.ndarray:
-    """psi_plus(x) = -i int_0^oo e^{-iEx} psi_plus_tilde(E) / sqrt(4 pi E) dE.
-
-    The mode function carries the same phase i as the profile convention,
-    so the real bump still splits as psi = 2 Re psi_plus.
-
-    Evaluated on the Gauss-Legendre panels; used for x-space cross-checks
-    of the scalar-product convention.
-    """
-    x = np.asarray(x, dtype=float)
-    profile = FourierProfile(x, psi)
-    u, w = _umesh(profile.E_cut, beta=1.0, M=1, b=profile.x_hi)
-    vals = profile.positive_part(u * u)
-    # dE/(sqrt(4 pi E)) = 2u du/(2 sqrt(pi) u) = du/sqrt(pi)
-    x_eval = np.asarray(x_eval, dtype=float)
-    phases = np.exp(-1j * np.outer(x_eval, u * u))
-    return -1j * (phases @ (w * vals)) / np.sqrt(np.pi)
-
-
-def moebius_on_wavefunction(g: MoebiusMap, x, psi) -> np.ndarray:
-    """(U_g psi)(x) = psi(g x) - psi(g oo), resampled on the same grid.
-
-    The image support g^{-1} [supp psi] must stay inside the grid and away
-    from its edges.
-    """
-    x = np.asarray(x, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    nz = np.nonzero(psi)[0]
-    if nz.size:
-        lo, hi = x[nz[0]], x[nz[-1]]
-        ginv = g.inverse()
-        for endpoint in (lo, hi):
-            img = act_point(ginv, endpoint)
-            if img is INFINITY or not (x[0] <= img <= x[-1] - 2 * (x[1] - x[0])):
-                raise SupportEscapesGrid(
-                    f"image of support endpoint {endpoint} lands at {img!r}"
-                )
-    spline = CubicSpline(x, psi, extrapolate=False)
-    gx = np.empty_like(x)
-    for i, xi in enumerate(x):
-        p = act_point(g, xi)
-        gx[i] = np.nan if p is INFINITY else p
-    vals = np.nan_to_num(spline(gx))
-    at_inf = act_point(g, INFINITY)
-    const = 0.0
-    if at_inf is not INFINITY:
-        v = spline(float(at_inf))
-        const = 0.0 if np.isnan(v) else float(v)
-    return vals - const

@@ -38,7 +38,6 @@ __all__ = [
     "matrix_function",
     "build_T",
     "unitary_flow",
-    "j_conjugate_matrix",
     "interior_residual",
 ]
 
@@ -395,19 +394,11 @@ def unitary_flow(A: Tridiagonal, t: float, sign: int = 1) -> np.ndarray:
     return spectral_compose(vecs, np.exp(1j * sign * t * evals))
 
 
-def j_conjugate_matrix(A: np.ndarray) -> np.ndarray:
-    """Matrix of J A J for the modular conjugation J.
-
-    The basis functions are real-valued, so J acts on spectral
-    coefficients as componentwise complex conjugation.
-    """
-    return np.conj(A)
-
-
 def interior_residual(lhs: np.ndarray, rhs: np.ndarray,
                       fraction: float = INTERIOR_FRACTION) -> float:
     """|| P (lhs - rhs) P ||_2 / || P rhs P ||_2, with P the compression onto
-    the first ceil(fraction * M) basis vectors."""
+    the first ceil(fraction * M) basis vectors; lhs and rhs have M rows and
+    at least that many leading columns."""
     b = slice(0, int(np.ceil(fraction * rhs.shape[0])))
     return float(np.linalg.norm((lhs - rhs)[b, b], 2)
                  / np.linalg.norm(rhs[b, b], 2))

@@ -2,9 +2,14 @@
 for FourierProfile that shares none of its arithmetic (no Horner sum, no
 support slicing, the trapezoid rule over the whole x grid).  Each phase E x
 is carried as an exact double-double product, so the oracle's own error
-stays at round-off even where E x runs into the thousands."""
+stays at round-off even where E x runs into the thousands.
+
+positive_part_samples runs the other way, from the profile back to x, for
+cross-checks of the scalar-product convention."""
 
 import numpy as np
+
+from modloc.localization import FourierProfile, _umesh
 
 
 def _split(a):
@@ -48,3 +53,20 @@ def fourier_positive_part(x, psi, E, chunk: int = 128) -> np.ndarray:
         res[i : i + chunk] = (np.exp(1j * p) * (1.0 + 1j * e)) @ wpsi
     scale = np.sqrt(np.abs(flat) / np.pi).reshape(-1, *(1,) * (psi.ndim - 1))
     return 1j * (scale * res).reshape(E.shape + psi.shape[1:])
+
+
+def positive_part_samples(x, psi, x_eval) -> np.ndarray:
+    """psi_plus(x) = -i int_0^oo e^{-iEx} psi_plus_tilde(E) / sqrt(4 pi E) dE.
+
+    The mode function carries the same phase i as the profile convention,
+    so the real bump still splits as psi = 2 Re psi_plus.  Evaluated on the
+    Gauss-Legendre panels of FourierProfile's own mesh.
+    """
+    x = np.asarray(x, dtype=float)
+    profile = FourierProfile(x, psi)
+    u, w = _umesh(profile.E_cut, beta=1.0, M=1, b=profile.x_hi)
+    vals = profile.positive_part(u * u)
+    # dE/(sqrt(4 pi E)) = 2u du/(2 sqrt(pi) u) = du/sqrt(pi)
+    x_eval = np.asarray(x_eval, dtype=float)
+    phases = np.exp(-1j * np.outer(x_eval, u * u))
+    return -1j * (phases @ (w * vals)) / np.sqrt(np.pi)

@@ -1,5 +1,6 @@
 """The demos run and every exported name resolves, so a deleted or renamed
-function cannot leave a broken demo or export behind."""
+function cannot leave a broken demo or export behind; importing the
+package stays light."""
 
 import importlib
 import os
@@ -15,6 +16,14 @@ import modloc
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("argv", [
     ["spectral_representation.py", "--M", "64"],
     ["group_geometry.py"],
@@ -22,13 +31,18 @@ ROOT = Path(__file__).resolve().parent.parent
     ["convergence_study.py", "--ladder", "64", "128"],
 ], ids=lambda argv: argv[0])
 def test_demo_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / argv[0]),
-                           *argv[1:]], env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = _run([str(ROOT / "demos" / argv[0]), *argv[1:]])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_interpolation():
+    # scipy.interpolate costs every process a few tenths of a second and
+    # 20 MB of resident memory, and nothing in the package resamples by
+    # spline
+    proc = _run(["-c", "import sys, modloc; print(sorted(m for m in "
+                 "sys.modules if m.startswith('scipy.interpolate')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", sorted(

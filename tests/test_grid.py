@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from modloc.errors import SupportEscapesGrid
-from modloc.gridop import GridSpec, GridState, build_grid_ops, grid_dilation
+from modloc.gridop import GridSpec, GridState, build_grid_ops
 from modloc.localization import (
     BumpSpec,
     FourierProfile,
@@ -125,38 +124,21 @@ def test_expect_T_in_interval_bounds(rep, bump_state):
 
 
 def test_dilation_flows_agree(rep, bump_state):
-    # integral flow (resampling) vs matrix exponential of D_grid; compared
-    # on the resolved bulk: the matrix flow scatters the sqrt(E) origin
-    # kink into high-energy modes near the outer wall
+    # exp(-i t D_grid) against the exact pushforward of the profile,
+    # e^{-t/2} psi_plus_tilde(e^{-t} E); compared on the resolved bulk: the
+    # matrix flow scatters the sqrt(E) origin kink into high-energy modes
+    # near the outer wall
     sv, prof = bump_state
-    gs = sv.as_grid_state()
-    t = 0.2
-    a1 = grid_dilation(gs, t)
-    a2 = rep.apply_dilation_matrix(gs, t)
+    psi = sv.as_grid_state().samples
+    evals, vecs = rep.D.eigh()
+    amps = vecs.conj().T @ psi
     E = rep.grid.nodes
     sel = (E > 0.5) & (E < 20.0)
-    num = np.linalg.norm((a1.samples - a2.samples)[sel])
-    den = np.linalg.norm(gs.samples)
-    assert num / den < 1e-3
-    # and the resampling flow matches the exact pushforward of the profile
-    s = np.exp(-t)
-    exact = np.exp(-t / 2.0) * prof.positive_part(s * E)
-    assert np.linalg.norm((a1.samples - exact)[sel]) / den < 1e-3
-
-
-def test_dilation_norm_preserved(rep, bump_state):
-    sv, _ = bump_state
-    gs = sv.as_grid_state()
-    # resampling loses a little mass at the sqrt(E) origin kink
-    out = grid_dilation(gs, 0.3)
-    assert abs(out.norm_sq() - gs.norm_sq()) < 5e-3 * gs.norm_sq()
-
-
-def test_dilation_wall_escape(bump_state):
-    sv, _ = bump_state
-    gs = sv.as_grid_state()
-    with pytest.raises(SupportEscapesGrid):
-        grid_dilation(gs, 3.5, sign=1)
+    for t in (0.2, 0.3):
+        flowed = vecs @ (np.exp(-1j * t * evals) * amps)
+        exact = np.exp(-t / 2.0) * prof.positive_part(np.exp(-t) * E)
+        err = np.linalg.norm((flowed - exact)[sel]) / np.linalg.norm(psi)
+        assert err < 1e-3
 
 
 def test_grid_state_norm():

@@ -38,9 +38,10 @@ def test_large_arrays_stay_out_of_the_heap():
 
 @glibc_only
 def test_mid_size_arrays_stay_out_of_the_heap():
-    # a fixture's dense M = 384 generators are 2.25 MiB each; freed together
-    # in the heap they would coalesce into a chunk that glibc hands to the
-    # next large array before it consults the threshold
+    # the covariance check's 384 x 384 complex eigenvectors of 2 D~ are
+    # 2.25 MiB; freed together in the heap, such arrays would coalesce into
+    # a chunk that glibc hands to the next large array before it consults
+    # the threshold
     assert pin_mmap_threshold()
     a = np.ones((9 << 18) // 8)
     assert a.nbytes < LARGE_ARRAY_BYTES

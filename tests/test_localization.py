@@ -4,15 +4,10 @@ import functools
 
 import numpy as np
 import pytest
-from fourier_oracle import fourier_positive_part
+from fourier_oracle import fourier_positive_part, positive_part_samples
 from scipy.integrate import simpson
 
-from modloc.errors import (
-    DegenerateInterval,
-    NyquistViolation,
-    ProjectionLoss,
-    SupportEscapesGrid,
-)
+from modloc.errors import DegenerateInterval, NyquistViolation, ProjectionLoss
 from modloc.gridop import GridSpec
 from modloc.laguerre import BasisSpec
 from modloc.localization import (
@@ -20,11 +15,8 @@ from modloc.localization import (
     FourierProfile,
     _umesh,
     make_bump,
-    moebius_on_wavefunction,
     positive_frequency,
-    positive_part_samples,
 )
-from modloc.mobius import dilation_matrix, translation
 
 
 @pytest.fixture(scope="module")
@@ -313,25 +305,3 @@ def test_nyquist_violation_for_narrow_bump():
     x, psi = make_bump(BumpSpec(1.0, 1.1, samples=512, extent_factor=8.0))
     with pytest.raises(NyquistViolation):
         positive_frequency(x, psi, BasisSpec(k=1.0, beta=1.0, M=512))
-
-
-def test_moebius_translation_shifts_support(bump):
-    x, psi = bump
-    # psi(g x) with g = T(-0.5) shifts the bump right by 0.5
-    out = moebius_on_wavefunction(translation(-0.5), x, psi)
-    nz = x[np.abs(out) > 1e-9]
-    assert nz.min() > 1.45 and nz.max() < 2.55
-
-
-def test_moebius_dilation_rescales(bump):
-    x, psi = bump
-    g = dilation_matrix(1.0 / np.sqrt(2.0))  # x -> x/2
-    out = moebius_on_wavefunction(g, x, psi)
-    nz = x[np.abs(out) > 1e-9]
-    assert nz.min() > 1.9 and nz.max() < 4.1
-
-
-def test_moebius_support_escape(bump):
-    x, psi = bump
-    with pytest.raises(SupportEscapesGrid):
-        moebius_on_wavefunction(translation(5.0), x, psi)
