@@ -97,6 +97,7 @@ def cmd_localize(cfg: RunConfig) -> int:
                                 grid_n=cfg.grid_n, n_bumps=cfg.n_bumps,
                                 seed=cfg.seed, family=cfg.bump)
     la, lb = np.log(a), np.log(b)
+    tol = ToleranceProfile.preset(cfg.tol_profile).tol("t_bounds")
     header = ("a", "b", "norm", "<H>", "<C>", "<D>", "<T>", "log_a", "log_b",
               "in_bounds")
     print(("{:>8} " * len(header)).format(*header))
@@ -106,7 +107,7 @@ def cmd_localize(cfg: RunConfig) -> int:
                "norm": float(np.sqrt(st["Z"].norm_sq)), "H": e["H"],
                "C": e["C"], "D": e["D"], "T": e["T"],
                "log_a": float(la), "log_b": float(lb),
-               "in_bounds": bool(la - 1e-6 <= e["T"] <= lb + 1e-6)}
+               "in_bounds": bool(la - tol <= e["T"] <= lb + tol)}
         rows.append(row)
         print(("{:>8.4f} {:>8.4f} " + "{:>8.4} " * 5 +
                "{:>8.4f} {:>8.4f} {:>8}").format(

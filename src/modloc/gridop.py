@@ -21,6 +21,13 @@ from .spectral import Tridiagonal, TridiagonalLog
 
 __all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops"]
 
+# commutator residuals: the smooth window rises over WINDOW_INNER (in E)
+# and falls over WINDOW_OUTER (in units of E_max); the number of lowest
+# rotation modes it multiplies, per triple
+WINDOW_INNER = (0.3, 1.2)
+WINDOW_OUTER = (0.6, 0.9)
+SMOOTH_MODES = {"plain": 48, "tilde": 16}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -104,32 +111,24 @@ class GridRep:
     def expect_D(self, state: GridState) -> float:
         return self.grid.spacing * self.D.expect(state.samples)
 
-    def expect_Ctilde(self, state: GridState) -> float:
-        return self.grid.spacing * self.Ctilde.expect(state.samples)
-
     def expect_T(self, state: GridState) -> float:
         return float(self.grid.spacing * self.T.expect(state.samples))
 
     # -- commutator residuals --------------------------------------------
-    def smooth_window(self, inner: tuple = (0.3, 1.2),
-                      outer: tuple = (0.6, 0.9)) -> np.ndarray:
-        """C-infinity cutoff: 0 below inner[0], 1 on the plateau, 0 above
-        outer[1] * E_max.
+    def smooth_window(self) -> np.ndarray:
+        """C-infinity cutoff: 0 below WINDOW_INNER[0], 1 on the plateau, 0
+        above WINDOW_OUTER[1] * E_max.
 
         Infinitely differentiable ramps matter: a merely C^1 ramp leaves a
         jump in the second derivative that the 1/h^2 difference stencils
         turn into an h-independent residual at the ramp edges.
         """
-        E = self.E
-        emax = self.grid.E_max
-        lo = _smooth_step((E - inner[0]) / (inner[1] - inner[0]))
-        hi = _smooth_step((outer[1] * emax - E) / ((outer[1] - outer[0]) * emax))
+        (i0, i1), (o0, o1), emax = WINDOW_INNER, WINDOW_OUTER, self.grid.E_max
+        lo = _smooth_step((self.E - i0) / (i1 - i0))
+        hi = _smooth_step((o1 * emax - self.E) / ((o1 - o0) * emax))
         return lo * hi
 
-    def commutator_residuals(self, triple: str = "plain",
-                             modes: int | None = None,
-                             inner: tuple = (0.3, 1.2),
-                             outer: tuple = (0.6, 0.9)) -> dict:
+    def commutator_residuals(self, triple: str = "plain") -> dict:
         """Relative residuals of the three sl(2,R) relations on smooth modes.
 
         Raw operator norms of the commutator defects never converge: the
@@ -145,17 +144,15 @@ class GridRep:
         """
         if triple == "plain":
             H, D, C = self.H, self.D, self.C
-            count = modes or 48
         elif triple == "tilde":
             H = Tridiagonal(0.5 * self.E ** 2, np.zeros(self.E.size - 1))
             D, C = 0.5 * self.D, self.Ctilde
-            count = modes or 16
         else:
             raise ValueError(f"unknown triple {triple!r}")
         # the smooth vectors are the lowest modes of the rotation (H + C)/2
-        _, base = (0.5 * (H + C)).eigh(select="i",
-                                       select_range=(0, count - 1))
-        U, _ = np.linalg.qr(self.smooth_window(inner, outer)[:, None] * base)
+        _, base = (0.5 * (H + C)).eigh(
+            select="i", select_range=(0, SMOOTH_MODES[triple] - 1))
+        U, _ = np.linalg.qr(self.smooth_window()[:, None] * base)
         ops = {"H": H, "D": D, "C": C}
         on_U = {name: X @ U for name, X in ops.items()}
         out = {}

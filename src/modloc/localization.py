@@ -256,11 +256,6 @@ class StateVector:
     family: str = "Z"
     provenance: dict = field(default_factory=dict)
 
-    def represented_norm_sq(self) -> float:
-        if self.representation == "z-spectral":
-            return float(np.vdot(self.data, self.data).real)
-        return GridState(self.data, self.basis).norm_sq()
-
     def as_grid_state(self) -> GridState:
         if self.representation != "e-grid":
             raise ValueError("not a grid state")

@@ -101,9 +101,9 @@ class Tridiagonal:
             return NotImplemented
         return Tridiagonal(self.diag + other.diag, self.upper + other.upper)
 
-    def expect(self, v) -> float:
-        """Re <v, A v>."""
-        return float(np.vdot(v, self @ v).real)
+    def expect(self, v):
+        """Re <v, A v> for a vector, or for each column of a block."""
+        return np.einsum("i...,i...->...", np.conj(v), self @ v).real
 
     def eigh(self, eigvals_only: bool = False, select: str = "a",
              select_range=None):

@@ -26,6 +26,7 @@ from .laguerre import BasisSpec
 from .localization import (BumpSpec, FourierProfile, make_bump,
                            positive_frequency, project_bumps)
 from .spectral import (
+    INTERIOR_FRACTION,
     GeneratorSet,
     HermitianOperator,
     build_T,
@@ -62,8 +63,12 @@ N_BUMPS = RunConfig.n_bumps
 BUMP_SAMPLES = 8192
 FIXTURE_M = RunConfig.fixture_M
 WEYL_BLOCK = 16
+S_INV_INTERVAL = (1.0, 2.0)
 S_INV_WINDOW = 3.0
 S_INV_LADDER = (64, 128, 256, 512)
+# the d_positive non-vacuity control: random coefficient vectors and their seed
+D_CONTROLS = 100
+D_CONTROL_SEED = 7
 
 
 @dataclass
@@ -123,22 +128,6 @@ def _plain(obj):
     return obj
 
 
-REGISTERED_CHECKS = (
-    "commutators_plain",
-    "commutators_tilde",
-    "commutators_grid",
-    "lowest_weights",
-    "d_positive",
-    "hc_chain",
-    "t_bounds",
-    "weyl",
-    "positive_inclusions",
-    "f_alpha",
-    "s_invariance",
-    "covariance",
-    "grid_convergence",
-)
-
 _DEFAULT_TOLS = {
     "commutators_plain": 1e-6,
     "commutators_tilde": 1e-6,
@@ -154,6 +143,8 @@ _DEFAULT_TOLS = {
     "covariance": 1e-3,
     "grid_convergence": 0.2,
 }
+
+REGISTERED_CHECKS = tuple(_DEFAULT_TOLS)
 
 
 @dataclass(frozen=True)
@@ -199,16 +190,19 @@ class ToleranceProfile:
 class IntervalFixture:
     """Everything needed to run the localization chain on one interval.
 
-    The representation scale beta is matched to the interval, beta =
-    ((a+b)/3)^2, so the truncated bases resolve the states' energy content
-    equally well on every interval; the grid range scales the same way.
+    The representation scale is beta = ((a+b)/3)^2 and the grid range
+    E_max = max(40, 160/b) (fixture_beta, fixture_emax).  Both rules were
+    fitted to the default intervals and do not resolve every interval
+    equally: beta grows like x^2 where the plain family needs beta ~ x,
+    and E_max stops at its floor for b >= 4, so narrow intervals (b/a <=
+    1.5) and far scales such as [0.25, 0.5] and [16, 32] miss projection
+    gates.
 
-    spectral_table and grid_table hold each state's expectation table in
+    spectral_table and grid_table hold each state's expectation values in
     one backend, computed on first use and read by every check of the
-    fixture; <T> of all states is one block evaluation in each backend (a
-    GEMM against the spectral T eigenvectors, one set of shifted band
-    solves on the grid).  dataclasses.replace gives a copy that computes
-    its own.
+    fixture; each column of a table is one block evaluation over all
+    states (_expectation_table).  dataclasses.replace gives a copy that
+    computes its own.
     """
 
     a: float
@@ -228,32 +222,37 @@ class IntervalFixture:
 
     @cached_property
     def spectral_table(self) -> list:
-        """<H>, <C>, <D> on the plain coefficients, <C~> and the normalized
-        <T> on the squared-argument ones, with both norms."""
-        table = []
-        Ts = self.T.expect(self.block("Ztilde")) if self.states else ()
-        for st, t in zip(self.states, Ts):
-            c, ct = st["Z"].data, st["Ztilde"].data
-            nt = float(np.vdot(ct, ct).real)
-            table.append({"norm_sq": float(np.vdot(c, c).real),
-                          "tilde_norm_sq": nt, "H": self.g.H.expect(c),
-                          "C": self.g.C.expect(c), "D": self.g.D.expect(c),
-                          "Ctilde": self.gt.C.expect(ct), "T": float(t) / nt})
-        return table
+        """The table on the plain and the squared-argument coefficients."""
+        if not self.states:
+            return []
+        g, gt = self.g, self.gt
+        return _expectation_table(self.block("Z"), self.block("Ztilde"),
+                                  (g.H, g.C, g.D, gt.C, self.T), 1.0)
 
     @cached_property
     def grid_table(self) -> list:
-        """The same table as spectral_table, in the grid backend."""
-        rep, table = self.rep, []
-        Ts = rep.T.expect(self.block("grid")) if self.states else ()
-        for st, t in zip(self.states, Ts):
-            gs = st["grid"].as_grid_state()
-            ng = gs.norm_sq()
-            table.append({"norm_sq": ng, "tilde_norm_sq": ng,
-                          "H": rep.expect_H(gs), "C": rep.expect_C(gs),
-                          "D": rep.expect_D(gs), "Ctilde": rep.expect_Ctilde(gs),
-                          "T": float(rep.grid.spacing * t) / ng})
-        return table
+        """The same table on the grid samples, which serve both families."""
+        if not self.states:
+            return []
+        rep, X = self.rep, self.block("grid")
+        return _expectation_table(X, X, (rep.H, rep.C, rep.D, rep.Ctilde,
+                                         rep.T), rep.grid.spacing)
+
+
+def _expectation_table(plain, tilde, ops, weight: float) -> list:
+    """One row per column of the blocks: "norm_sq", "H", "C", "D" on the
+    plain block, "tilde_norm_sq", "Ctilde" and the normalized "T" on the
+    tilde block.  ops is (H, C, D, C~, T); each value is weight times a
+    block inner product (1 for basis coefficients, the spacing for grid
+    samples)."""
+    H, C, D, Ct, T = ops
+    norm, tnorm = (weight * np.einsum("ij,ij->j", X.conj(), X).real
+                   for X in (plain, tilde))
+    cols = {"norm_sq": norm, "tilde_norm_sq": tnorm,
+            "H": weight * H.expect(plain), "C": weight * C.expect(plain),
+            "D": weight * D.expect(plain), "Ctilde": weight * Ct.expect(tilde),
+            "T": weight * T.expect(tilde) / tnorm}
+    return [dict(zip(cols, map(float, row))) for row in zip(*cols.values())]
 
 
 def fixture_beta(a: float, b: float) -> float:
@@ -322,8 +321,8 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
 # ---------------------------------------------------------------------------
 # operator identity checks
 
-def check_commutators(g, interior_fraction: float = 0.8,
-                      tol: float = 1e-6, triple: str = "plain") -> CheckReport:
+def check_commutators(g, tol: float = 1e-6,
+                      triple: str = "plain") -> CheckReport:
     """Interior-projected relative residuals of [H,D]=iH, [C,D]=-iC, [H,C]=2iD.
 
     g is a GeneratorSet (spectral backend) or a GridRep (finite differences).
@@ -342,19 +341,19 @@ def check_commutators(g, interior_fraction: float = 0.8,
             values={k2: float(v) for k2, v in res.items()})
     # the residuals read only the leading ceil(fraction M) columns, so the
     # bands act on those columns of the identity
-    cols = np.eye(g.M)[:, :int(np.ceil(interior_fraction * g.M))]
+    cols = np.eye(g.M)[:, :int(np.ceil(INTERIOR_FRACTION * g.M))]
     H, D, C = (X @ cols for X in (g.H, g.D, g.C))
     res = {
-        "HD": interior_residual(g.H @ D - g.D @ H, 1j * H, interior_fraction),
-        "CD": interior_residual(g.C @ D - g.D @ C, -1j * C, interior_fraction),
-        "HC": interior_residual(g.H @ C - g.C @ H, 2j * D, interior_fraction),
+        "HD": interior_residual(g.H @ D - g.D @ H, 1j * H),
+        "CD": interior_residual(g.C @ D - g.D @ C, -1j * C),
+        "HC": interior_residual(g.H @ C - g.C @ H, 2j * D),
     }
     worst = _worst(res.values())
     return CheckReport(
         name=f"commutators_{g.variant}", passed=bool(worst < tol),
         residual=worst, tolerance=tol,
         params={"k": g.spec.k, "beta": g.spec.beta, "M": g.spec.M,
-                "variant": g.variant, "interior_fraction": interior_fraction},
+                "variant": g.variant, "interior_fraction": INTERIOR_FRACTION},
         values={k2: float(v) for k2, v in res.items()})
 
 
@@ -391,15 +390,13 @@ def _no_states(name: str, fx: IntervalFixture, tol: float) -> CheckReport:
                        error="fixture has no states")
 
 
-def check_D_positive(fx: IntervalFixture, tol: float = 1e-8,
-                     control_seed: int = 7,
-                     n_control: int = 100) -> CheckReport:
+def check_D_positive(fx: IntervalFixture, tol: float = 1e-8) -> CheckReport:
     """<D> >= -tol on every local state, in both backends.
 
-    The non-vacuity control draws random coefficient vectors (not local
-    states) and requires at least one with strictly negative <D>; the
-    report fails if the control finds none, which would mean the check
-    cannot distinguish anything.
+    The non-vacuity control draws D_CONTROLS random coefficient vectors
+    (not local states), evaluated as one block, and requires at least one
+    with strictly negative <D>; the report fails if the control finds none,
+    which would mean the check cannot distinguish anything.
     """
     if not fx.states:
         return _no_states("d_positive", fx, tol)
@@ -410,19 +407,16 @@ def check_D_positive(fx: IntervalFixture, tol: float = 1e-8,
                           "spectral": es["D"], "grid": eg["D"]})
         expectations += [es["D"], eg["D"]]
     worst = _worst(expectations, min)
-    rng = np.random.default_rng(control_seed)
-    M = fx.spec.M
-    controls = []
-    for _ in range(n_control):
-        v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        controls.append(fx.g.D.expect(v))
-    control_min = _worst(controls, min)
+    # each control draws its real, then its imaginary part
+    z = np.random.default_rng(D_CONTROL_SEED).standard_normal(
+        (D_CONTROLS, 2, fx.spec.M))
+    control_min = _worst(fx.g.D.expect((z[:, 0] + 1j * z[:, 1]).T), min)
     passed = bool(worst >= -tol and control_min < 0.0)
     return CheckReport(
         name="d_positive", passed=passed, residual=float(-worst),
         tolerance=tol,
         params={"interval": [fx.a, fx.b], "n_states": len(fx.states),
-                "control_seed": control_seed, "n_control": n_control},
+                "control_seed": D_CONTROL_SEED, "n_control": D_CONTROLS},
         values={"min_expectation": float(worst),
                 "control_min": float(control_min),
                 "per_state": per_state})
@@ -498,10 +492,10 @@ def check_T_bounds(fx: IntervalFixture, tol: float = 1e-6,
 # flow and Weyl checks
 
 def check_weyl(g: GeneratorSet, gt: GeneratorSet,
-               ts=(0.1, 0.3), azs=(0.2, 0.5), block: int = WEYL_BLOCK,
+               ts=(0.1, 0.3), azs=(0.2, 0.5),
                tol: float = 1e-3) -> CheckReport:
     """Weyl relations V(t) W(a) = e^{i s a t} W(a) V(t) on a fixed interior
-    observation block.
+    observation block of WEYL_BLOCK rows.
 
     V(t) = exp(-i t D) is the modular dilation flow; W(a) exponentiates the
     coordinate (T_h, T_c, or T).  The phase sign s is -1 for T_h and +1 for
@@ -519,7 +513,7 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
              ("T", matrix_function(2.0 * gt.C,
                                    lambda e: 0.5 * log_spectrum(e)),
               (2.0 * evDt, vDt), +1)]
-    b = slice(0, block)
+    b = slice(0, WEYL_BLOCK)
     values = {}
     for name, X, (de, dv), s in pairs:
         xe, xv = X.evals, X.vecs
@@ -541,27 +535,25 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
     return CheckReport(
         name="weyl", passed=bool(worst < tol), residual=worst, tolerance=tol,
         params={"k": g.spec.k, "beta": g.spec.beta, "M": g.spec.M,
-                "block": block, "ts": list(ts), "as": list(azs)},
+                "block": WEYL_BLOCK, "ts": list(ts), "as": list(azs)},
         values=values)
 
 
 def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
-                              a: float = 0.3, block: int | None = None,
-                              tol: float = 1e-3,
+                              a: float = 0.3, tol: float = 1e-3,
                               j_tol: float = 1e-10) -> CheckReport:
     """Modular conjugation of the translation and special-conformal flows.
 
     Delta^{it} = exp(-2 pi i t D) must scale U_h(a) = exp(i a H) to
     U_h(e^{-2 pi t} a) and U_c(a) to U_c(e^{+2 pi t} a); H, D, C are banded
     in this basis, so the flows are interior-exact to round-off and the
-    identities hold on the interior block at far below tol.  The
-    J-relations (J X J = X for H, C; = -X for D; J U_h(a) J = U_h(a)^*,
-    the adjoint) are exact at the matrix level because the generators are
-    real (times i for D) and J is componentwise conjugation.
+    identities hold on the interior block of the first M/4 rows at far
+    below tol.  The J-relations (J X J = X for H, C; = -X for D; J U_h(a) J
+    = U_h(a)^*, the adjoint) are exact at the matrix level because the
+    generators are real (times i for D) and J is componentwise conjugation.
     """
     M = g.M
-    if block is None:
-        block = M // 4
+    block = M // 4
     b = slice(0, block)
     evD, vD = g.D.eigh()
     D_rows = spectral_compose(vD, np.exp(-2j * np.pi * t * evD), rows=b)
@@ -614,20 +606,17 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5,
         return _no_states("f_alpha", fx, tol)
     alphas = np.linspace(-1.0, 1.0, n_alpha)
     powers = np.exp(2.0 * np.outer(alphas, fx.T.evals))
-    curves = []
-    errors = [0.0]
-    for st in fx.states[:n_states]:
-        ct = st["Ztilde"].data
-        nt = float(np.vdot(ct, ct).real)
-        F = fx.a ** (-2.0 * alphas) * (powers @ fx.T.weights(ct)) / nt
-        i0 = n_alpha // 2
-        d2 = np.diff(F, 2)
-        errors += [abs(F[i0] - 1.0), F[0] - 1.0, -d2.min()]
-        curves.append({"support": list(st["support"]),
-                       "alphas": alphas.tolist(), "F": F.tolist(),
-                       "F0": float(F[i0]), "Fm1": float(F[0]),
-                       "min_second_difference": float(d2.min())})
-    worst = _worst(errors)
+    norms = [e["tilde_norm_sq"] for e in fx.spectral_table[:n_states]]
+    weights = fx.T.weights(fx.block("Ztilde")[:, :n_states])
+    # one column of F per state
+    F = (fx.a ** (-2.0 * alphas))[:, None] * (powers @ weights) / norms
+    i0 = n_alpha // 2
+    d2 = np.diff(F, 2, axis=0).min(axis=0)
+    curves = [{"support": list(st["support"]), "alphas": alphas.tolist(),
+               "F": f.tolist(), "F0": float(f[i0]), "Fm1": float(f[0]),
+               "min_second_difference": float(m)}
+              for st, f, m in zip(fx.states, F.T, d2)]
+    worst = _worst(np.concatenate([np.abs(F[i0] - 1.0), F[0] - 1.0, -d2]))
     return CheckReport(
         name="f_alpha", passed=bool(worst <= tol), residual=float(worst),
         tolerance=tol,
@@ -636,15 +625,12 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5,
         values={"curves": curves})
 
 
-def check_S_invariance_convergence(a: float = 1.0, b: float = 2.0,
-                                   k: float = 1.0, beta: float = 1.0,
-                                   ladder=S_INV_LADDER,
-                                   window: float = S_INV_WINDOW,
-                                   tol: float = 1e-2,
+def check_S_invariance_convergence(k: float = 1.0, beta: float = 1.0,
+                                   ladder=S_INV_LADDER, tol: float = 1e-2,
                                    guard: float = 1e12) -> CheckReport:
     """r(M) = |exp(-pi D) P_W psi - J P_W psi| / |P_W psi| over a truncation
-    ladder, on the symmetric window P_W of D-eigenvalues with |lambda| <=
-    window.
+    ladder, for the bump filling S_INV_INTERVAL, on the symmetric window
+    P_W of D-eigenvalues with |lambda| <= S_INV_WINDOW.
 
     The window is forced by double precision: exp(-pi D) amplifies the
     negative-lambda components by e^{pi lambda}, and outside |lambda| ~ 4
@@ -656,11 +642,10 @@ def check_S_invariance_convergence(a: float = 1.0, b: float = 2.0,
     would still exceed the guard, the report is marked inconclusive
     (passed = None), not failed.
     """
-    bs = BumpSpec(a, b, samples=BUMP_SAMPLES)
-    x, psi = make_bump(bs)
+    x, psi = make_bump(BumpSpec(*S_INV_INTERVAL, samples=BUMP_SAMPLES))
     prof = FourierProfile(x, psi)
-    params = {"interval": [a, b], "k": k, "beta": beta,
-              "ladder": list(ladder), "window": window}
+    params = {"interval": list(S_INV_INTERVAL), "k": k, "beta": beta,
+              "ladder": list(ladder), "window": S_INV_WINDOW}
     rs = []
     try:
         for M in ladder:
@@ -671,10 +656,10 @@ def check_S_invariance_convergence(a: float = 1.0, b: float = 2.0,
             v = sv.data
             evals, vecs = gm.D.eigh()
             amps = vecs.conj().T @ v
-            sel = np.abs(evals) <= window
-            if np.exp(np.pi * window) * np.max(np.abs(amps)) > guard:
-                raise OverflowAbort(
-                    f"window {window} amplifies components beyond {guard:.0e}")
+            sel = np.abs(evals) <= S_INV_WINDOW
+            if np.exp(np.pi * S_INV_WINDOW) * np.max(np.abs(amps)) > guard:
+                raise OverflowAbort(f"window {S_INV_WINDOW} amplifies "
+                                    f"components beyond {guard:.0e}")
             aw = np.where(sel, amps, 0.0)
             fac = np.where(sel, np.exp(-np.pi * np.where(sel, evals, 0.0)),
                            0.0)

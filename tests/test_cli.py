@@ -1,9 +1,12 @@
 """Command line surface: exit codes, config resolution, output files."""
 
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from modloc import cli
 from modloc.cli import main
 
 
@@ -184,6 +187,21 @@ def test_localize_summary_and_states(tmp_path, capsys):
     summary = (outdir / "summary.csv").read_text().strip().splitlines()
     assert len(summary) == 3
     assert all("True" in line for line in summary[1:])
+
+
+def test_localize_in_bounds_reads_tol_profile(monkeypatch, capsys):
+    # one <T> 5e-5 below log a: outside the default t_bounds tolerance
+    # (1e-6), inside the coarse one (1e-4)
+    states = [{"support": (1.0, 2.0), "Z": SimpleNamespace(norm_sq=1.0)}] * 2
+    table = [{"H": 1.0, "C": 2.0, "D": 0.5, "T": T}
+             for T in (0.3, np.log(1.0) - 5e-5)]
+    fake = SimpleNamespace(states=states, spectral_table=table)
+    monkeypatch.setattr(cli, "build_interval_fixture", lambda *a, **kw: fake)
+    argv = ["localize", "--interval", "1", "2"]
+    assert main(argv) == 1
+    assert main(argv + ["--tol-profile", "coarse"]) == 0
+    assert main(argv + ["--tol-profile", "strict"]) == 1
+    capsys.readouterr()
 
 
 def test_report_conversion(tmp_path, capsys):

@@ -108,12 +108,12 @@ def test_expectations_match_dense(rep, bump_state):
     gs = sv.as_grid_state()
     h = rep.grid.spacing
     v = gs.samples
-    for expect, X, tol in ((rep.expect_H, rep.H, 1e-10),
-                           (rep.expect_C, rep.C, 1e-8),
-                           (rep.expect_D, rep.D, 1e-10),
-                           (rep.expect_Ctilde, rep.Ctilde, 1e-10)):
+    for got, X, tol in ((rep.expect_H(gs), rep.H, 1e-10),
+                        (rep.expect_C(gs), rep.C, 1e-8),
+                        (rep.expect_D(gs), rep.D, 1e-10),
+                        (h * rep.Ctilde.expect(v), rep.Ctilde, 1e-10)):
         dense = np.asarray(X)
-        assert abs(expect(gs) - h * np.real(np.vdot(v, dense @ v))) < tol
+        assert abs(got - h * np.real(np.vdot(v, dense @ v))) < tol
 
 
 def test_expect_T_in_interval_bounds(rep, bump_state):

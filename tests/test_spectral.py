@@ -127,6 +127,10 @@ def test_tridiagonal_matches_dense(complex_band):
     assert np.max(np.abs(A @ v - dense @ v)) < 1e-13
     assert np.max(np.abs(A @ block - dense @ block)) < 1e-13
     assert abs(A.expect(v) - np.vdot(v, dense @ v).real) < 1e-12
+    # a block gives one value per column, not their sum
+    cols = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    per_column = [np.vdot(c, dense @ c).real for c in cols.T]
+    assert np.max(np.abs(A.expect(cols) - per_column)) < 1e-12
     evals, vecs = A.eigh()
     assert np.max(np.abs(evals - eigh(dense, eigvals_only=True))) < 1e-12
     assert np.max(np.abs(dense @ vecs - vecs * evals)) < 1e-12

@@ -247,11 +247,13 @@ def test_flow_checks_solve_each_generator_once(monkeypatch):
 
 def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
     # d_positive, hc_chain, t_bounds and covariance share each fixture's
-    # tables: <T> of all states is one block against each backend's T, and
-    # covariance adds one block of flowed states
+    # tables: each column is one block call over all states (<H>, <C>,
+    # <D>, <C~> per backend on the bands, <T> against each backend's T),
+    # covariance adds one block of flowed states and d_positive one block
+    # of 100 control vectors
     from modloc.spectral import HermitianOperator, TridiagonalLog
 
-    seen = {HermitianOperator: [], TridiagonalLog: []}
+    seen = {Tridiagonal: [], HermitianOperator: [], TridiagonalLog: []}
 
     def count(cls):
         expect = cls.expect
@@ -262,6 +264,7 @@ def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
 
         monkeypatch.setattr(cls, "expect", counted)
 
+    count(Tridiagonal)
     count(HermitianOperator)
     count(TridiagonalLog)
     res = run_suite({"intervals": [[1.0, 2.0]], "n_bumps": 3},
@@ -269,6 +272,8 @@ def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
                            "covariance"])
     assert len(res.reports) == 4
     assert all(r.error is None for r in res.reports)
+    assert sorted(seen[Tridiagonal]) == [(384, 3)] * 4 + [(384, 100)] + [
+        (4096, 3)] * 4
     assert sorted(seen[HermitianOperator]) == [(384, 3), (384, 3)]
     assert seen[TridiagonalLog] == [(4096, 3)]
 
