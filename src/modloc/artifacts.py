@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -39,11 +40,14 @@ __all__ = [
     "read_report_json",
     "report_markdown",
     "write_curves_csv",
+    "write_suite_curves",
 ]
 
 REP_MAGIC = "MODLOC-REP"
 STATE_MAGIC = "MODLOC-STATE"
 FORMAT_VERSION = 3
+TOL_PROFILES = ("default", "strict", "coarse")
+FORMATS = ("json", "csv", "md")
 
 
 def _header_bytes(header: dict) -> bytes:
@@ -141,20 +145,16 @@ def save_representation(path, g: GeneratorSet, config: dict | None = None):
         "variant": g.variant,
         "config": config or {},
     }
-    blob = _pack_arrays(header, {
+    Path(path).write_bytes(_pack_arrays(header, {
         f"{name}_{band}": getattr(getattr(g, name), band)
-        for name in "HDC" for band in ("diag", "upper")})
-    with open(path, "wb") as f:
-        f.write(blob)
+        for name in "HDC" for band in ("diag", "upper")}))
 
 
 def load_representation(path) -> GeneratorSet:
     """The triple save_representation wrote; raises DecompositionFailure
     for a malformed header field, a missing band, a diagonal that is complex
     or not of length M, or an upper band not one shorter than it."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    header, payload = _read_header(blob, REP_MAGIC)
+    header, payload = _read_header(Path(path).read_bytes(), REP_MAGIC)
     arrays = _unpack_arrays(header, payload)
     spec = _spec(BasisSpec, header, "header", **_BASES["z-spectral"][2])
     (variant,) = _fields(header, "header", variant=("plain", "tilde"))
@@ -193,9 +193,8 @@ def save_state(path, sv: StateVector, config: dict | None = None):
         "provenance": sv.provenance,
         "config": config or {},
     }
-    blob = _pack_arrays(header, {"data": np.asarray(sv.data, dtype=complex)})
-    with open(path, "wb") as f:
-        f.write(blob)
+    Path(path).write_bytes(
+        _pack_arrays(header, {"data": np.asarray(sv.data, dtype=complex)}))
 
 
 # representation: the basis kind of its states, the spec type and its fields
@@ -208,9 +207,7 @@ _BASES = {"z-spectral": ("basis", BasisSpec, {
 def load_state(path) -> StateVector:
     """The state save_state wrote; raises DecompositionFailure for a header
     field that is missing, mistyped or out of range."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    header, payload = _read_header(blob, STATE_MAGIC)
+    header, payload = _read_header(Path(path).read_bytes(), STATE_MAGIC)
     arrays = _unpack_arrays(header, payload)
     rep, b, norm_sq, residual, family, provenance = _fields(
         header, "header", representation=tuple(_BASES), basis=dict,
@@ -264,25 +261,21 @@ _REPORT_FIELDS = ("name", "passed", "residual", "tolerance", "backend",
 
 def report_rows(suite) -> list:
     """Flatten a SuiteResult into one row per check."""
-    rows = []
-    for r in suite.reports:
-        rows.append({
-            "name": r.name,
-            "passed": {True: "pass", False: "fail", None: "inconclusive"}[r.passed],
-            "residual": "" if r.residual is None else f"{r.residual:.6e}",
-            "tolerance": "" if r.tolerance is None else f"{r.tolerance:.3e}",
-            "backend": r.backend,
-            "error": r.error or "",
-        })
-    return rows
+    return [{
+        "name": r.name,
+        "passed": {True: "pass", False: "fail", None: "inconclusive"}[r.passed],
+        "residual": "" if r.residual is None else f"{r.residual:.6e}",
+        "tolerance": "" if r.tolerance is None else f"{r.tolerance:.3e}",
+        "backend": r.backend,
+        "error": r.error or "",
+    } for r in suite.reports]
 
 
 def write_report_csv(path, suite):
-    rows = report_rows(suite)
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=_REPORT_FIELDS)
         w.writeheader()
-        w.writerows(rows)
+        w.writerows(report_rows(suite))
 
 
 def write_report_json(path, suite):
@@ -338,9 +331,21 @@ def report_markdown(suite) -> str:
     return out.getvalue()
 
 
+def write_suite_curves(base, suite):
+    """write_curves_csv for each report that carries a curve, next to base
+    as <stem>.<check>.curve.csv with the brackets and commas of the check
+    name made underscores."""
+    base = Path(base)
+    for r in suite.reports:
+        if {"curves", "r", "errors"} & set(r.values or {}):
+            name = r.name.replace("[", "_").replace("]", "").replace(",", "_")
+            write_curves_csv(base.with_name(f"{base.stem}.{name}.curve.csv"),
+                             r)
+
+
 def write_curves_csv(path, report):
     """Export the curve data a check carries (F(alpha) profiles, r(M)
-    ladders) as long-form CSV."""
+    ladders, grid error ladders) as long-form CSV."""
     rows = []
     vals = report.values or {}
     for i, curve in enumerate(vals.get("curves", [])):
@@ -423,8 +428,10 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.k < 0.5:
             raise ConfigError(f"k must be >= 1/2, got {self.k}")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
+        for name in ("beta", "grid_emax", "grid_emax_tilde"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if self.M < 1 or self.grid_n < 16:
             raise ConfigError("truncation sizes out of range")
         if min(self.n_bumps, self.fixture_M, self.weyl_M) < 1:
@@ -436,10 +443,10 @@ class RunConfig:
             raise ConfigError(f"bump family {self.bump!r} cannot build "
                               f"fixtures ({why}); expected one of "
                               f"{', '.join(FIXTURE_FAMILIES)}")
-        if self.tol_profile not in ("default", "strict", "coarse"):
+        if self.tol_profile not in TOL_PROFILES:
             raise ConfigError(
                 f"unknown tolerance profile {self.tol_profile!r}")
-        if self.format not in ("json", "csv", "md"):
+        if self.format not in FORMATS:
             raise ConfigError(f"unknown output format {self.format!r}")
         for iv in self.intervals:
             a, b = iv
@@ -458,8 +465,7 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -473,23 +479,16 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_json(text)
 
+    def _without(self, *names) -> dict:
+        return {k: v for k, v in asdict(self).items() if k not in names}
+
     def content_config(self) -> dict:
         """The config fields that determine artifact content: everything
         except where and how the output is written."""
-        data = asdict(self)
-        data.pop("out")
-        data.pop("format")
-        return data
+        return self._without("out", "format")
 
     def suite_config(self) -> dict:
         """The keys verification.run_suite reads, with this config's
-        values."""
-        return {
-            "k": self.k, "beta": self.beta, "M": self.M,
-            "grid_n": self.grid_n, "grid_emax": self.grid_emax,
-            "grid_emax_tilde": self.grid_emax_tilde,
-            "weyl_M": self.weyl_M, "fixture_M": self.fixture_M,
-            "n_bumps": self.n_bumps, "seed": self.seed,
-            "intervals": [list(iv) for iv in self.intervals],
-            "bump": self.bump,
-        }
+        values: every field but the suite controls (scope, tol_profile,
+        which run_suite takes as arguments) and the output controls."""
+        return self._without("scope", "tol_profile", "out", "format")

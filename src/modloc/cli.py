@@ -2,32 +2,35 @@
 run the verification suite, and convert reports.
 
 Configuration starts from defaults, is overridden by the config file named
-in MODLOC_CONFIG (or --config), then by explicit flags.  The config schema
-is the JSON produced by RunConfig.to_json; every output embeds the
-producing config and a format version.
+in MODLOC_CONFIG (or --config), then by explicit flags.  Each subcommand
+accepts only the flags of the settings it reads; a config file may set any
+field.  The config schema is the JSON produced by RunConfig.to_json; every
+output embeds the producing config and a format version.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import (
+    FORMATS,
+    TOL_PROFILES,
     RunConfig,
     read_report_json,
     report_markdown,
     save_representation,
     save_state,
-    write_curves_csv,
     write_report_csv,
     write_report_json,
     write_state_csv,
+    write_suite_curves,
 )
 from .errors import ModlocError
 from .laguerre import BasisSpec
@@ -43,40 +46,33 @@ from .verification import (
 __all__ = ["main"]
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="config file (overrides MODLOC_CONFIG)")
-    p.add_argument("--k", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--grid-n", type=int, dest="grid_n")
-    p.add_argument("--grid-emax", type=float, dest="grid_emax")
-    p.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"))
-    p.add_argument("--bump",
-                   help=f"bump family ({', '.join(FIXTURE_FAMILIES)})")
-    p.add_argument("--scope", nargs="+", help="check name prefixes")
-    p.add_argument("--tol-profile", dest="tol_profile",
-                   choices=("default", "strict", "coarse"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output path")
-    p.add_argument("--format", choices=("json", "csv", "md"))
+# add_argument keywords of every flag; argparse's dest for each is the
+# RunConfig field it overrides, except --config and --interval
+_FLAGS = {
+    "--config": {"help": "config file (overrides MODLOC_CONFIG)"},
+    "--k": {"type": float},
+    "--beta": {"type": float},
+    "--M": {"type": int},
+    "--grid-n": {"type": int},
+    "--grid-emax": {"type": float},
+    "--interval": {"type": float, "nargs": 2, "metavar": ("A", "B")},
+    "--bump": {"help": f"bump family ({', '.join(FIXTURE_FAMILIES)})"},
+    "--scope": {"nargs": "+", "help": "check name prefixes"},
+    "--tol-profile": {"choices": TOL_PROFILES},
+    "--seed": {"type": int},
+    "--out": {"help": "output path"},
+    "--format": {"choices": FORMATS},
+}
 
 
 def _resolve_config(args) -> RunConfig:
     path = args.config or os.environ.get("MODLOC_CONFIG")
     cfg = RunConfig.from_file(path) if path else RunConfig()
-    overrides = {}
-    for name in ("k", "beta", "M", "grid_n", "grid_emax", "bump", "scope",
-                 "tol_profile", "seed", "out", "format"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
+    overrides = {name: val for name, val in vars(args).items()
+                 if name in RunConfig.__dataclass_fields__ and val is not None}
     if getattr(args, "interval", None) is not None:
         overrides["intervals"] = [list(args.interval)]
-    if overrides:
-        data = json.loads(cfg.to_json())
-        data.update(overrides)
-        cfg = RunConfig(**data)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def cmd_build(cfg: RunConfig) -> int:
@@ -126,8 +122,7 @@ def cmd_localize(cfg: RunConfig) -> int:
                        config=cfg.content_config())
             write_state_csv(outdir / f"state_{i:03d}.csv", st["grid"])
         print(f"wrote {len(fx.states)} states and summary.csv to {outdir}")
-    n_bad = sum(1 for r in rows if not r["in_bounds"])
-    return 0 if n_bad == 0 else 1
+    return 0 if all(r["in_bounds"] for r in rows) else 1
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -146,15 +141,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         if cfg.format == "csv":
             write_report_csv(base, suite)
         elif cfg.format == "md":
-            with open(base, "w") as f:
-                f.write(report_markdown(suite))
+            base.write_text(report_markdown(suite))
         else:
             write_report_json(base, suite)
-        for r in suite.reports:
-            vals = r.values or {}
-            if "curves" in vals or "r" in vals or "errors" in vals:
-                write_curves_csv(base.with_name(
-                    base.stem + f".{r.name.replace('[', '_').replace(']', '').replace(',', '_')}.curve.csv"), r)
+        write_suite_curves(base, suite)
         print(f"wrote {base}")
     return 0 if suite.aggregate_pass else 1
 
@@ -162,19 +152,29 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig, path: str) -> int:
     """Convert a JSON report file to the requested format."""
     suite = SuiteResult.from_dict(read_report_json(path))
+    if cfg.format != "csv" and not cfg.out:
+        print(report_markdown(suite), end="")
+        return 0
+    out = cfg.out or path + ".csv"
     if cfg.format == "csv":
-        out = cfg.out or (path + ".csv")
         write_report_csv(out, suite)
-        print(f"wrote {out}")
     else:
-        text = report_markdown(suite)
-        if cfg.out:
-            with open(cfg.out, "w") as f:
-                f.write(text)
-            print(f"wrote {cfg.out}")
-        else:
-            print(text, end="")
+        Path(out).write_text(report_markdown(suite))
+    print(f"wrote {out}")
     return 0
+
+
+# each subcommand: its function, its help and the flags it reads; report
+# adds its own --format (the JSON it converts is the input) and the file
+_COMMANDS = {
+    "build": (cmd_build, "assemble and persist a generator triple",
+              "--config --k --beta --M --out"),
+    "localize": (cmd_localize, "generate local states and summarize",
+                 "--config --k --grid-n --interval --bump --seed "
+                 "--tol-profile --out"),
+    "verify": (cmd_verify, "run the verification suite", " ".join(_FLAGS)),
+    "report": (cmd_report, "convert a JSON report", "--config --out"),
+}
 
 
 def main(argv=None) -> int:
@@ -182,24 +182,19 @@ def main(argv=None) -> int:
         prog="modloc",
         description="modular localization laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("build", "assemble and persist a generator triple"),
-                      ("localize", "generate local states and summarize"),
-                      ("verify", "run the verification suite"),
-                      ("report", "convert a JSON report")):
+    for name, (_, doc, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
         if name == "report":
+            p.add_argument("--format", choices=("csv", "md"))
             p.add_argument("report_file")
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "build":
-            return cmd_build(cfg)
-        if args.command == "localize":
-            return cmd_localize(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_report(cfg, args.report_file)
+        if args.command == "report":
+            return cmd_report(cfg, args.report_file)
+        return _COMMANDS[args.command][0](cfg)
     except ModlocError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

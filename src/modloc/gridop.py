@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Tridiagonal, TridiagonalLog
+from .spectral import Tridiagonal, TridiagonalLog, sl2_commutators
 
 __all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops"]
 
@@ -153,17 +153,9 @@ class GridRep:
         _, base = (0.5 * (H + C)).eigh(
             select="i", select_range=(0, SMOOTH_MODES[triple] - 1))
         U, _ = np.linalg.qr(self.smooth_window()[:, None] * base)
-        ops = {"H": H, "D": D, "C": C}
-        on_U = {name: X @ U for name, X in ops.items()}
-        out = {}
-        for (x, y), z, w in (("HD", 1j, "H"), ("CD", -1j, "C"),
-                             ("HC", 2j, "D")):
-            # [X, Y] = z W, applied to the modes
-            ref = z * on_U[w]
-            diff = ops[x] @ on_U[y] - ops[y] @ on_U[x] - ref
-            out[x + y] = float(np.linalg.norm(diff, 2)
-                               / np.linalg.norm(ref, 2))
-        return out
+        return {name: float(np.linalg.norm(lhs - ref, 2)
+                            / np.linalg.norm(ref, 2))
+                for name, lhs, ref in sl2_commutators(H, D, C, U)}
 
 
 def _smooth_step(u) -> np.ndarray:

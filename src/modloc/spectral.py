@@ -39,9 +39,13 @@ __all__ = [
     "build_T",
     "unitary_flow",
     "interior_residual",
+    "sl2_commutators",
 ]
 
 INTERIOR_FRACTION = 0.8
+# the sl(2,R) relations [X, Y] = z W that both triples satisfy, (X, Y, z, W)
+SL2_RELATIONS = (("H", "D", 1j, "H"), ("C", "D", -1j, "C"),
+                 ("H", "C", 2j, "D"))
 # resolvent quadrature of log A (TridiagonalLog): the trapezoid step in
 # s = log y, how far the window of solves reaches below the least and above
 # the largest eigenvalue of A (in s), and the order of the closed-form tail
@@ -403,3 +407,12 @@ def interior_residual(lhs: np.ndarray, rhs: np.ndarray,
     return float(np.linalg.norm((lhs - rhs)[b, b], 2)
                  / np.linalg.norm(rhs[b, b], 2))
 
+
+
+def sl2_commutators(H, D, C, V: np.ndarray):
+    """Yield (name "XY", [X, Y] V, z W V) for each relation of
+    SL2_RELATIONS, with the triple's operators applied to the columns V."""
+    ops = {"H": H, "D": D, "C": C}
+    on_V = {name: X @ V for name, X in ops.items()}
+    for x, y, z, w in SL2_RELATIONS:
+        yield x + y, ops[x] @ on_V[y] - ops[y] @ on_V[x], z * on_V[w]

@@ -35,6 +35,7 @@ from .spectral import (
     interior_residual,
     log_spectrum,
     matrix_function,
+    sl2_commutators,
     spectral_compose,
 )
 
@@ -169,13 +170,9 @@ class ToleranceProfile:
         if name == "strict":
             # tighten everything except the hard-zero slack entries and
             # the trend-only convergence gates
-            ent = {}
-            for k, v in _DEFAULT_TOLS.items():
-                if k in ("hc_chain", "grid_convergence", "s_invariance"):
-                    ent[k] = v
-                else:
-                    ent[k] = v / 100.0
-            return cls("strict", ent)
+            keep = ("hc_chain", "grid_convergence", "s_invariance")
+            return cls("strict", {k: v if k in keep else v / 100.0
+                                  for k, v in _DEFAULT_TOLS.items()})
         if name == "coarse":
             ent = {k: (v * 100.0 if v > 0 else 1e-10) for k, v in _DEFAULT_TOLS.items()}
             ent["grid_convergence"] = 0.5
@@ -264,7 +261,7 @@ def fixture_emax(b: float) -> float:
 
 
 def build_interval_fixture(a: float, b: float, k: float = 1.0,
-                           M: int = FIXTURE_M, grid_n: int = 4096,
+                           M: int = FIXTURE_M, grid_n: int = RunConfig.grid_n,
                            n_bumps: int = N_BUMPS, seed: int = 0,
                            beta: float | None = None,
                            family: str = "mollifier") -> IntervalFixture:
@@ -321,44 +318,43 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
 # ---------------------------------------------------------------------------
 # operator identity checks
 
-def check_commutators(g, tol: float = 1e-6,
+def check_commutators(g, tol: float | None = None,
                       triple: str = "plain") -> CheckReport:
     """Interior-projected relative residuals of [H,D]=iH, [C,D]=-iC, [H,C]=2iD.
 
     g is a GeneratorSet (spectral backend) or a GridRep (finite differences).
     On the grid the residuals are measured on windowed smooth rotation
     modes (see GridRep.commutator_residuals); triple selects the plain or
-    the squared-coordinate generator triple there.
+    the squared-coordinate generator triple there.  tol defaults to the
+    default profile's entry for the backend and triple.
     """
     if isinstance(g, GridRep):
+        backend, key = "grid", "commutators_grid"
+        name = f"{key}_{triple}"
         res = g.commutator_residuals(triple=triple)
-        worst = _worst(res.values())
-        return CheckReport(
-            name=f"commutators_grid_{triple}", passed=bool(worst < tol),
-            residual=worst, tolerance=tol, backend="grid",
-            params={"N": g.grid.N, "E_max": g.grid.E_max, "k": g.k,
-                    "triple": triple},
-            values={k2: float(v) for k2, v in res.items()})
-    # the residuals read only the leading ceil(fraction M) columns, so the
-    # bands act on those columns of the identity
-    cols = np.eye(g.M)[:, :int(np.ceil(INTERIOR_FRACTION * g.M))]
-    H, D, C = (X @ cols for X in (g.H, g.D, g.C))
-    res = {
-        "HD": interior_residual(g.H @ D - g.D @ H, 1j * H),
-        "CD": interior_residual(g.C @ D - g.D @ C, -1j * C),
-        "HC": interior_residual(g.H @ C - g.C @ H, 2j * D),
-    }
+        params = {"N": g.grid.N, "E_max": g.grid.E_max, "k": g.k,
+                  "triple": triple}
+    else:
+        backend, key = "spectral", f"commutators_{g.variant}"
+        name = key
+        # the residuals read only the leading ceil(fraction M) columns, so
+        # the bands act on those columns of the identity
+        cols = np.eye(g.M)[:, :int(np.ceil(INTERIOR_FRACTION * g.M))]
+        res = {xy: interior_residual(lhs, ref)
+               for xy, lhs, ref in sl2_commutators(g.H, g.D, g.C, cols)}
+        params = {"k": g.spec.k, "beta": g.spec.beta, "M": g.spec.M,
+                  "variant": g.variant, "interior_fraction": INTERIOR_FRACTION}
+    tol = _DEFAULT_TOLS[key] if tol is None else tol
     worst = _worst(res.values())
-    return CheckReport(
-        name=f"commutators_{g.variant}", passed=bool(worst < tol),
-        residual=worst, tolerance=tol,
-        params={"k": g.spec.k, "beta": g.spec.beta, "M": g.spec.M,
-                "variant": g.variant, "interior_fraction": INTERIOR_FRACTION},
-        values={k2: float(v) for k2, v in res.items()})
+    return CheckReport(name=name, passed=bool(worst < tol), residual=worst,
+                       tolerance=tol, params=params, backend=backend,
+                       values={xy: float(v) for xy, v in res.items()})
 
 
-def check_lowest_weights(ks=(1.0, 1.5, 2.0), beta: float = 1.0, M: int = 256,
-                         tol: float = 1e-6) -> CheckReport:
+def check_lowest_weights(ks=(1.0, 1.5, 2.0), beta: float = 1.0,
+                         M: int = RunConfig.M,
+                         tol: float = _DEFAULT_TOLS["lowest_weights"]
+                         ) -> CheckReport:
     """min eig (H+C)/2 = k and min eig (H~+C~)/2 = k/2 + 1/4 for each k."""
     values = {}
     errors = []
@@ -369,7 +365,7 @@ def check_lowest_weights(ks=(1.0, 1.5, 2.0), beta: float = 1.0, M: int = 256,
         lo, lo_t = (float(x.rotation().eigh(eigvals_only=True, select="i",
                                             select_range=(0, 0))[0])
                     for x in (g, gt))
-        target_t = 0.5 * k + 0.25
+        target_t = spec.tilde_k
         values[f"k={k}"] = {"plain": lo, "tilde": lo_t,
                             "expected": [k, target_t]}
         errors += [abs(lo - k), abs(lo_t - target_t)]
@@ -390,7 +386,8 @@ def _no_states(name: str, fx: IntervalFixture, tol: float) -> CheckReport:
                        error="fixture has no states")
 
 
-def check_D_positive(fx: IntervalFixture, tol: float = 1e-8) -> CheckReport:
+def check_D_positive(fx: IntervalFixture,
+                     tol: float = _DEFAULT_TOLS["d_positive"]) -> CheckReport:
     """<D> >= -tol on every local state, in both backends.
 
     The non-vacuity control draws D_CONTROLS random coefficient vectors
@@ -422,7 +419,8 @@ def check_D_positive(fx: IntervalFixture, tol: float = 1e-8) -> CheckReport:
                 "per_state": per_state})
 
 
-def check_HC_chain(fx: IntervalFixture, tol: float = 0.0) -> CheckReport:
+def check_HC_chain(fx: IntervalFixture,
+                   tol: float = _DEFAULT_TOLS["hc_chain"]) -> CheckReport:
     """a^2 <H> <= <C> <= b^2 <H> and a^2/2 |psi|^2 < <C~> < b^2/2 |psi|^2.
 
     tol = 0 demands strict slack, which the propositions promise for
@@ -449,7 +447,7 @@ def check_HC_chain(fx: IntervalFixture, tol: float = 0.0) -> CheckReport:
         values={"min_slack": float(min_slack), "per_state": per_state})
 
 
-def check_T_bounds(fx: IntervalFixture, tol: float = 1e-6,
+def check_T_bounds(fx: IntervalFixture, tol: float = _DEFAULT_TOLS["t_bounds"],
                    agreement_tol: float = 1e-3) -> CheckReport:
     """log a - tol <= <T>/|psi|^2 <= log b + tol in both backends, and the
     two backends agree on <T>/|psi|^2 to agreement_tol (relative).  The
@@ -493,7 +491,7 @@ def check_T_bounds(fx: IntervalFixture, tol: float = 1e-6,
 
 def check_weyl(g: GeneratorSet, gt: GeneratorSet,
                ts=(0.1, 0.3), azs=(0.2, 0.5),
-               tol: float = 1e-3) -> CheckReport:
+               tol: float = _DEFAULT_TOLS["weyl"]) -> CheckReport:
     """Weyl relations V(t) W(a) = e^{i s a t} W(a) V(t) on a fixed interior
     observation block of WEYL_BLOCK rows.
 
@@ -539,8 +537,8 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
         values=values)
 
 
-def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
-                              a: float = 0.3, tol: float = 1e-3,
+def check_positive_inclusions(g: GeneratorSet, t: float = 0.05, a: float = 0.3,
+                              tol: float = _DEFAULT_TOLS["positive_inclusions"],
                               j_tol: float = 1e-10) -> CheckReport:
     """Modular conjugation of the translation and special-conformal flows.
 
@@ -591,8 +589,8 @@ def check_positive_inclusions(g: GeneratorSet, t: float = 0.05,
 # ---------------------------------------------------------------------------
 # profile and convergence checks
 
-def f_alpha_profile(fx: IntervalFixture, n_states: int = 5,
-                    n_alpha: int = 21, tol: float = 1e-8) -> CheckReport:
+def f_alpha_profile(fx: IntervalFixture, n_states: int = 5, n_alpha: int = 21,
+                    tol: float = _DEFAULT_TOLS["f_alpha"]) -> CheckReport:
     """F(alpha) = a^{-2 alpha} <(2 C~)^alpha> / |psi|^2 on [-1, 1].
 
     With (2 C~)^alpha = exp(2 alpha T), F = a^{-2 alpha} sum_j e^{2 alpha
@@ -626,7 +624,8 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5,
 
 
 def check_S_invariance_convergence(k: float = 1.0, beta: float = 1.0,
-                                   ladder=S_INV_LADDER, tol: float = 1e-2,
+                                   ladder=S_INV_LADDER,
+                                   tol: float = _DEFAULT_TOLS["s_invariance"],
                                    guard: float = 1e12) -> CheckReport:
     """r(M) = |exp(-pi D) P_W psi - J P_W psi| / |P_W psi| over a truncation
     ladder, for the bump filling S_INV_INTERVAL, on the symmetric window
@@ -680,7 +679,8 @@ def check_S_invariance_convergence(k: float = 1.0, beta: float = 1.0,
 
 
 def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
-                               tol: float = 1e-3) -> CheckReport:
+                               tol: float = _DEFAULT_TOLS["covariance"]
+                               ) -> CheckReport:
     """Dilation covariance of T: conjugating by the pushed dilation flow
     shifts every <T> into the image interval's bounds.
 
@@ -727,9 +727,10 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
                 "per_state": per_state})
 
 
-def check_grid_convergence(k: float = 1.0, E_max: float = 40.0,
+def check_grid_convergence(k: float = 1.0, E_max: float = RunConfig.grid_emax,
                            Ns=(512, 1024, 2048, 4096),
-                           tol: float = 0.2) -> CheckReport:
+                           tol: float = _DEFAULT_TOLS["grid_convergence"]
+                           ) -> CheckReport:
     """Order of convergence of the grid rotation ground eigenvalue to k.
 
     The scheme is second-order central differences, so the error in the
@@ -808,17 +809,14 @@ def _suite_checks(config: dict, profile: ToleranceProfile):
     yield ("commutators_tilde",
            lambda: check_commutators(reps()[1],
                                      tol=profile.tol("commutators_tilde")))
-    yield ("commutators_grid_plain",
-           lambda: check_commutators(
-               build_grid_ops(GridSpec(N=grid_n, E_max=grid_emax), k),
-               tol=profile.tol("commutators_grid"), triple="plain"))
     # the tilde triple needs a denser grid per unit energy: C~ carries the
     # full 1/h^2 stencil while its smooth modes live at low energy
-    yield ("commutators_grid_tilde",
-           lambda: check_commutators(
-               build_grid_ops(GridSpec(N=grid_n,
-                                       E_max=config["grid_emax_tilde"]), k),
-               tol=profile.tol("commutators_grid"), triple="tilde"))
+    for triple, emax in (("plain", grid_emax),
+                         ("tilde", config["grid_emax_tilde"])):
+        yield (f"commutators_grid_{triple}",
+               lambda triple=triple, emax=emax: check_commutators(
+                   build_grid_ops(GridSpec(N=grid_n, E_max=emax), k),
+                   tol=profile.tol("commutators_grid"), triple=triple))
     yield ("lowest_weights",
            lambda: check_lowest_weights(beta=beta, M=M,
                                         tol=profile.tol("lowest_weights")))

@@ -1,6 +1,8 @@
 """Command line surface: exit codes, config resolution, output files."""
 
+import csv
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,6 +62,8 @@ def test_bad_values_give_config_error(argv, tmp_path, capsys):
     pytest.param("n_bumps", 2.5, id="n_bumps-fraction"),
     pytest.param("scope", "lowest", id="scope-string"),
     pytest.param("tol_profile", "bogus", id="tol_profile-unknown"),
+    pytest.param("grid_emax", -1, id="grid_emax-negative"),
+    pytest.param("grid_emax_tilde", 0, id="grid_emax_tilde-zero"),
 ])
 def test_malformed_config_values_give_config_error(field, value, tmp_path,
                                                    capsys):
@@ -68,6 +72,56 @@ def test_malformed_config_values_give_config_error(field, value, tmp_path,
     out = tmp_path / "out"
     assert main(["build", "--config", str(cfg), "--out", str(out)]) == 2
     assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the flags of each subcommand: those of the settings it reads
+SUBCOMMAND_FLAGS = {
+    "build": {"--config", "--k", "--beta", "--M", "--out"},
+    "localize": {"--config", "--k", "--grid-n", "--interval", "--bump",
+                 "--seed", "--tol-profile", "--out"},
+    "verify": {"--config", "--k", "--beta", "--M", "--grid-n", "--grid-emax",
+               "--interval", "--bump", "--scope", "--tol-profile", "--seed",
+               "--out", "--format"},
+    "report": {"--config", "--format", "--out"},
+}
+
+
+def test_subcommand_help_lists_its_flags(capsys):
+    listed = {}
+    for command in SUBCOMMAND_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed[command] = set(re.findall(
+            r"^\s+(--[\w-]+)", capsys.readouterr().out, re.MULTILINE))
+        listed[command].discard("--help")
+    assert listed == SUBCOMMAND_FLAGS
+    assert sum(map(len, listed.values())) == 29
+
+
+@pytest.mark.parametrize("argv", [
+    ["localize", "--M", "64"],
+    ["build", "--seed", "3"],
+    ["report", "--k", "1", "{report}"],
+    ["report", "--format", "json", "{report}"],
+    ["build", "--interval", "5", "9"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_flags_a_subcommand_does_not_read_exit_2(argv, tmp_path,
+                                                 monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before rejecting the flag")
+
+    for name in ("build_generators", "build_interval_fixture", "run_suite",
+                 "read_report_json"):
+        monkeypatch.setattr(cli, name, no_compute)
+    report = tmp_path / "r.json"
+    out = tmp_path / "out"
+    argv = [a.format(report=report) for a in argv] + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -140,6 +194,20 @@ def test_verify_report_byte_identical(tmp_path, capsys):
     assert blobs[0] == blobs[1]
     # the wall time stays on the console line
     assert "aggregate: pass (" in capsys.readouterr().out
+
+
+def test_verify_writes_curve_files(tmp_path, capsys):
+    # only grid_convergence carries a curve: its error at each of 4 sizes
+    out = tmp_path / "r.json"
+    assert main(["verify", "--scope", "grid_convergence", "lowest_weights",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "r.grid_convergence.curve.csv", "r.json"]
+    with open(tmp_path / "r.grid_convergence.curve.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [int(r["x"]) for r in rows] == [512, 1024, 2048, 4096]
+    assert all(r["check"] == "grid_convergence" for r in rows)
+    capsys.readouterr()
 
 
 def test_verify_empty_scope_exits_zero(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modloc.errors import ConfigError
+from modloc.gridop import GridSpec, build_grid_ops
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
     Tridiagonal,
@@ -103,6 +104,18 @@ def test_mutated_C_breaks_chain_and_weights(fx_small):
     fx2 = dataclasses.replace(fx_small, g=g2)
     assert check_HC_chain(fx2).passed is False
     assert check_commutators(g2).passed is False
+
+
+def test_commutators_default_to_their_backend_tolerance():
+    # the grid residuals sit near 1e-3 at N = 4096: under the suite's
+    # commutators_grid tolerance, far above the spectral one
+    rep = check_commutators(build_grid_ops(GridSpec(4096, 40.0), 1.0))
+    assert rep.tolerance == 1e-3
+    assert 1e-6 < rep.residual < 1e-3 and rep.passed is True
+    g = build_generators(BasisSpec(k=1.0, M=64))
+    for triple in (g, build_tilde_generators(g)):
+        rep = check_commutators(triple)
+        assert rep.tolerance == 1e-6 and rep.passed is True
 
 
 def test_nan_expectation_fails_t_bounds(fx_small):
