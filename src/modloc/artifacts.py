@@ -386,10 +386,10 @@ class RunConfig:
     """
 
     k: float = 1.0
-    beta: float = 1.0
-    M: int = 256
-    grid_n: int = 4096
-    grid_emax: float = 40.0
+    beta: float = BasisSpec.beta
+    M: int = BasisSpec.M
+    grid_n: int = GridSpec.N
+    grid_emax: float = GridSpec.E_max
     grid_emax_tilde: float = 10.0
     intervals: list = field(default_factory=lambda: [[1.0, 2.0], [0.5, 1.0],
                                                      [4.0, 8.0]])

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Tridiagonal, TridiagonalLog, sl2_commutators
+from .spectral import Tridiagonal, TridiagonalLog, sl2_residuals
 
 __all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops"]
 
@@ -153,9 +153,7 @@ class GridRep:
         _, base = (0.5 * (H + C)).eigh(
             select="i", select_range=(0, SMOOTH_MODES[triple] - 1))
         U, _ = np.linalg.qr(self.smooth_window()[:, None] * base)
-        return {name: float(np.linalg.norm(lhs - ref, 2)
-                            / np.linalg.norm(ref, 2))
-                for name, lhs, ref in sl2_commutators(H, D, C, U)}
+        return sl2_residuals(H, D, C, U)
 
 
 def _smooth_step(u) -> np.ndarray:

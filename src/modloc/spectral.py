@@ -34,12 +34,12 @@ __all__ = [
     "build_generators",
     "build_tilde_generators",
     "log_spectrum",
-    "spectral_compose",
     "matrix_function",
     "build_T",
     "unitary_flow",
+    "relative_residual",
     "interior_residual",
-    "sl2_commutators",
+    "sl2_residuals",
 ]
 
 INTERIOR_FRACTION = 0.8
@@ -130,6 +130,17 @@ class Tridiagonal:
         gauge = np.concatenate(([1.0], np.cumprod(phase)))
         return evals, gauge[:, None] * vecs
 
+    def eigval(self, i: int) -> float:
+        """The i-th least eigenvalue (i = -1: the largest), from an
+        eigenvalue-only solve."""
+        i %= self.diag.size
+        return float(self.eigh(eigvals_only=True, select="i",
+                               select_range=(i, i))[0])
+
+    def eigensystem(self) -> "HermitianOperator":
+        """The band as a HermitianOperator (one full solve, not kept)."""
+        return HermitianOperator(*self.eigh())
+
     def __array__(self, dtype=None, copy=None):
         A = np.diag(self.diag.astype(self.upper.dtype))
         i = np.arange(self.upper.size)
@@ -171,10 +182,23 @@ class HermitianOperator:
         """<v, A v> for a vector, or for each column of a block."""
         return self.evals @ self.weights(v)
 
+    def apply(self, f, X) -> np.ndarray:
+        """f(A) X for a vector or a block X, with f a callable on the
+        eigenvalues: V f(evals) V^* X, no dense f(A)."""
+        amps = self.vecs.conj().T @ X
+        col = (slice(None),) + (None,) * (amps.ndim - 1)
+        return self.vecs @ (f(self.evals)[col] * amps)
+
+    def flow(self, t: float, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """The block [rows, cols] of the unitary exp(i t A); a block costs
+        only its own rows or columns of the eigenvectors."""
+        V = self.vecs
+        return (V[rows] * np.exp(1j * t * self.evals)) @ V[cols].conj().T
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense matrix V diag(evals) V^*."""
-        return spectral_compose(self.vecs, self.evals)
+        return (self.vecs * self.evals) @ self.vecs.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,10 +230,7 @@ class TridiagonalLog:
     def extremes(self) -> np.ndarray:
         """The least and the largest eigenvalue of A, from eigenvalue-only
         solves; log_spectrum's domain guard applies."""
-        last = self.A.diag.size - 1
-        ends = np.array([self.A.eigh(eigvals_only=True, select="i",
-                                     select_range=(i, i))[0]
-                         for i in (0, last)])
+        ends = np.array([self.A.eigval(0), self.A.eigval(-1)])
         log_spectrum(ends)
         return ends
 
@@ -289,6 +310,13 @@ class GeneratorSet:
         """Generator of rotations (H + C)/2."""
         return 0.5 * (self.H + self.C)
 
+    def commutator_residuals(self) -> dict:
+        """sl2_residuals under the interior projection onto the leading
+        ceil(INTERIOR_FRACTION M) basis vectors: the bands act on those
+        columns of the identity, and the residuals read those rows."""
+        b = slice(0, int(np.ceil(INTERIOR_FRACTION * self.M)))
+        return sl2_residuals(self.H, self.D, self.C, np.eye(self.M)[:, b], b)
+
 
 def _bands(k: float, M: int):
     """Diagonal d_n = n + k and off-diagonal s_n = sqrt((n+1)(n+2k))/2 of
@@ -336,13 +364,6 @@ def build_tilde_generators(g: GeneratorSet) -> GeneratorSet:
     built = build_generators(
         BasisSpec(k=spec.tilde_k, beta=2.0 * spec.beta, M=spec.M))
     return replace(built, spec=spec, variant="tilde")
-
-
-def spectral_compose(vecs: np.ndarray, values: np.ndarray,
-                     rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """The block [rows, cols] of V diag(values) V^* for eigenvectors V; a
-    block costs only its own rows or columns."""
-    return (vecs[rows] * values) @ vecs[cols].conj().T
 
 
 def log_spectrum(evals: np.ndarray) -> np.ndarray:
@@ -394,25 +415,30 @@ def _unit_ladder_eig(k: float, M: int):
 
 def unitary_flow(A: Tridiagonal, t: float, sign: int = 1) -> np.ndarray:
     """exp(i sign t A); unitary to round-off."""
-    evals, vecs = A.eigh()
-    return spectral_compose(vecs, np.exp(1j * sign * t * evals))
+    return A.eigensystem().flow(sign * t)
+
+
+def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """||lhs - rhs||_2 / ||rhs||_2: the spectral norm of blocks, the
+    Euclidean norm of vectors."""
+    return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(rhs, 2))
 
 
 def interior_residual(lhs: np.ndarray, rhs: np.ndarray,
                       fraction: float = INTERIOR_FRACTION) -> float:
-    """|| P (lhs - rhs) P ||_2 / || P rhs P ||_2, with P the compression onto
+    """relative_residual of P lhs P and P rhs P, with P the compression onto
     the first ceil(fraction * M) basis vectors; lhs and rhs have M rows and
     at least that many leading columns."""
     b = slice(0, int(np.ceil(fraction * rhs.shape[0])))
-    return float(np.linalg.norm((lhs - rhs)[b, b], 2)
-                 / np.linalg.norm(rhs[b, b], 2))
+    return relative_residual(lhs[b, b], rhs[b, b])
 
 
-
-def sl2_commutators(H, D, C, V: np.ndarray):
-    """Yield (name "XY", [X, Y] V, z W V) for each relation of
-    SL2_RELATIONS, with the triple's operators applied to the columns V."""
+def sl2_residuals(H, D, C, V: np.ndarray, rows=slice(None)) -> dict:
+    """relative_residual of [X, Y] V against z W V on the given rows, keyed
+    "XY", for each relation of SL2_RELATIONS, with the triple's operators
+    applied to the columns V."""
     ops = {"H": H, "D": D, "C": C}
-    on_V = {name: X @ V for name, X in ops.items()}
-    for x, y, z, w in SL2_RELATIONS:
-        yield x + y, ops[x] @ on_V[y] - ops[y] @ on_V[x], z * on_V[w]
+    XV = {name: X @ V for name, X in ops.items()}
+    return {x + y: relative_residual((ops[x] @ XV[y] - ops[y] @ XV[x])[rows],
+                                     (z * XV[w])[rows])
+            for x, y, z, w in SL2_RELATIONS}

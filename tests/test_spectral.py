@@ -285,6 +285,34 @@ def test_unitary_flow_is_unitary(g128):
     assert np.max(np.abs(Um - U.conj().T)) < 1e-10
 
 
+def test_operator_flows_and_functions_match_dense(g128, gt128):
+    # flow blocks are blocks of expm, apply is f(A) X for a vector and a
+    # block, and eigval picks from both ends of the spectrum
+    D = g128.D.eigensystem()
+    dense = np.asarray(g128.D)
+    U = expm(-0.7j * dense)
+    b = slice(0, 16)
+    assert np.max(np.abs(D.flow(-0.7) - U)) < 1e-8
+    assert np.array_equal(D.flow(-0.7, rows=b), D.flow(-0.7)[b])
+    assert np.array_equal(D.flow(-0.7, cols=b), D.flow(-0.7)[:, b])
+    assert np.max(np.abs(D.flow(-0.7, rows=b, cols=b) - U[b, b])) < 1e-8
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((128, 3)) + 1j * rng.standard_normal((128, 3))
+    for Y in (X, X[:, 0]):
+        flowed = D.apply(lambda e: np.exp(-0.7j * e), Y)
+        assert np.max(np.abs(flowed - U @ Y)) < 1e-8
+    # a compression: apply and flow read the leading rows of a larger solve
+    T = build_T(gt128, log_M=256)
+    T256 = build_T(build_tilde_generators(build_generators(
+        BasisSpec(k=1.0, beta=1.0, M=256)))).matrix
+    assert np.max(np.abs(T.apply(lambda e: e, X) - T.matrix @ X)) < 1e-10
+    assert np.max(np.abs(T.flow(0.3) - expm(0.3j * T256)[:128, :128])) < 1e-8
+    evals = eigh(dense, eigvals_only=True)
+    assert abs(g128.D.eigval(0) - evals[0]) < 1e-9
+    assert abs(g128.D.eigval(-1) - evals[-1]) < 1e-9
+    assert g128.D.eigval(127) == g128.D.eigval(-1)
+
+
 def test_T_spectrum_affine_in_log(gt128):
     T = build_T(gt128)
     evals_T = np.sort(eigh(T.matrix, eigvals_only=True))

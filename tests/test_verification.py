@@ -82,6 +82,35 @@ def test_hc_chain_strict_slack(fx_small):
     assert rep.values["min_slack"] > 0.0
 
 
+def test_hc_chain_gates_residual_below_tol(fx_small):
+    # put the tightest lower slack (C - a^2 H and C~ - a^2 |psi|^2 / 2, both
+    # backends) at +5e-11 by moving a: a strict pass under the default
+    # tol 0, and a pass under coarse, whose 1e-10 bounds the residual
+    # -5e-11 from above and is no demand on the slack
+    rows = [(e["C"], e["H"]) for tab in (fx_small.spectral_table,
+                                         fx_small.grid_table) for e in tab]
+    rows += [(e["Ctilde"], 0.5 * e["tilde_norm_sq"])
+             for tab in (fx_small.spectral_table, fx_small.grid_table)
+             for e in tab]
+    num, den = min(rows, key=lambda r: r[0] / r[1])
+    fx2 = dataclasses.replace(fx_small,
+                              a=float(np.sqrt((num - 5e-11) / den)))
+    for profile in ("default", "coarse"):
+        tol = ToleranceProfile.preset(profile).tol("hc_chain")
+        rep = check_HC_chain(fx2, tol=tol)
+        assert abs(rep.values["min_slack"] - 5e-11) < 1e-12
+        assert rep.residual == -rep.values["min_slack"] < tol
+        assert rep.passed is True
+    # like every other residual, a violation within tol passes: slack
+    # -5e-11 fails at tol 0 and passes under coarse, -2e-10 fails both
+    for excess, verdicts in ((5e-11, (False, True)), (2e-10, (False, False))):
+        fx3 = dataclasses.replace(fx_small,
+                                  a=float(np.sqrt((num + excess) / den)))
+        assert tuple(check_HC_chain(
+            fx3, tol=ToleranceProfile.preset(p).tol("hc_chain")).passed
+            for p in ("default", "coarse")) == verdicts
+
+
 def test_t_bounds_backend_agreement(fx_small):
     rep = check_T_bounds(fx_small)
     assert rep.passed
@@ -256,6 +285,66 @@ def test_flow_checks_solve_each_generator_once(monkeypatch):
     assert len(calls) == 5
     ver.check_positive_inclusions(g)
     assert len(calls) == 8
+
+
+def test_flow_checks_reach_flows_through_hermitian_operator(monkeypatch,
+                                                           fx_small):
+    # every function of a generator in the four flow checks is a
+    # HermitianOperator flow block or apply, and the module itself holds
+    # no eigenvectors, norms or dense identities
+    import inspect
+    import re
+
+    import modloc.verification as ver
+    from modloc.spectral import HermitianOperator
+
+    calls = []
+
+    def count(name):
+        method = getattr(HermitianOperator, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(HermitianOperator, name, counted)
+
+    count("flow")
+    count("apply")
+    g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
+    # 3 pairs x 2 times x (2 dilation blocks + 2 amplitudes x 2 blocks)
+    ver.check_weyl(g, build_tilde_generators(g))
+    assert calls == ["flow"] * 36
+    # the dilation rows, then per flow the full unitary and the block
+    calls.clear()
+    ver.check_positive_inclusions(g)
+    assert calls == ["flow"] * 5
+    calls.clear()
+    check_covariance_transport(fx_small)
+    assert calls == ["apply"]
+    # the windowed modular flow and the window, per rung
+    calls.clear()
+    check_S_invariance_convergence(ladder=(64, 128))
+    assert calls == ["apply"] * 4
+    source = inspect.getsource(ver)
+    assert not re.search(r"\.eigh\(|\.vecs\b|np\.linalg|np\.eye\(", source)
+
+
+def test_spectral_commutators_read_the_generator_set(monkeypatch):
+    from modloc.spectral import GeneratorSet
+
+    seen = []
+    residuals = GeneratorSet.commutator_residuals
+
+    def counted(self):
+        seen.append(self.variant)
+        return residuals(self)
+
+    monkeypatch.setattr(GeneratorSet, "commutator_residuals", counted)
+    g = build_generators(BasisSpec(k=1.0, M=64))
+    reports = [check_commutators(x) for x in (g, build_tilde_generators(g))]
+    assert seen == ["plain", "tilde"]
+    assert all(r.passed for r in reports)
 
 
 def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
