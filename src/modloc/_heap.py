@@ -14,7 +14,7 @@ arrays.  glibc serves a request from a free chunk already in the heap
 before it consults the threshold, so the pin sits at 1 MiB, below the
 4 MiB advice size: mid-size arrays freed together in the heap would
 otherwise coalesce into chunks that take in the large ones (such as the
-2.25 MiB complex 384 x 384 eigenvectors of 2 D~ that the covariance check
+1.1 MiB real 384 x 384 eigenvectors of 2 D~ that the covariance check
 solves).
 """
 

@@ -382,7 +382,7 @@ class RunConfig:
     parameters (k, beta, M), grid parameters (grid_n, grid_emax,
     grid_emax_tilde), localization inputs (intervals, bump family, seed,
     n_bumps, fixture_M), suite controls (scope, tol_profile), and output
-    controls (out, format).
+    controls (out, format; a null format is the subcommand's own default).
     """
 
     k: float = 1.0
@@ -401,7 +401,7 @@ class RunConfig:
     tol_profile: str = "default"
     seed: int = 0
     out: str | None = None
-    format: str = "json"
+    format: str | None = None
 
     def __post_init__(self):
         ints = ("M", "grid_n", "n_bumps", "fixture_M", "weyl_M", "seed")
@@ -446,7 +446,7 @@ class RunConfig:
         if self.tol_profile not in TOL_PROFILES:
             raise ConfigError(
                 f"unknown tolerance profile {self.tol_profile!r}")
-        if self.format not in FORMATS:
+        if self.format is not None and self.format not in FORMATS:
             raise ConfigError(f"unknown output format {self.format!r}")
         for iv in self.intervals:
             a, b = iv

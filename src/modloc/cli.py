@@ -32,7 +32,7 @@ from .artifacts import (
     write_state_csv,
     write_suite_curves,
 )
-from .errors import ModlocError
+from .errors import ConfigError, ModlocError
 from .laguerre import BasisSpec
 from .localization import FIXTURE_FAMILIES
 from .spectral import build_generators
@@ -88,7 +88,10 @@ def cmd_build(cfg: RunConfig) -> int:
 def cmd_localize(cfg: RunConfig) -> int:
     """Generate local states on the configured interval and print the
     summary table; state files and CSV land next to --out if given."""
-    a, b = cfg.intervals[0]
+    if len(cfg.intervals) != 1:
+        raise ConfigError(f"localize builds one interval, not "
+                          f"{len(cfg.intervals)}: pass --interval A B")
+    (a, b), = cfg.intervals
     fx = build_interval_fixture(a, b, k=cfg.k, M=cfg.fixture_M,
                                 grid_n=cfg.grid_n, n_bumps=cfg.n_bumps,
                                 seed=cfg.seed, family=cfg.bump)
@@ -150,7 +153,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig, path: str) -> int:
-    """Convert a JSON report file to the requested format."""
+    """Convert a JSON report file to markdown (the default) or CSV."""
+    if cfg.format == "json":
+        raise ConfigError("report converts to md or csv; the config asks "
+                          "for json")
     suite = SuiteResult.from_dict(read_report_json(path))
     if cfg.format != "csv" and not cfg.out:
         print(report_markdown(suite), end="")

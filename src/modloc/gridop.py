@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Tridiagonal, TridiagonalLog, sl2_residuals
+from .spectral import (SL2_RELATIONS, Tridiagonal, TridiagonalLog,
+                       relative_residual)
 
 __all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops"]
 
@@ -153,7 +154,11 @@ class GridRep:
         _, base = (0.5 * (H + C)).eigh(
             select="i", select_range=(0, SMOOTH_MODES[triple] - 1))
         U, _ = np.linalg.qr(self.smooth_window()[:, None] * base)
-        return sl2_residuals(H, D, C, U)
+        ops = {"H": H, "D": D, "C": C}
+        XU = {name: X @ U for name, X in ops.items()}
+        return {x + y: relative_residual(ops[x] @ XU[y] - ops[y] @ XU[x],
+                                         z * XU[w])
+                for x, y, z, w in SL2_RELATIONS}
 
 
 def _smooth_step(u) -> np.ndarray:

@@ -6,7 +6,8 @@ In the lowest-weight basis the generators are exactly tridiagonal, with the
 standard discrete-series matrix elements, so the triples are written down in
 closed form as bands (Tridiagonal), and every eigensystem of a
 generator-derived matrix comes from the equivalent real symmetric
-tridiagonal problem (Tridiagonal.eigh).
+tridiagonal problem (Tridiagonal.eigh), kept as real eigenvectors and a
+diagonal unit gauge.
 
 Identities that hold for the infinite-dimensional operators are corrupted
 by truncation only near the boundary rows, so they are tested under an
@@ -20,7 +21,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvals_banded
+from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import dptsv
 
 from .errors import SpectrumOutOfDomain
@@ -39,7 +41,6 @@ __all__ = [
     "unitary_flow",
     "relative_residual",
     "interior_residual",
-    "sl2_residuals",
 ]
 
 INTERIOR_FRACTION = 0.8
@@ -85,11 +86,13 @@ class Tridiagonal:
 
     def __matmul__(self, v):
         v = np.asarray(v)
-        col = (slice(None),) + (None,) * (v.ndim - 1)
+        col = _column(v)
         e = self.upper[col]
-        out = self.diag[col] * v.astype(np.result_type(e, v), copy=False)
-        out[:-1] += e * v[1:]
-        out[1:] += np.conj(e) * v[:-1]
+        dtype = np.result_type(e, v)
+        out = np.multiply(self.diag[col], v, dtype=dtype)
+        off = np.multiply(e, v[1:], dtype=dtype)  # scratch for both bands
+        out[:-1] += off
+        out[1:] += np.multiply(np.conj(e), v[:-1], out=off)
         return out
 
     def __mul__(self, c):
@@ -109,26 +112,30 @@ class Tridiagonal:
         """Re <v, A v> for a vector, or for each column of a block."""
         return np.einsum("i...,i...->...", np.conj(v), self @ v).real
 
-    def eigh(self, eigvals_only: bool = False, select: str = "a",
-             select_range=None):
-        """Eigensystem, with the arguments of scipy's eigh_tridiagonal.
-
-        A real band is solved as it is.  For a complex band the diagonal
-        gauge g_0 = 1, g_{n+1} = g_n conj(e_n)/|e_n| takes the upper band e
-        to |e|, so eigh_tridiagonal solves the equivalent real symmetric
-        problem; the eigenvectors of A are g times the real ones.
-        """
+    def gauged(self) -> tuple:
+        """(R, g): the real band R = |A| and the diagonal unit gauge g (None
+        for a real band) with A = diag(g) R diag(g)^*: g_0 = 1, g_{n+1} =
+        g_n conj(e_n)/|e_n| for the upper band e (for D, g_n = (-i)^n)."""
         e = self.upper
-        mag = np.abs(e) if np.iscomplexobj(e) else e
-        out = eigh_tridiagonal(self.diag, mag, eigvals_only=eigvals_only,
-                               select=select, select_range=select_range)
-        if eigvals_only or mag is e:
-            return out
-        evals, vecs = out
+        if not np.iscomplexobj(e):
+            return self, None
+        mag = np.abs(e)
         phase = np.where(mag > 0.0,
                          np.conj(e) / np.where(mag > 0.0, mag, 1.0), 1.0)
-        gauge = np.concatenate(([1.0], np.cumprod(phase)))
-        return evals, gauge[:, None] * vecs
+        return (Tridiagonal(self.diag, mag),
+                np.concatenate(([1.0], np.cumprod(phase))))
+
+    def eigh(self, eigvals_only: bool = False, select: str = "a",
+             select_range=None):
+        """Eigensystem, with the arguments of scipy's eigh_tridiagonal, from
+        the gauged real band; the eigenvectors are g times its own."""
+        real, gauge = self.gauged()
+        out = eigh_tridiagonal(real.diag, real.upper,
+                               eigvals_only=eigvals_only, select=select,
+                               select_range=select_range)
+        if eigvals_only or gauge is None:
+            return out
+        return out[0], gauge[:, None] * out[1]
 
     def eigval(self, i: int) -> float:
         """The i-th least eigenvalue (i = -1: the largest), from an
@@ -138,8 +145,10 @@ class Tridiagonal:
                                select_range=(i, i))[0])
 
     def eigensystem(self) -> "HermitianOperator":
-        """The band as a HermitianOperator (one full solve, not kept)."""
-        return HermitianOperator(*self.eigh())
+        """The band as a HermitianOperator: one full solve of the gauged
+        real band (not kept), and the gauge."""
+        real, gauge = self.gauged()
+        return HermitianOperator(*real.eigh(), gauge=gauge)
 
     def __array__(self, dtype=None, copy=None):
         A = np.diag(self.diag.astype(self.upper.dtype))
@@ -151,14 +160,18 @@ class Tridiagonal:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Hermitian operator held as its eigensystem: real eigenvalues and the
-    eigenvectors as columns.  When vecs holds only the leading rows of a
-    larger solve, the operator is that solve's compression onto those rows.
+    """Hermitian operator held as its eigensystem: real eigenvalues, the
+    eigenvectors V as columns and an optional diagonal unit gauge g, so
+    that A = diag(g) V diag(evals) V^* diag(g)^*.  When V holds only the
+    leading rows of a larger solve, A is that solve's compression onto
+    those rows.  The gauge multiplies the small operand, so with a real V
+    every product against V is a real GEMM and V is never cast to complex.
     The dense matrix is composed only when asked for.
     """
 
     evals: np.ndarray
     vecs: np.ndarray
+    gauge: np.ndarray | None = None
 
     def __post_init__(self):
         e, V = np.asarray(self.evals), np.asarray(self.vecs)
@@ -167,16 +180,27 @@ class HermitianOperator:
             raise ValueError(f"not an eigensystem: eigenvalues {e.dtype} "
                              f"{e.shape}, eigenvectors {V.shape}")
 
+    def _gauged(self, X, rows=slice(None), cols=None):
+        """diag(g)[rows] X, times diag(g)^*[cols] if cols is given."""
+        if self.gauge is None:
+            return X
+        X = self.gauge[rows][_column(X)] * X
+        return X if cols is None else X * np.conj(self.gauge[cols])
+
+    def _amplitudes(self, X) -> np.ndarray:
+        """V^* diag(g)^* X for a vector or a block X."""
+        g = 1.0 if self.gauge is None else np.conj(self.gauge)[_column(X)]
+        return _real_matmul(self.vecs.conj().T, g * np.asarray(X))
+
+    def function(self, f) -> "HermitianOperator":
+        """f(A) for a callable f on the eigenvalues."""
+        return HermitianOperator(f(self.evals), self.vecs, self.gauge)
+
     def weights(self, v) -> np.ndarray:
-        """|V^* v|^2, the spectral weights of a vector or of each column of
-        a block."""
-        v, V = np.asarray(v), self.vecs
-        if np.iscomplexobj(V):
-            return np.abs(V.conj().T @ v) ** 2
-        # real and imaginary parts projected together: one real GEMM, and
-        # V is never cast to complex
-        amps = V.T @ np.stack([v.real, v.imag], -1).reshape(len(v), -1)
-        return np.sum((amps * amps).reshape(-1, *v.shape[1:], 2), axis=-1)
+        """|V^* g^* v|^2, the spectral weights of a vector or of each column
+        of a block."""
+        amps = self._amplitudes(v)
+        return amps.real ** 2 + amps.imag ** 2
 
     def expect(self, v):
         """<v, A v> for a vector, or for each column of a block."""
@@ -184,21 +208,40 @@ class HermitianOperator:
 
     def apply(self, f, X) -> np.ndarray:
         """f(A) X for a vector or a block X, with f a callable on the
-        eigenvalues: V f(evals) V^* X, no dense f(A)."""
-        amps = self.vecs.conj().T @ X
-        col = (slice(None),) + (None,) * (amps.ndim - 1)
-        return self.vecs @ (f(self.evals)[col] * amps)
+        eigenvalues: g V f(evals) V^* g^* X, no dense f(A)."""
+        amps = self._amplitudes(X)
+        return self._gauged(_real_matmul(
+            self.vecs, f(self.evals)[_column(amps)] * amps))
 
     def flow(self, t: float, rows=slice(None), cols=slice(None)) -> np.ndarray:
         """The block [rows, cols] of the unitary exp(i t A); a block costs
-        only its own rows or columns of the eigenvectors."""
-        V = self.vecs
-        return (V[rows] * np.exp(1j * t * self.evals)) @ V[cols].conj().T
+        only its own rows or columns of V.  The phases always scale the
+        rows' eigenvectors, so a block is bitwise that of the full flow."""
+        V, phase, right = self.vecs, t * self.evals, self.vecs[cols].conj().T
+        # the real and the imaginary part: one real GEMM each for a real V
+        out = (V[rows] * np.cos(phase)) @ right + 1j * (
+            (V[rows] * np.sin(phase)) @ right)
+        return self._gauged(out, rows, cols)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense matrix V diag(evals) V^*."""
-        return (self.vecs * self.evals) @ self.vecs.conj().T
+        """The dense matrix g V diag(evals) V^* g^*."""
+        return self._gauged((self.vecs * self.evals) @ self.vecs.conj().T,
+                            cols=slice(None))
+
+
+def _column(X) -> tuple:
+    """Index that broadcasts a per-row vector against X's columns."""
+    return (slice(None),) + (None,) * (np.ndim(X) - 1)
+
+
+def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X; a real A meets a complex X as the real block of X's
+    interleaved real and imaginary parts, in one real GEMM."""
+    if np.iscomplexobj(A) or not np.iscomplexobj(X):
+        return A @ X
+    parts = np.ascontiguousarray(X).reshape(len(X), -1).view(float)
+    return (A @ parts).view(complex).reshape(len(A), *X.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,12 +353,53 @@ class GeneratorSet:
         """Generator of rotations (H + C)/2."""
         return 0.5 * (self.H + self.C)
 
+    def hc_eigensystems(self) -> tuple:
+        """H and C as HermitianOperators.  Both are the discrete-series
+        ladder up to scale and the sign gauge S = diag((-1)^n), H = c S C S,
+        so one solve serves both unless the bands are perturbed."""
+        H, C = self.H, self.C
+        c = H.diag[0] / C.diag[0]
+        if not (np.allclose(H.diag, c * C.diag, rtol=1e-14, atol=0.0)
+                and np.allclose(H.upper, -c * C.upper, rtol=1e-14, atol=0.0)):
+            return H.eigensystem(), C.eigensystem()
+        op = C.eigensystem()
+        sign = (-1.0) ** np.arange(self.M)
+        return HermitianOperator(c * op.evals, op.vecs, sign), op
+
     def commutator_residuals(self) -> dict:
-        """sl2_residuals under the interior projection onto the leading
-        ceil(INTERIOR_FRACTION M) basis vectors: the bands act on those
-        columns of the identity, and the residuals read those rows."""
-        b = slice(0, int(np.ceil(INTERIOR_FRACTION * self.M)))
-        return sl2_residuals(self.H, self.D, self.C, np.eye(self.M)[:, b], b)
+        """The relative residuals of SL2_RELATIONS on the interior block P
+        of the leading ceil(INTERIOR_FRACTION M) basis vectors, from the
+        bands: for tridiagonal X, Y, W and imaginary z, i([X, Y] - z W) and
+        i z W are Hermitian band matrices, whose 2-norms on P are their
+        largest |eigenvalues|."""
+        b = int(np.ceil(INTERIOR_FRACTION * self.M))
+        ops = {"H": self.H, "D": self.D, "C": self.C}
+        out = {}
+        for x, y, z, w in SL2_RELATIONS:
+            X, Y, W = ops[x], ops[y], ops[w]
+            defect = _band_norm(lambda V: 1j * (
+                X @ (Y @ V) - Y @ (X @ V) - z * (W @ V)), self.M, b)
+            out[x + y] = _ratio(defect, _band_norm(
+                lambda V: 1j * z * (W @ V), self.M, b))
+        return out
+
+
+def _band_norm(apply, M: int, n: int) -> float:
+    """2-norm of the leading n x n block (n < M) of the Hermitian
+    pentadiagonal M x M matrix that apply multiplies: the larger |eigenvalue|
+    at the two ends of its spectrum.  Its bands come from the five combs
+    with ones at rows j = r mod 5, each of which meets a row's band entries
+    one at a time (Curtis, Powell & Reid, IMA J. Appl. Math. 13 (1974) 117):
+    band[2 - d, j] = A[j - d, j], scipy's upper band storage."""
+    combs = apply((np.arange(M)[:, None] % 5 == np.arange(5)).astype(float))
+    j = np.arange(n)
+    band = np.array([np.pad(combs[j[d:] - d, j[d:] % 5], (d, 0))
+                     for d in (2, 1, 0)])
+    if not np.all(np.isfinite(band)):
+        return float("nan")
+    return max(abs(float(eigvals_banded(band, select="i",
+                                        select_range=(i, i))[0]))
+               for i in (0, n - 1))
 
 
 def _bands(k: float, M: int):
@@ -379,8 +463,7 @@ def log_spectrum(evals: np.ndarray) -> np.ndarray:
 
 def matrix_function(A: Tridiagonal, f) -> HermitianOperator:
     """f(A) for a callable f on the eigenvalues, eigenvectors kept."""
-    evals, vecs = A.eigh()
-    return HermitianOperator(f(evals), vecs)
+    return A.eigensystem().function(f)
 
 
 def build_T(gt: GeneratorSet, log_M: int | None = None) -> HermitianOperator:
@@ -420,8 +503,25 @@ def unitary_flow(A: Tridiagonal, t: float, sign: int = 1) -> np.ndarray:
 
 def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """||lhs - rhs||_2 / ||rhs||_2: the spectral norm of blocks, the
-    Euclidean norm of vectors."""
-    return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(rhs, 2))
+    Euclidean norm of vectors; NaN unless both are finite and ||rhs|| > 0."""
+    return _ratio(_norm2(lhs - rhs), _norm2(rhs))
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0.0 else float("nan")
+
+
+def _norm2(X: np.ndarray) -> float:
+    """The Euclidean norm of a vector; for a block, the root of the top
+    eigenvalue of its Gram matrix on the narrow side, by BLAS syrk/herk on
+    X.T, the Fortran-ordered view (its Gram is the conjugate of X's)."""
+    if X.ndim == 1:
+        return float(np.linalg.norm(X))
+    rank_k = get_blas_funcs("herk" if np.iscomplexobj(X) else "syrk", (X,))
+    gram = rank_k(1.0, X.T, trans=0 if X.shape[0] >= X.shape[1] else 2)
+    top = (np.linalg.eigvalsh(gram, UPLO="U")[-1]
+           if np.all(np.isfinite(gram)) else np.nan)
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def interior_residual(lhs: np.ndarray, rhs: np.ndarray,
@@ -431,14 +531,3 @@ def interior_residual(lhs: np.ndarray, rhs: np.ndarray,
     at least that many leading columns."""
     b = slice(0, int(np.ceil(fraction * rhs.shape[0])))
     return relative_residual(lhs[b, b], rhs[b, b])
-
-
-def sl2_residuals(H, D, C, V: np.ndarray, rows=slice(None)) -> dict:
-    """relative_residual of [X, Y] V against z W V on the given rows, keyed
-    "XY", for each relation of SL2_RELATIONS, with the triple's operators
-    applied to the columns V."""
-    ops = {"H": H, "D": D, "C": C}
-    XV = {name: X @ V for name, X in ops.items()}
-    return {x + y: relative_residual((ops[x] @ XV[y] - ops[y] @ XV[x])[rows],
-                                     (z * XV[w])[rows])
-            for x, y, z, w in SL2_RELATIONS}

@@ -493,11 +493,12 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
     matrices, so their truncation error decays only algebraically from the
     boundary, and the observation window must stay well inside.
     """
-    # one eigensystem per generator; T = (1/2) log(2 C~) shares that of 2 C~
-    # and the plain dilation generator in the tilde basis is 2 D~
+    # H and C share one eigensystem; T = (1/2) log(2 C~) shares that of
+    # 2 C~ and the plain dilation generator in the tilde basis is 2 D~
     D = g.D.eigensystem()
-    pairs = [("Th", matrix_function(g.H, log_spectrum), D, -1),
-             ("Tc", matrix_function(g.C, log_spectrum), D, +1),
+    H, C = g.hc_eigensystems()
+    pairs = [("Th", H.function(log_spectrum), D, -1),
+             ("Tc", C.function(log_spectrum), D, +1),
              ("T", matrix_function(2.0 * gt.C,
                                    lambda e: 0.5 * log_spectrum(e)),
               matrix_function(gt.D, lambda e: 2.0 * e), +1)]
@@ -506,11 +507,13 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
     for name, W, V, s in pairs:
         sub = {}
         for t in ts:
-            V_rows, V_cols = V.flow(-t, rows=b), V.flow(-t, cols=b)
+            # V(-t)[:, b] = V(t)[b]^* and W(a)[:, b] = W(-a)[b]^*: row blocks
+            Vm, Vp = V.flow(-t, rows=b), V.flow(t, rows=b)
             for a in azs:
-                lhs = V_rows @ W.flow(a, cols=b)
-                rhs = np.exp(1j * s * a * t) * (W.flow(a, rows=b) @ V_cols)
-                sub[f"t={t},a={a}"] = relative_residual(lhs, rhs)
+                lhs = Vm @ W.flow(-a, rows=b).conj().T
+                rhs = W.flow(a, rows=b) @ Vp.conj().T
+                sub[f"t={t},a={a}"] = relative_residual(
+                    lhs, np.exp(1j * s * a * t) * rhs)
         values[name] = {"sign": s, "residuals": sub}
     worst = _worst(r for v in values.values() for r in v["residuals"].values())
     return CheckReport(
@@ -539,9 +542,8 @@ def check_positive_inclusions(g: GeneratorSet, t: float = 0.05, a: float = 0.3,
     D_rows = g.D.eigensystem().flow(-2.0 * np.pi * t, rows=b)
     values = {}
     flows = {}
-    for name, X, scale in (("Uh", g.H, np.exp(-2.0 * np.pi * t)),
-                           ("Uc", g.C, np.exp(2.0 * np.pi * t))):
-        X = X.eigensystem()
+    for name, X, scale in zip(("Uh", "Uc"), g.hc_eigensystems(),
+                              np.exp([-2.0 * np.pi * t, 2.0 * np.pi * t])):
         U = flows[name] = X.flow(a)
         values[name] = relative_residual(D_rows @ U @ D_rows.conj().T,
                                          X.flow(scale * a, rows=b, cols=b))
@@ -634,8 +636,8 @@ def check_S_invariance_convergence(k: float = 1.0, beta: float = 1.0,
             D = build_generators(sp).D.eigensystem()
             v = positive_frequency(x, psi, sp, family="Z", max_residual=1e-2,
                                    profile=prof).data
-            if (np.exp(np.pi * S_INV_WINDOW) * np.sqrt(np.max(D.weights(v)))
-                    > guard):
+            amp = np.max(D.weights(v)[np.abs(D.evals) <= S_INV_WINDOW])
+            if np.exp(np.pi * S_INV_WINDOW) * np.sqrt(amp) > guard:
                 raise OverflowAbort(f"window {S_INV_WINDOW} amplifies "
                                     f"components beyond {guard:.0e}")
             pw = D.apply(window, v)

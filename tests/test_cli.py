@@ -165,6 +165,31 @@ def test_unreadable_inputs_give_config_error(argv, env, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,config", [
+    pytest.param(["report", "{report}"], {"format": "json"},
+                 id="report-format-json"),
+    pytest.param(["localize"], {"intervals": [[1.0, 2.0], [4.0, 8.0]]},
+                 id="localize-two-intervals"),
+])
+def test_config_fields_a_subcommand_cannot_honour_exit_2(
+        argv, config, tmp_path, monkeypatch, capsys):
+    # report writes no JSON and localize builds one interval: a config
+    # that asks otherwise exits 2 before anything is read or computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed")
+
+    monkeypatch.setattr(cli, "build_interval_fixture", refuse)
+    monkeypatch.setattr(cli, "read_report_json", refuse)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [a.format(report=tmp_path / "r.json") for a in argv]
+    assert main([argv[0], "--config", str(cfg), *argv[1:],
+                 "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inverted_interval_rejected_before_compute(capsys):
     code = main(["localize", "--interval", "2", "1"])
     assert code == 2

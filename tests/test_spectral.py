@@ -1,6 +1,8 @@
 """Spectral-backend operators against the quadrature build and dense
 linear-algebra oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, expm, logm, sqrtm
@@ -13,12 +15,14 @@ from modloc.spectral import (
     HermitianOperator,
     Tridiagonal,
     TridiagonalLog,
+    _norm2,
     build_generators,
     build_T,
     build_tilde_generators,
     interior_residual,
     log_spectrum,
     matrix_function,
+    relative_residual,
     unitary_flow,
 )
 
@@ -363,3 +367,104 @@ def test_conjugation_J_relations(g128):
     assert np.max(np.abs(np.conj(D) + D)) < 1e-10
     assert np.max(np.abs(np.conj(C) - C)) < 1e-10
 
+
+@pytest.mark.parametrize("complex_block", [False, True])
+@pytest.mark.parametrize("shape", ["tall", "wide", "square", "rank-1"])
+def test_gram_norm_matches_svd(shape, complex_block):
+    # the largest Gram eigenvalue on the narrow side against the largest
+    # singular value
+    rng = np.random.default_rng(11)
+    dims = {"tall": (300, 7), "wide": (7, 300), "square": (40, 40),
+            "rank-1": (50, 1)}[shape]
+    X = rng.standard_normal(dims)
+    if complex_block:
+        X = X + 1j * rng.standard_normal(dims)
+    if shape == "rank-1":
+        X = X @ rng.standard_normal((1, 20))
+    ref = np.linalg.svd(X, compute_uv=False)[0]
+    assert abs(_norm2(X) - ref) <= 1e-13 * ref
+    v = X[:, 0]
+    assert _norm2(v) == np.linalg.norm(v)
+
+
+def test_relative_residual_is_nan_without_finite_evidence():
+    # a zero rhs, or a NaN or an inf on either side, never reads as small
+    block, vec = np.ones((6, 3)), np.ones(6)
+    assert np.isnan(relative_residual(block, np.zeros((6, 3))))
+    assert np.isnan(relative_residual(vec, np.zeros(6)))
+    for bad in (np.nan, np.inf):
+        spoiled = block.copy()
+        spoiled[2, 1] = bad
+        assert np.isnan(relative_residual(spoiled, block))
+        assert np.isnan(relative_residual(block, spoiled))
+    assert relative_residual(2.0 * block, block) == pytest.approx(1.0)
+
+
+def test_banded_commutators_match_dense_interior_block():
+    # on a perturbed triple, so that the residuals compared are not
+    # round-off: the interior block of [X, Y] - z W from dense products,
+    # normed by SVD
+    g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
+    rng = np.random.default_rng(12)
+    g = dataclasses.replace(
+        g, H=Tridiagonal(g.H.diag * (1 + 1e-3 * rng.standard_normal(64)),
+                         g.H.upper),
+        C=Tridiagonal(g.C.diag,
+                      g.C.upper * (1 + 1e-3 * rng.standard_normal(63))))
+    res = g.commutator_residuals()
+    H, D, C = (np.asarray(X) for X in (g.H, g.D, g.C))
+    b = slice(0, int(np.ceil(0.8 * 64)))
+    for key, comm, rhs in (("HD", H @ D - D @ H, 1j * H),
+                           ("CD", C @ D - D @ C, -1j * C),
+                           ("HC", H @ C - C @ H, 2j * D)):
+        ref = (np.linalg.svd((comm - rhs)[b, b], compute_uv=False)[0]
+               / np.linalg.svd(rhs[b, b], compute_uv=False)[0])
+        assert ref > 1e-6
+        assert abs(res[key] - ref) <= 1e-12 * ref
+    diag = g.H.diag.copy()
+    diag[5] = np.nan
+    nan_set = dataclasses.replace(g, H=Tridiagonal(diag, g.H.upper))
+    res = nan_set.commutator_residuals()
+    # [C, D] = -iC does not involve H
+    assert np.isnan(res["HD"]) and np.isnan(res["HC"])
+    assert np.isfinite(res["CD"])
+
+
+def test_gauged_operator_matches_complex_vectors(g128):
+    # D's eigensystem kept as real eigenvectors and the gauge (-i)^n
+    # against the same solve with the gauge multiplied in
+    gauged = g128.D.eigensystem()
+    assert not np.iscomplexobj(gauged.vecs)
+    assert np.allclose(gauged.gauge,
+                       np.array([1, -1j, -1, 1j])[np.arange(128) % 4],
+                       rtol=0, atol=1e-14)
+    plain = HermitianOperator(*g128.D.eigh())
+    assert plain.gauge is None and np.iscomplexobj(plain.vecs)
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((128, 3)) + 1j * rng.standard_normal((128, 3))
+    R = rng.standard_normal((128, 2))
+    b = slice(0, 16)
+    m = 100
+    compressed = [HermitianOperator(op.evals, op.vecs[:m],
+                                    None if op.gauge is None
+                                    else op.gauge[:m])
+                  for op in (gauged, plain)]
+
+    def outputs(op, Y):
+        f = lambda e: np.exp(-0.3j * e) * e
+        return [op.weights(Y), op.weights(Y[:, 0]), op.apply(f, Y),
+                op.apply(f, Y[:, 1]), op.apply(f, R[:len(Y)]), op.matrix,
+                op.flow(0.4), op.flow(-0.7, rows=b), op.flow(0.3, cols=b),
+                op.flow(1.1, rows=b, cols=b)]
+
+    for ours, ref in zip(outputs(gauged, X) + outputs(compressed[0], X[:m]),
+                         outputs(plain, X) + outputs(compressed[1], X[:m])):
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * max(1.0, np.max(
+            np.abs(ref)))
+    # H and C share one solve: H is C's eigensystem in the sign gauge
+    H, C = g128.hc_eigensystems()
+    assert H.vecs is C.vecs and np.array_equal(H.gauge ** 2, np.ones(128))
+    for op, X in ((H, g128.H), (C, g128.C)):
+        dense = np.asarray(X)
+        assert np.max(np.abs(op.matrix - dense)) < 1e-12 * np.max(
+            np.abs(dense))
