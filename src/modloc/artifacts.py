@@ -241,15 +241,17 @@ def state_profile_rows(sv: StateVector, n_points: int = 512):
             cap = (2.0 * spec.M + 4.0) / (2.0 * spec.beta)
         E = np.linspace(cap / n_points, cap, n_points)
         vals = sv.data @ basis_matrix(spec, E, which=sv.family)
-    return [(float(e), float(v.real), float(v.imag))
-            for e, v in zip(E, vals)]
+    return list(zip(E.tolist(), vals.real.tolist(), vals.imag.tolist()))
 
 
 def write_state_csv(path, sv: StateVector, n_points: int = 512):
+    """state_profile_rows under the header E,re_psi_plus,im_psi_plus in one
+    write: the bytes csv.writer gives, each float by repr and each line
+    ended by \\r\\n."""
+    rows = state_profile_rows(sv, n_points)
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["E", "re_psi_plus", "im_psi_plus"])
-        w.writerows(state_profile_rows(sv, n_points))
+        f.write("E,re_psi_plus,im_psi_plus\r\n" + "".join(
+            [f"{e!r},{re!r},{im!r}\r\n" for e, re, im in rows]))
 
 
 # ---------------------------------------------------------------------------

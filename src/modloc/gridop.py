@@ -13,7 +13,7 @@ laboratory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -95,12 +95,11 @@ class GridRep:
 
         With E_j = j h the bands of C~ = h^-2 K(N, k) are h^-2 (1 + (k^2 -
         k)/(2 j^2)) on the diagonal and -1/(2 h^2) off it, so the unit
-        matrix 2K depends only on (N, k), and E_max only shifts T.
+        matrix 2K depends only on (N, k), and E_max only shifts T: every
+        grid of one (N, k) shares the bands and their solved ends.
         """
-        N, k = self.grid.N, self.k
-        j = np.arange(1, N + 1, dtype=float)
-        two_K = Tridiagonal(2.0 + (k * k - k) / (j * j), np.full(N - 1, -1.0))
-        return TridiagonalLog(two_K, 0.5, -float(np.log(self.grid.spacing)))
+        return TridiagonalLog(_unit_band(self.grid.N, self.k), 0.5,
+                              -float(np.log(self.grid.spacing)))
 
     # -- expectation values ----------------------------------------------
     def expect_H(self, state: GridState) -> float:
@@ -142,6 +141,11 @@ class GridRep:
 
         triple = "plain" tests (H, D, C); "tilde" tests the squared-
         coordinate triple (H~, D~, C~) = (H^2/2, D/2, C~).
+
+        Every product is real: D = -i K with K real antisymmetric, and the
+        modes are real, so a relation [X, Y] = z W is tested as the same
+        relation with K in place of D and z times i for each D on the left
+        and -i for a D on the right, a real number.
         """
         if triple == "plain":
             H, D, C = self.H, self.D, self.C
@@ -154,11 +158,34 @@ class GridRep:
         _, base = (0.5 * (H + C)).eigh(
             select="i", select_range=(0, SMOOTH_MODES[triple] - 1))
         U, _ = np.linalg.qr(self.smooth_window()[:, None] * base)
-        ops = {"H": H, "D": D, "C": C}
-        XU = {name: X @ U for name, X in ops.items()}
-        return {x + y: relative_residual(ops[x] @ XU[y] - ops[y] @ XU[x],
-                                         z * XU[w])
-                for x, y, z, w in SL2_RELATIONS}
+        ops = {"H": H.__matmul__, "C": C.__matmul__,
+               "D": partial(_skew, (1j * D.upper).real)}
+        XU = {name: X(U) for name, X in ops.items()}
+        out = {}
+        for x, y, z, w in SL2_RELATIONS:
+            z = z * 1j ** (x + y).count("D") * (-1j) ** (w == "D")
+            out[x + y] = relative_residual(ops[x](XU[y]) - ops[y](XU[x]),
+                                           z.real * XU[w])
+        return out
+
+
+def _skew(e: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """K V for the real antisymmetric tridiagonal K with upper band e."""
+    out = np.zeros_like(V)
+    np.multiply(e[:, None], V[1:], out=out[:-1])
+    out[1:] -= e[:, None] * V[:-1]
+    return out
+
+
+@lru_cache(maxsize=8)
+def _unit_band(N: int, k: float) -> Tridiagonal:
+    """The unit bands 2K(N, k) of GridRep.T, read-only and shared, so that
+    their ends (Tridiagonal.extremes) are solved once per (N, k)."""
+    j = np.arange(1, N + 1, dtype=float)
+    band = Tridiagonal(2.0 + (k * k - k) / (j * j), np.full(N - 1, -1.0))
+    band.diag.setflags(write=False)
+    band.upper.setflags(write=False)
+    return band
 
 
 def _smooth_step(u) -> np.ndarray:

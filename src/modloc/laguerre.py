@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import get_blas_funcs
 from scipy.special import gammaln
 
 from .errors import EigenFailure
@@ -178,28 +179,53 @@ def basis_eval(spec: BasisSpec, n: int, E, which: str = "Z") -> np.ndarray:
     return basis_matrix(replace(spec, M=n + 1), E, which=which)[n]
 
 
-# rows are renormalized past this magnitude; one recurrence step grows a
-# row by a factor of order x / n, far inside the 1e58 of headroom left
-_RESCALE = 1e250
+# rows come out in blocks of at most _BLOCK_ROWS, one GEMM (or one product
+# with the prefactor) each, and a block's starting pair is renormalized
+# wherever it passed _RESCALE; a block and its pair, 14 rows (1.5 MB at the
+# 13,392 nodes of the corner interval [0.5, 0.75]), stay below the peak
+# memory of the rest of a localization pass, where 18 rows raised it
+_BLOCK_ROWS = 12
+_RESCALE = 2.0 ** 512
+
+
+def _block_rows(x_max: float, a: float, M: int) -> int:
+    """Rows per block such that no row of any node x <= x_max overflows.
+
+    In the block's own monic scale the recurrence step from row n grows the
+    pair's bound by at most max(b_n, x) + c_n <= x + 2 b_n with b_n = 2n + a
+    + 1 (|q_{n+1}| d_n <= (|b_n - x| + c_n) max(|q_n|, |q_{n-1}|) for the
+    orthonormal rows, Szego 1939 Sec. 5.1), and the pair starts below
+    _RESCALE up to one factor d_{n-1} <= b_n; so g^(L+1) <= 2^511, g = x_max
+    + 2 b_M, keeps every block below 2^1023.  A single row per block copes
+    with g up to 2^255, about 6e76.
+    """
+    bits = np.log2(x_max + 2.0 * (2 * M + a + 1.0))
+    return int(min(_BLOCK_ROWS, max(1, 511 // bits - 1)))
 
 
 def basis_matrix(spec: BasisSpec, E, which: str = "Z",
                  weights=None) -> np.ndarray:
     """All basis functions at once: shape (M, len(E)).
 
-    One sweep of the orthonormal recurrence
-        q_{n+1} = ((2n + a + 1 - x) q_n - sqrt(n (n+a)) q_{n-1})
-                  / sqrt((n+1)(n+a+1)),   a = 2k - 1,
-    for q_n = sqrt(n!/Gamma(n+2k)) L_n^(a)(x) runs over all nodes.  The
-    prefactor E^{-1/2} x^k e^{-x/2} / sqrt(Gamma(2k)) stays a per-node log
-    offset: it underflows once x passes about 1490 while the product with
-    the grown q_n does not, so a node's recurrence pair is renormalized
-    whenever it passes 1e250 and the offset takes up the scale.
+    The orthonormal rows q_n = sqrt(n!/Gamma(n+2k)) L_n^(a)(x), a = 2k - 1,
+    obey q_{n+1} d_n = (b_n - x) q_n - c_n q_{n-1} with b_n = 2n + a + 1,
+    c_n = sqrt(n (n+a)) and d_n = c_{n+1}.  The sweep runs the monic form
+    p_{n+1} = (b_n - x) p_n - c_n^2 p_{n-1} over all nodes, three array
+    calls a row (the last a BLAS axpy), in blocks of up to 12 rows: inside a
+    block p_n = q_n d_{n0} .. d_{n-1} for the block's first row n0, so each
+    row's normalization is one scalar of the block, and the pair that
+    starts the next block returns to the orthonormal scale.  The prefactor
+    E^{-1/2} x^k e^{-x/2} / sqrt(Gamma(2k)) stays a per-node log offset: it
+    underflows once x passes about 1490 while its product with the grown
+    q_n does not, so a node's pair is scaled by an exact power of two at a
+    block start once it passes 2^512, and the offset takes up the exponent.
+    The block length follows from the largest node (_block_rows), so no row
+    overflows for any node up to about x = 6e76.
 
-    With weights of shape (len(E), r) the same sweep returns the projection
-    basis_matrix(spec, E, which) @ weights, shape (M, r), without storing a
-    row: the prefactor is folded into the weights, G = fac[:, None] *
-    weights, and row n is q_n @ G.
+    A block is emitted at once: its rows times the prefactor, or with
+    weights of shape (len(E), r) the projection basis_matrix(spec, E, which)
+    @ weights, shape (M, r), as one GEMM of the block against the weights
+    with the prefactor folded in; no row is stored then.
     """
     E = np.asarray(E, dtype=float)
     if np.any(E <= 0):
@@ -218,43 +244,52 @@ def basis_matrix(spec: BasisSpec, E, which: str = "Z",
     logfac = (extra - 0.5 * gammaln(2.0 * k) + k * np.log(x)
               - 0.5 * np.log(E) - 0.5 * x)
     fac = np.exp(logfac)
+    M = spec.M
     if weights is None:
-        out = np.empty((spec.M, E.size))
-
-        def emit(n, q):
-            np.multiply(q, fac, out=out[n])
+        out = np.empty((M, E.size))
     else:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != E.size:
             raise ValueError(
                 f"weights must have shape ({E.size}, r), got {weights.shape}")
         G = fac[:, None] * weights
-        out = np.empty((spec.M, weights.shape[1]))
-
-        def emit(n, q):
-            np.matmul(q, G, out=out[n])
-    prev = np.ones_like(x)
-    emit(0, prev)
-    if spec.M == 1:
-        return out
-    cur = (a + 1.0 - x) / np.sqrt(a + 1.0)
-    emit(1, cur)
-    nxt = np.empty_like(x)
-    for n in range(1, spec.M - 1):
-        np.subtract(2 * n + a + 1.0, x, out=nxt)
-        nxt *= cur
-        prev *= np.sqrt(n * (n + a))
-        nxt -= prev
-        nxt *= 1.0 / np.sqrt((n + 1) * (n + a + 1.0))
-        prev, cur, nxt = cur, nxt, prev
-        if cur.max() > _RESCALE or cur.min() < -_RESCALE:
-            big = np.flatnonzero(np.abs(cur) > _RESCALE)
-            s = np.abs(cur[big])
-            cur[big] /= s
-            prev[big] /= s
-            logfac[big] += np.log(s)
+        out = np.empty((M, weights.shape[1]))
+    L = _block_rows(float(x.max()) if x.size else 0.0, a, M)
+    blocks = -(-M // L)
+    n = np.arange(blocks * L, dtype=float)
+    b = (2.0 * n + a + 1.0).tolist()
+    c2 = (n * (n + a)).tolist()
+    # row n0 + j of the block from n0 = i L is q_{n0+j} times norms[i, j]
+    norms = np.ones((blocks, L + 1))
+    norms[:, 1:] = np.sqrt((n + 1.0) * (n + a + 1.0)).reshape(blocks, L)
+    np.cumprod(norms, axis=1, out=norms)
+    # Q[0], Q[1] hold rows n0 - 1 (over d_{n0-1}) and n0; rows n0 + 1 ..
+    # n0 + L follow, the last of them starting the next block
+    Q = np.empty((L + 2, E.size))
+    Q[0] = 0.0
+    Q[1] = 1.0
+    views = list(Q)
+    axpy = get_blas_funcs("axpy", (Q,))
+    for n0, norm in zip(range(0, M, L), norms):
+        rows = min(L, M - n0)
+        for j in range(1, rows + 1):
+            nxt = views[j + 1]
+            np.subtract(b[n0 + j - 1], x, out=nxt)
+            nxt *= views[j]
+            axpy(views[j - 1], nxt, a=-c2[n0 + j - 1])
+        block = out[n0:n0 + rows]
+        if weights is None:
+            np.multiply(Q[1:rows + 1], fac, out=block)
+        else:
+            np.matmul(Q[1:rows + 1], G, out=block)
+        block /= norm[:rows, None]
+        np.divide(Q[rows:rows + 2], norm[rows], out=Q[:2])
+        if np.abs(Q[:2]).max(initial=0.0) > _RESCALE:
+            big = np.flatnonzero(np.abs(Q[:2]).max(axis=0) > _RESCALE)
+            e = np.frexp(np.abs(Q[:2, big]).max(axis=0))[1]
+            Q[:2, big] = np.ldexp(Q[:2, big], -e)
+            logfac[big] += e * np.log(2.0)
             fac[big] = np.exp(logfac[big])
             if weights is not None:
                 G[big] = fac[big, None] * weights[big]
-        emit(n + 1, cur)
     return out

@@ -19,7 +19,7 @@ wavelength, and each panel spans one wavelength.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -91,10 +91,10 @@ def make_bump(spec: BumpSpec):
 
 
 # samples per block of the positive-frequency sum, and energies per chunk of
-# its power table: a chunk's table of z^0 .. z^63 is 256 KiB and stays in
+# its power table: a chunk's table of z^0 .. z^63 is 512 KiB and stays in
 # cache for the GEMM that reads it
 _BLOCK = 64
-_CHUNK = 256
+_CHUNK = 512
 
 
 class FourierProfile:
@@ -105,12 +105,13 @@ class FourierProfile:
     psi_hat(E) = dx sum_j psi_j e^{i E x_j} runs from the first to the last
     sample where any bump is nonzero, with the phase e^{i E x_lo} applied
     at the end.  With z = e^{i E dx} the sum is blocked, sum_m (z^B)^m
-    sum_t psi_{mB+t} z^t with B = 64: the powers z^t come by repeated
-    multiplication, which keeps Horner's accuracy, one real GEMM of the
-    (blocks * bumps x B) sample matrix against them gives every inner sum,
-    and Horner's rule in z^B finishes.  The bumps vanish at both ends of the x
-    grid, so the sum is the trapezoid rule.  E_cut and norm_sq are computed
-    on first use and kept, so every backend projection shares them.
+    sum_t psi_{mB+t} z^t with B = 64: the powers come by doubling, z^t ..
+    z^(2t-1) as z^0 .. z^(t-1) times z^t, so each takes at most six
+    roundings, one real GEMM of the (blocks * bumps x B) sample matrix
+    against them gives every inner sum, and Horner's rule in z^B, in place,
+    finishes.  The bumps vanish at both ends of the x grid, so the sum is
+    the trapezoid rule.  E_cut and norm_sq are computed on first use and
+    kept, so every backend projection shares them.
     """
 
     def __init__(self, x, psi):
@@ -147,21 +148,24 @@ class FourierProfile:
         out = np.empty((self._bumps, flat.size), dtype=complex)
         for i in range(0, flat.size, _CHUNK):
             e = flat[i:i + _CHUNK]
-            z = np.exp(1j * self.dx * e)
             P = np.empty((_BLOCK, e.size), dtype=complex)
             P[0] = 1.0
-            P[1] = z
-            for t in range(2, _BLOCK):
-                np.multiply(P[t - 1], z, out=P[t])
+            P[1] = np.exp(1j * self.dx * e)
+            # z^t .. z^(2t-1) as z^0 .. z^(t-1) times z^t = (z^(t/2))^2
+            t = 2
+            while t < _BLOCK:
+                np.multiply(P[:t], P[t // 2] * P[t // 2], out=P[t:2 * t])
+                t *= 2
             # rows of P viewed as float interleave re and im, so the real
             # GEMM's rows view back as complex
             S = (self._blocks @ P.view(float)).view(complex)
             S = S.reshape(-1, self._bumps, e.size)
-            zB = P[-1] * z
-            acc = S[-1]
+            zB = P[_BLOCK // 2] * P[_BLOCK // 2]
+            acc = out[:, i:i + e.size]
+            acc[...] = S[-1]
             for m in range(len(S) - 2, -1, -1):
-                acc = acc * zB + S[m]
-            out[:, i:i + e.size] = acc
+                acc *= zB
+                acc += S[m]
         out *= self.dx * np.exp(1j * self.x_lo * flat)
         return self._per_bump(out.T.reshape(E.shape + (self._bumps,)))
 
@@ -211,8 +215,6 @@ def _umesh(E_cut: float, beta: float, M: int, b: float,
     shrinking like 1/u, resolved at the far end of the mesh.  Each panel
     spans the shorter wavelength with nodes_per_panel nodes.
     """
-    from numpy.polynomial.legendre import leggauss
-
     u_max = np.sqrt(E_cut)
     lam_state = np.pi / max(b * u_max, 1e-3)
     if family == "Ztilde":
@@ -221,9 +223,20 @@ def _umesh(E_cut: float, beta: float, M: int, b: float,
         lam_basis = np.pi / np.sqrt(2.0 * beta * max(M, 1))
     n = int(np.ceil(u_max / min(lam_basis, lam_state)))
     h = u_max / n
-    t, wt = leggauss(nodes_per_panel)
+    t, wt = _legendre(nodes_per_panel)
     u = (np.arange(n)[:, None] + 0.5 * (t + 1.0)) * h
     return u.ravel(), np.tile(0.5 * h * wt, n)
+
+
+@lru_cache(maxsize=4)
+def _legendre(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule on [-1, 1], read-only and shared."""
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _basis_energy_cap(spec: BasisSpec, family: str) -> float:

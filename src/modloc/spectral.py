@@ -115,13 +115,15 @@ class Tridiagonal:
     def gauged(self) -> tuple:
         """(R, g): the real band R = |A| and the diagonal unit gauge g (None
         for a real band) with A = diag(g) R diag(g)^*: g_0 = 1, g_{n+1} =
-        g_n conj(e_n)/|e_n| for the upper band e (for D, g_n = (-i)^n)."""
+        g_n conj(e_n)/|e_n| for the upper band e (for D, g_n = (-i)^n).
+        The real and imaginary parts are divided by |e_n| one at a time, so
+        an axis-aligned band gets exact phases."""
         e = self.upper
         if not np.iscomplexobj(e):
             return self, None
         mag = np.abs(e)
-        phase = np.where(mag > 0.0,
-                         np.conj(e) / np.where(mag > 0.0, mag, 1.0), 1.0)
+        safe = np.where(mag > 0.0, mag, 1.0)
+        phase = np.where(mag > 0.0, e.real / safe - 1j * (e.imag / safe), 1.0)
         return (Tridiagonal(self.diag, mag),
                 np.concatenate(([1.0], np.cumprod(phase))))
 
@@ -143,6 +145,14 @@ class Tridiagonal:
         i %= self.diag.size
         return float(self.eigh(eigvals_only=True, select="i",
                                select_range=(i, i))[0])
+
+    @cached_property
+    def extremes(self) -> np.ndarray:
+        """The least and the largest eigenvalue, from eigenvalue-only solves;
+        kept read-only, so a band shared read-only is solved once."""
+        ends = np.array([self.eigval(0), self.eigval(-1)])
+        ends.setflags(write=False)
+        return ends
 
     def eigensystem(self) -> "HermitianOperator":
         """The band as a HermitianOperator: one full solve of the gauged
@@ -269,13 +279,12 @@ class TridiagonalLog:
         if np.iscomplexobj(self.A.upper):
             raise ValueError("TridiagonalLog needs a real band")
 
-    @cached_property
+    @property
     def extremes(self) -> np.ndarray:
-        """The least and the largest eigenvalue of A, from eigenvalue-only
-        solves; log_spectrum's domain guard applies."""
-        ends = np.array([self.A.eigval(0), self.A.eigval(-1)])
-        log_spectrum(ends)
-        return ends
+        """The least and the largest eigenvalue of A (Tridiagonal.extremes);
+        log_spectrum's domain guard applies."""
+        log_spectrum(self.A.extremes)
+        return self.A.extremes
 
     @property
     def spectral_range(self) -> tuple:

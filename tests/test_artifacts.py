@@ -1,5 +1,7 @@
 """Containers, reports, and run configs: round-trips and format guards."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -23,7 +25,12 @@ from modloc.artifacts import (
 from modloc.errors import ConfigError, DecompositionFailure
 from modloc.gridop import GridSpec
 from modloc.laguerre import BasisSpec
-from modloc.localization import BumpSpec, make_bump, positive_frequency
+from modloc.localization import (
+    BumpSpec,
+    StateVector,
+    make_bump,
+    positive_frequency,
+)
 from modloc.spectral import build_generators
 from modloc.verification import run_suite
 
@@ -187,6 +194,23 @@ def test_state_csv(tmp_path, states):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "E,re_psi_plus,im_psi_plus"
     assert len(lines) == 65
+
+
+def test_state_csv_bytes_match_csv_writer(tmp_path):
+    # the one-pass writer against csv.writer on the same rows, special
+    # floats included
+    grid = GridSpec(N=64, E_max=4.0)
+    data = np.random.default_rng(2).standard_normal(64) * (1 + 1j)
+    data[:6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, complex(-0.0, -np.inf)]
+    sv = StateVector("e-grid", data, grid, 1.0, 0.0, "grid")
+    p = tmp_path / "state.csv"
+    write_state_csv(p, sv)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["E", "re_psi_plus", "im_psi_plus"])
+    w.writerows((float(e), float(v.real), float(v.imag))
+                for e, v in zip(grid.nodes, data))
+    assert p.read_bytes() == ref.getvalue().encode()
 
 
 def test_report_exports(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from modloc import gridop, spectral
 from modloc.gridop import GridSpec, GridState, build_grid_ops
 from modloc.localization import (
     BumpSpec,
@@ -11,6 +12,7 @@ from modloc.localization import (
     make_bump,
     positive_frequency,
 )
+from modloc.spectral import Tridiagonal
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +245,29 @@ def test_ctilde_eigensystem_shared_per_n_and_k():
     for r in (r1, r2):
         ref = _dense_expect(*_dense_T(r), v)
         assert np.all(np.abs(r.T.expect(v) - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_grid_T_ends_solved_once_per_n_and_k(monkeypatch):
+    # eight grids of one (N, k) share the unit bands, so two eigenvalue-
+    # only solves serve all of them; each spectral range is the one its
+    # own solve of the same bands gives
+    gridop._unit_band.cache_clear()
+    calls = []
+    solve = spectral.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", counted)
+    reps = [build_grid_ops(GridSpec(N=1000, E_max=e), 1.25)
+            for e in np.linspace(20.0, 90.0, 8)]
+    ranges = [r.T.spectral_range for r in reps]
+    assert calls == [True, True]
+    j = np.arange(1, 1001, dtype=float)
+    for r, got in zip(reps, ranges):
+        own = Tridiagonal(2.0 + (1.25 ** 2 - 1.25) / (j * j),
+                          np.full(999, -1.0))
+        lo, hi = 0.5 * np.log([own.eigval(0), own.eigval(-1)])
+        shift = -np.log(r.grid.spacing)
+        assert got == (float(lo + shift), float(hi + shift))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from quadrature_oracle import laguerre_eval, laguerre_rows_logscale
 from scipy.integrate import simpson
-from scipy.special import eval_genlaguerre, gamma, roots_genlaguerre
+from scipy.special import eval_genlaguerre, gamma, gammaln, roots_genlaguerre
 
 from modloc.laguerre import (
     BasisSpec,
@@ -153,6 +153,63 @@ def test_basis_matrix_weights_match_product(M, which, k, beta):
     out = basis_matrix(spec, E, which=which, weights=W)
     assert out.shape == (M, 3)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("which", ["Z", "Ztilde"])
+def test_blocked_sweep_matches_logscale_oracle_at_large_M(which):
+    # the row blocks and their power-of-two renormalization at M = 4096,
+    # from the origin to the energy cap, against the log-scaled recurrence
+    spec = BasisSpec(k=1.0, beta=1.0, M=4096)
+    cap = _basis_energy_cap(spec, which)
+    E = np.geomspace(1e-3 * cap, cap, 400)
+    if which == "Z":
+        x, k, log_norm, extra = 2.0 * E, spec.k, spec.log_norm, 0.0
+    else:
+        x, k = 2.0 * E * E, spec.tilde_k
+        log_norm, extra = spec.tilde_log_norm, 0.5 * np.log(2.0)
+    log_scale = extra + k * np.log(x) - 0.5 * np.log(E) - 0.5 * x
+    rows = laguerre_rows_logscale(spec.M, 2.0 * k - 1.0, x, log_scale)
+    ref = np.exp(log_norm(np.arange(spec.M)))[:, None] * rows
+    B = basis_matrix(spec, E, which=which)
+    assert np.max(np.abs(B - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _per_row_sweep(spec, E, weights=None):
+    """The plain family by the orthonormal recurrence one row at a time,
+    each row renormalized per node past 1e250 (the kernel before the row
+    blocks), as a reference."""
+    x = 2.0 * spec.beta * E
+    a = 2.0 * spec.k - 1.0
+    logfac = (-0.5 * gammaln(2.0 * spec.k) + spec.k * np.log(x)
+              - 0.5 * np.log(E) - 0.5 * x)
+    rows = [np.ones_like(x), (a + 1.0 - x) / np.sqrt(a + 1.0)]
+    logs = [logfac.copy(), logfac.copy()]
+    prev, cur = rows
+    for n in range(1, spec.M - 1):
+        prev, cur = cur, ((2 * n + a + 1.0 - x) * cur
+                          - np.sqrt(n * (n + a)) * prev) / np.sqrt(
+                              (n + 1) * (n + a + 1.0))
+        big = np.abs(cur) > 1e250
+        s = np.where(big, np.abs(cur), 1.0)
+        prev, cur = prev / s, cur / s
+        logfac = logfac + np.log(s)
+        rows.append(cur)
+        logs.append(logfac)
+    B = np.array(rows[:spec.M]) * np.exp(np.array(logs[:spec.M]))
+    return B if weights is None else B @ weights
+
+
+def test_blocked_sweep_matches_per_row_kernel_to_huge_nodes():
+    # nodes up to x = 1e12 shorten the blocks to 11 rows; every row stays
+    # finite and matches the per-row kernel, with and without weights
+    spec = BasisSpec(k=1.0, beta=0.5, M=64)
+    E = np.geomspace(1e-3, 1e12, 300)
+    W = np.random.default_rng(1).standard_normal((E.size, 2))
+    for weights in (None, W):
+        ref = _per_row_sweep(spec, E, weights)
+        out = basis_matrix(spec, E, weights=weights)
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_basis_matrix_weights_shape_checked():

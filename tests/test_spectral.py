@@ -430,6 +430,15 @@ def test_banded_commutators_match_dense_interior_block():
     assert np.isfinite(res["CD"])
 
 
+def test_gauge_of_D_is_exact():
+    # the phases of an axis-aligned band divide exactly: D's gauge is
+    # (-i)^n to the bit at M = 4096, with no drift off the unit circle
+    D = build_generators(BasisSpec(k=1.0, beta=1.0, M=4096)).D
+    _, gauge = D.gauged()
+    powers = np.array([1, -1j, -1, 1j])[np.arange(4096) % 4]
+    assert np.array_equal(gauge, powers)
+
+
 def test_gauged_operator_matches_complex_vectors(g128):
     # D's eigensystem kept as real eigenvectors and the gauge (-i)^n
     # against the same solve with the gauge multiplied in
