@@ -30,7 +30,7 @@ def main():
     print(f"bounds: log a = {la:.4f}, log b = {lb:.4f}\n")
     print(f"{'support':>16} {'<D>':>10} {'<C>/<H>':>9} {'bound':>13} "
           f"{'<T> spec':>9} {'<T> grid':>9}")
-    for st, es, eg in zip(fx.states, fx.spectral_table, fx.grid_table):
+    for st, es, eg in zip(fx.states, fx.table("spectral"), fx.table("grid")):
         ai, bi = st["support"]
         ed, et, etg = es["D"], es["T"], eg["T"]
         ratio = es["C"] / es["H"]

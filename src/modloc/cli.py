@@ -101,7 +101,7 @@ def cmd_localize(cfg: RunConfig) -> int:
               "in_bounds")
     print(("{:>8} " * len(header)).format(*header))
     rows = []
-    for st, e in zip(fx.states, fx.spectral_table):
+    for st, e in zip(fx.states, fx.table("spectral")):
         row = {"a": st["support"][0], "b": st["support"][1],
                "norm": float(np.sqrt(st["Z"].norm_sq)), "H": e["H"],
                "C": e["C"], "D": e["D"], "T": e["T"],

@@ -15,8 +15,7 @@ pointwise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +41,7 @@ __all__ = [
     "CheckReport",
     "ToleranceProfile",
     "IntervalFixture",
+    "BACKENDS",
     "build_interval_fixture",
     "check_commutators",
     "check_lowest_weights",
@@ -90,16 +90,7 @@ class CheckReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "params": _plain(self.params),
-            "values": _plain(self.values),
-            "backend": self.backend,
-            "error": self.error,
-        }
+        return _plain(asdict(self))
 
 
 def _worst(values, pick=max) -> float:
@@ -194,11 +185,9 @@ class IntervalFixture:
     1.5) and far scales such as [0.25, 0.5] and [16, 32] miss projection
     gates.
 
-    spectral_table and grid_table hold each state's expectation values in
-    one backend, computed on first use and read by every check of the
-    fixture; each column of a table is one block evaluation over all
-    states (_expectation_table).  dataclasses.replace gives a copy that
-    computes its own.
+    table(backend) is the expectation table of one backend of BACKENDS,
+    built on first use and kept per instance (a dataclasses.replace copy
+    builds its own).
     """
 
     a: float
@@ -211,28 +200,19 @@ class IntervalFixture:
     rep: GridRep
     states: list  # dicts: sub-interval, spectral/tilde/grid StateVectors
     seed: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def block(self, backend: str) -> np.ndarray:
         """The backend's data of every state, one column per state."""
         return np.stack([st[backend].data for st in self.states], axis=1)
 
-    @cached_property
-    def spectral_table(self) -> list:
-        """The table on the plain and the squared-argument coefficients."""
-        if not self.states:
-            return []
-        g, gt = self.g, self.gt
-        return _expectation_table(self.block("Z"), self.block("Ztilde"),
-                                  (g.H, g.C, g.D, gt.C, self.T), 1.0)
-
-    @cached_property
-    def grid_table(self) -> list:
-        """The same table on the grid samples, which serve both families."""
-        if not self.states:
-            return []
-        rep, X = self.rep, self.block("grid")
-        return _expectation_table(X, X, (rep.H, rep.C, rep.D, rep.Ctilde,
-                                         rep.T), rep.grid.spacing)
+    def table(self, backend: str) -> list:
+        """One row of expectation values per state in the backend."""
+        if backend not in self._tables:
+            self._tables[backend] = (BACKENDS[backend](self) if self.states
+                                     else [])
+        return self._tables[backend]
 
 
 def _expectation_table(plain, tilde, ops, weight: float) -> list:
@@ -249,6 +229,24 @@ def _expectation_table(plain, tilde, ops, weight: float) -> list:
             "D": weight * D.expect(plain), "Ctilde": weight * Ct.expect(tilde),
             "T": weight * T.expect(tilde) / tnorm}
     return [dict(zip(cols, map(float, row))) for row in zip(*cols.values())]
+
+
+def _spectral_backend(fx: IntervalFixture) -> list:
+    """The table on the plain and the squared-argument coefficients."""
+    g, gt = fx.g, fx.gt
+    return _expectation_table(fx.block("Z"), fx.block("Ztilde"),
+                              (g.H, g.C, g.D, gt.C, fx.T), 1.0)
+
+
+def _grid_backend(fx: IntervalFixture) -> list:
+    """The same table on the grid samples, which serve both families."""
+    rep, X = fx.rep, fx.block("grid")
+    return _expectation_table(X, X, (rep.H, rep.C, rep.D, rep.Ctilde, rep.T),
+                              rep.grid.spacing)
+
+
+# every fixture backend, in report order: its name and its table builder
+BACKENDS = {"spectral": _spectral_backend, "grid": _grid_backend}
 
 
 def fixture_beta(a: float, b: float) -> float:
@@ -377,9 +375,17 @@ def _no_states(name: str, fx: IntervalFixture, tol: float) -> CheckReport:
                        error="fixture has no states")
 
 
+def _rows(fx: IntervalFixture):
+    """Yield each state's support and its rows, {backend: row} over
+    BACKENDS."""
+    tables = {name: fx.table(name) for name in BACKENDS}
+    for i, st in enumerate(fx.states):
+        yield list(st["support"]), {name: t[i] for name, t in tables.items()}
+
+
 def check_D_positive(fx: IntervalFixture,
                      tol: float = _DEFAULT_TOLS["d_positive"]) -> CheckReport:
-    """<D> >= -tol on every local state, in both backends.
+    """<D> >= -tol on every local state, in every backend.
 
     The non-vacuity control draws D_CONTROLS random coefficient vectors
     (not local states), evaluated as one block, and requires at least one
@@ -388,13 +394,9 @@ def check_D_positive(fx: IntervalFixture,
     """
     if not fx.states:
         return _no_states("d_positive", fx, tol)
-    per_state = []
-    expectations = []
-    for st, es, eg in zip(fx.states, fx.spectral_table, fx.grid_table):
-        per_state.append({"support": list(st["support"]),
-                          "spectral": es["D"], "grid": eg["D"]})
-        expectations += [es["D"], eg["D"]]
-    worst = _worst(expectations, min)
+    per_state = [{"support": support, **{n: e["D"] for n, e in rows.items()}}
+                 for support, rows in _rows(fx)]
+    worst = _worst((ps[n] for ps in per_state for n in BACKENDS), min)
     # each control draws its real, then its imaginary part
     z = np.random.default_rng(D_CONTROL_SEED).standard_normal(
         (D_CONTROLS, 2, fx.spec.M))
@@ -421,13 +423,13 @@ def check_HC_chain(fx: IntervalFixture,
         return _no_states("hc_chain", fx, tol)
     a2, b2 = fx.a ** 2, fx.b ** 2
     per_state = []
-    for st, es, eg in zip(fx.states, fx.spectral_table, fx.grid_table):
-        for tag, e in (("spectral", es), ("grid", eg)):
+    for support, rows in _rows(fx):
+        for name, e in rows.items():
             nt = e["tilde_norm_sq"]
             slacks = (e["C"] - a2 * e["H"], b2 * e["H"] - e["C"],
                       e["Ctilde"] - 0.5 * a2 * nt,
                       0.5 * b2 * nt - e["Ctilde"])
-            per_state.append({"support": list(st["support"]), "backend": tag,
+            per_state.append({"support": support, "backend": name,
                               "H": e["H"], "C": e["C"], "Ctilde": e["Ctilde"],
                               "slacks": [float(s) for s in slacks]})
     min_slack = _worst((s for p in per_state for s in p["slacks"]), min)
@@ -440,28 +442,25 @@ def check_HC_chain(fx: IntervalFixture,
 
 def check_T_bounds(fx: IntervalFixture, tol: float = _DEFAULT_TOLS["t_bounds"],
                    agreement_tol: float = 1e-3) -> CheckReport:
-    """log a - tol <= <T>/|psi|^2 <= log b + tol in both backends, and the
-    two backends agree on <T>/|psi|^2 to agreement_tol (relative).  The
-    residual is the signed worst bound excursion, the number tol gates:
-    negative when every state sits inside the bounds, by that margin.
-    values["failed_gates"] names the gates ("bound", "agreement") that
-    failed."""
+    """log a - tol <= <T>/|psi|^2 <= log b + tol in every backend, and the
+    spectral and grid backends agree on <T>/|psi|^2 to agreement_tol
+    (relative).  The residual is the signed worst bound excursion, the
+    number tol gates: negative when every state sits inside the bounds, by
+    that margin.  values["failed_gates"] names the gates ("bound",
+    "agreement") that failed."""
     if not fx.states:
         return _no_states("t_bounds", fx, tol)
     la, lb = np.log(fx.a), np.log(fx.b)
-    excursions = []
-    agreements = []
     per_state = []
-    for st, es, eg in zip(fx.states, fx.spectral_table, fx.grid_table):
-        for val in (es["T"], eg["T"]):
-            excursions += [la - val, val - lb]
-        agree = abs(es["T"] - eg["T"]) / max(abs(eg["T"]), 1.0)
-        agreements.append(agree)
-        per_state.append({"support": list(st["support"]),
-                          "spectral": es["T"], "grid": eg["T"],
-                          "agreement": float(agree)})
-    worst_out = _worst(excursions)
-    worst_agree = _worst(agreements)
+    for support, rows in _rows(fx):
+        T = {n: e["T"] for n, e in rows.items()}
+        # the one gate that names backends: two truncations against each
+        # other, until a truncation-free reference backend replaces it
+        agree = abs(T["spectral"] - T["grid"]) / max(abs(T["grid"]), 1.0)
+        per_state.append({"support": support, **T, "agreement": float(agree)})
+    worst_out = _worst(x for ps in per_state for n in BACKENDS
+                       for x in (la - ps[n], ps[n] - lb))
+    worst_agree = _worst(ps["agreement"] for ps in per_state)
     failed = [gate for gate, ok in
               (("bound", worst_out <= tol),
                ("agreement", worst_agree <= agreement_tol)) if not ok]
@@ -585,7 +584,7 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5, n_alpha: int = 21,
         return _no_states("f_alpha", fx, tol)
     alphas = np.linspace(-1.0, 1.0, n_alpha)
     powers = np.exp(2.0 * np.outer(alphas, fx.T.evals))
-    norms = [e["tilde_norm_sq"] for e in fx.spectral_table[:n_states]]
+    norms = [e["tilde_norm_sq"] for e in fx.table("spectral")[:n_states]]
     weights = fx.T.weights(fx.block("Ztilde")[:, :n_states])
     # one column of F per state
     F = (fx.a ** (-2.0 * alphas))[:, None] * (powers @ weights) / norms
@@ -599,7 +598,7 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5, n_alpha: int = 21,
     return CheckReport(
         name="f_alpha", passed=bool(worst <= tol), residual=float(worst),
         tolerance=tol,
-        params={"interval": [fx.a, fx.b], "n_states": n_states,
+        params={"interval": [fx.a, fx.b], "n_states": len(curves),
                 "n_alpha": n_alpha},
         values={"curves": curves})
 
@@ -685,7 +684,7 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
     excursions = []
     shifts = []
     per_state = []
-    for st, es, tw in zip(fx.states, fx.spectral_table, transported):
+    for st, es, tw in zip(fx.states, fx.table("spectral"), transported):
         base = es["T"]
         val = float(tw) / es["tilde_norm_sq"]
         excursions += [lo - val, val - hi]
@@ -780,12 +779,9 @@ def _suite_checks(config: dict, profile: ToleranceProfile):
                 family=config["bump"])
         return cache[iv]
 
-    yield ("commutators_plain",
-           lambda: check_commutators(reps()[0],
-                                     tol=profile.tol("commutators_plain")))
-    yield ("commutators_tilde",
-           lambda: check_commutators(reps()[1],
-                                     tol=profile.tol("commutators_tilde")))
+    for i, name in enumerate(("commutators_plain", "commutators_tilde")):
+        yield (name, lambda i=i, name=name: check_commutators(
+            reps()[i], tol=profile.tol(name)))
     # the tilde triple needs a denser grid per unit energy: C~ carries the
     # full 1/h^2 stencil while its smooth modes live at low energy
     for triple, emax in (("plain", grid_emax),
@@ -798,15 +794,12 @@ def _suite_checks(config: dict, profile: ToleranceProfile):
            lambda: check_lowest_weights(beta=beta, M=M,
                                         tol=profile.tol("lowest_weights")))
     for iv in intervals:
-        yield (f"d_positive[{iv[0]},{iv[1]}]",
-               lambda iv=iv: check_D_positive(fixture(iv),
-                                              tol=profile.tol("d_positive")))
-        yield (f"hc_chain[{iv[0]},{iv[1]}]",
-               lambda iv=iv: check_HC_chain(fixture(iv),
-                                            tol=profile.tol("hc_chain")))
-        yield (f"t_bounds[{iv[0]},{iv[1]}]",
-               lambda iv=iv: check_T_bounds(fixture(iv),
-                                            tol=profile.tol("t_bounds")))
+        for name, check in (("d_positive", check_D_positive),
+                            ("hc_chain", check_HC_chain),
+                            ("t_bounds", check_T_bounds)):
+            yield (f"{name}[{iv[0]},{iv[1]}]",
+                   lambda iv=iv, name=name, check=check: check(
+                       fixture(iv), tol=profile.tol(name)))
     yield ("weyl", lambda: check_weyl(*reps(config["weyl_M"]),
                                       tol=profile.tol("weyl")))
     yield ("positive_inclusions",

@@ -282,13 +282,30 @@ def test_localize_summary_and_states(tmp_path, capsys):
     assert all("True" in line for line in summary[1:])
 
 
+def test_localize_builds_no_grid_table(tmp_path, monkeypatch, capsys):
+    # localize reads the spectral table alone: no grid <T> is evaluated
+    from modloc.spectral import TridiagonalLog
+
+    calls = []
+    monkeypatch.setattr(TridiagonalLog, "expect",
+                        lambda self, v: calls.append(np.shape(v)))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_bumps": 2}))
+    assert main(["localize", "--config", str(cfg), "--interval", "1",
+                 "2"]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
 def test_localize_in_bounds_reads_tol_profile(monkeypatch, capsys):
     # one <T> 5e-5 below log a: outside the default t_bounds tolerance
     # (1e-6), inside the coarse one (1e-4)
     states = [{"support": (1.0, 2.0), "Z": SimpleNamespace(norm_sq=1.0)}] * 2
     table = [{"H": 1.0, "C": 2.0, "D": 0.5, "T": T}
              for T in (0.3, np.log(1.0) - 5e-5)]
-    fake = SimpleNamespace(states=states, spectral_table=table)
+    # localize reads the spectral table alone
+    fake = SimpleNamespace(states=states,
+                           table={"spectral": table}.__getitem__)
     monkeypatch.setattr(cli, "build_interval_fixture", lambda *a, **kw: fake)
     argv = ["localize", "--interval", "1", "2"]
     assert main(argv) == 1

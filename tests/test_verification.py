@@ -87,11 +87,10 @@ def test_hc_chain_gates_residual_below_tol(fx_small):
     # backends) at +5e-11 by moving a: a strict pass under the default
     # tol 0, and a pass under coarse, whose 1e-10 bounds the residual
     # -5e-11 from above and is no demand on the slack
-    rows = [(e["C"], e["H"]) for tab in (fx_small.spectral_table,
-                                         fx_small.grid_table) for e in tab]
+    tabs = [fx_small.table(name) for name in ("spectral", "grid")]
+    rows = [(e["C"], e["H"]) for tab in tabs for e in tab]
     rows += [(e["Ctilde"], 0.5 * e["tilde_norm_sq"])
-             for tab in (fx_small.spectral_table, fx_small.grid_table)
-             for e in tab]
+             for tab in tabs for e in tab]
     num, den = min(rows, key=lambda r: r[0] / r[1])
     fx2 = dataclasses.replace(fx_small,
                               a=float(np.sqrt((num - 5e-11) / den)))
@@ -174,7 +173,7 @@ def test_nonfinite_grid_sample_fails_t_bounds(fx_small, bad):
     with np.errstate(invalid="ignore"):
         rep = check_T_bounds(fx2)
     assert rep.passed is False
-    assert not np.isfinite(fx2.grid_table[1]["T"])
+    assert not np.isfinite(fx2.table("grid")[1]["T"])
     assert "bound" in rep.values["failed_gates"]
 
 
@@ -242,7 +241,7 @@ def test_grid_table_makes_no_dense_eigensystem(monkeypatch):
     monkeypatch.setattr(sp, "eigh_tridiagonal", counted)
     tracemalloc.start()
     try:
-        assert len(fx.grid_table) == 3
+        assert len(fx.table("grid")) == 3
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,8 +413,8 @@ def test_fixture_projects_all_bumps_in_one_pass(monkeypatch):
     monkeypatch.setattr(TridiagonalLog, "expect", counted_expect)
     fx = build_interval_fixture(1.0, 2.0, n_bumps=5)
     assert [(w, s[1]) for w, s in sweeps] == [("Z", 10), ("Ztilde", 10)]
-    assert len(fx.spectral_table) == 5 and projections == [(384, 5)]
-    assert len(fx.grid_table) == 5 and quadratures == [(4096, 5)]
+    assert len(fx.table("spectral")) == 5 and projections == [(384, 5)]
+    assert len(fx.table("grid")) == 5 and quadratures == [(4096, 5)]
     assert projections == [(384, 5)]
 
 
@@ -512,7 +511,7 @@ def test_unit_T_builds_no_generators(monkeypatch):
 
 def test_table_T_matches_dense_T(fx_small):
     dense = build_T(fx_small.gt, log_M=2 * fx_small.spec.M).matrix
-    for st, es in zip(fx_small.states, fx_small.spectral_table):
+    for st, es in zip(fx_small.states, fx_small.table("spectral")):
         ct = st["Ztilde"].data
         ref = np.vdot(ct, dense @ ct).real / np.vdot(ct, ct).real
         assert abs(es["T"] - ref) <= 1e-12 * max(abs(ref), 1.0)
@@ -564,6 +563,47 @@ def test_f_alpha_emits_curves(fx_small):
     assert len(curves) == 2
     assert len(curves[0]["alphas"]) == 21
     assert abs(curves[0]["F0"] - 1.0) < 1e-12
+
+
+def test_f_alpha_reports_the_states_it_evaluated():
+    # params["n_states"] was the argument (5) next to three curves
+    rep, = run_suite({"intervals": [[1.0, 2.0]], "n_bumps": 3},
+                     scope=["f_alpha"]).reports
+    assert rep.passed
+    assert rep.params["n_states"] == len(rep.values["curves"]) == 3
+
+
+def test_fixture_checks_read_every_backend(fx_small, monkeypatch):
+    # one more backend, a copy of the grid one, reaches every per-state
+    # entry of the fixture checks and changes nothing else; shifted out of
+    # the bounds, it decides t_bounds' excursion
+    from modloc import verification
+
+    checks = (check_D_positive, check_HC_chain, check_T_bounds)
+    before = [check(fx_small).to_dict() for check in checks]
+    monkeypatch.setitem(verification.BACKENDS, "copy",
+                        verification.BACKENDS["grid"])
+    # a replace copy builds its own tables
+    d, hc, tb = (check(dataclasses.replace(fx_small)).to_dict()
+                 for check in checks)
+    for doc in (d, tb):
+        for ps in doc["values"]["per_state"]:
+            assert ps.pop("copy") == ps["grid"]
+    copies = [ps for ps in hc["values"]["per_state"]
+              if ps["backend"] == "copy"]
+    hc["values"]["per_state"] = [ps for ps in hc["values"]["per_state"]
+                                 if ps["backend"] != "copy"]
+    grid = [ps for ps in hc["values"]["per_state"] if ps["backend"] == "grid"]
+    assert copies == [{**ps, "backend": "copy"} for ps in grid]
+    assert [d, hc, tb] == before
+
+    monkeypatch.setitem(verification.BACKENDS, "copy", lambda fx: [
+        {**e, "T": e["T"] + 1.0} for e in fx.table("grid")])
+    rep = check_T_bounds(dataclasses.replace(fx_small))
+    lb = rep.params["bounds"][1]
+    assert rep.values["failed_gates"] == ["bound"]
+    assert rep.residual == max(ps["copy"] for ps in
+                               rep.values["per_state"]) - lb > 0.0
 
 
 def test_run_suite_empty_scope():

@@ -43,7 +43,8 @@ def test_fixture_tables_match_per_state_values(workloads, fx12):
     # GridRep.expect_* values the benchmark reads; the columns it skips
     # against the per-state band calls
     h = fx12.rep.grid.spacing
-    for st, es, eg in zip(fx12.states, fx12.spectral_table, fx12.grid_table):
+    for st, es, eg in zip(fx12.states, fx12.table("spectral"),
+                          fx12.table("grid")):
         ref = workloads._tables(fx12, st)
         ct, v = st["Ztilde"].data, st["grid"].data
         ref["spectral"].update(Ctilde=fx12.gt.C.expect(ct),
