@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ConfigError, DecompositionFailure
 from .gridop import GridSpec
 from .laguerre import BasisSpec
-from .localization import BUMP_FAMILIES, FIXTURE_FAMILIES, StateVector
+from .localization import (BUMP_FAMILIES, FIXTURE_FAMILIES, BumpSpec,
+                           StateVector)
 from .spectral import GeneratorSet, Tridiagonal
 
 __all__ = [
@@ -172,16 +173,19 @@ def load_representation(path) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 # state artifacts
 
+# representation: the basis kind of its states, the spec type and its fields
+_BASES = {"z-spectral": ("basis", BasisSpec, {
+              "k": numbers.Real, "beta": numbers.Real, "M": numbers.Integral}),
+          "e-grid": ("grid", GridSpec, {
+              "N": numbers.Integral, "E_max": numbers.Real})}
+
+
 def save_state(path, sv: StateVector, config: dict | None = None):
     """Persist a localized state: representation tag, basis parameters,
     provenance, then the coefficient or sample array."""
-    if sv.representation == "z-spectral":
-        basis = {"kind": "basis", "k": sv.basis.k, "beta": sv.basis.beta,
-                 "M": sv.basis.M}
-    elif sv.representation == "e-grid":
-        basis = {"kind": "grid", "N": sv.basis.N, "E_max": sv.basis.E_max}
-    else:
+    if sv.representation not in _BASES:
         raise ConfigError(f"unknown representation {sv.representation!r}")
+    kind, _, kinds = _BASES[sv.representation]
     header = {
         "format": STATE_MAGIC,
         "version": FORMAT_VERSION,
@@ -189,19 +193,13 @@ def save_state(path, sv: StateVector, config: dict | None = None):
         "family": sv.family,
         "norm_sq": sv.norm_sq,
         "projection_residual": sv.projection_residual,
-        "basis": basis,
+        "basis": {"kind": kind, **{key: getattr(sv.basis, key)
+                                   for key in kinds}},
         "provenance": sv.provenance,
         "config": config or {},
     }
     Path(path).write_bytes(
         _pack_arrays(header, {"data": np.asarray(sv.data, dtype=complex)}))
-
-
-# representation: the basis kind of its states, the spec type and its fields
-_BASES = {"z-spectral": ("basis", BasisSpec, {
-              "k": numbers.Real, "beta": numbers.Real, "M": numbers.Integral}),
-          "e-grid": ("grid", GridSpec, {
-              "N": numbers.Integral, "E_max": numbers.Real})}
 
 
 def load_state(path) -> StateVector:
@@ -428,16 +426,8 @@ class RunConfig:
                               f"prefixes, got {self.scope!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.k < 0.5:
-            raise ConfigError(f"k must be >= 1/2, got {self.k}")
-        for name in ("beta", "grid_emax", "grid_emax_tilde"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(
-                    f"{name} must be positive, got {getattr(self, name)}")
-        if self.M < 1 or self.grid_n < 16:
-            raise ConfigError("truncation sizes out of range")
-        if min(self.n_bumps, self.fixture_M, self.weyl_M) < 1:
-            raise ConfigError("n_bumps, fixture_M and weyl_M must be >= 1")
+        if self.n_bumps < 1:
+            raise ConfigError(f"n_bumps must be >= 1, got {self.n_bumps}")
         if self.bump not in FIXTURE_FAMILIES:
             why = ("its transform decays only like E^-3, past the fixtures' "
                    "x-sampling Nyquist limit" if self.bump in BUMP_FAMILIES
@@ -450,11 +440,18 @@ class RunConfig:
                 f"unknown tolerance profile {self.tol_profile!r}")
         if self.format is not None and self.format not in FORMATS:
             raise ConfigError(f"unknown output format {self.format!r}")
-        for iv in self.intervals:
-            a, b = iv
-            if not (0 < a < b):
-                raise ConfigError(
-                    f"interval must satisfy 0 < a < b, got [{a}, {b}]")
+        # the ranges are those of the specs a run builds from these fields
+        specs = ([(f"k, beta, {m}", BasisSpec,
+                   (self.k, self.beta, getattr(self, m)))
+                  for m in ("M", "fixture_M", "weyl_M")]
+                 + [(f"grid_n, {e}", GridSpec, (self.grid_n, getattr(self, e)))
+                    for e in ("grid_emax", "grid_emax_tilde")]
+                 + [("intervals", BumpSpec, iv) for iv in self.intervals])
+        for names, cls, args in specs:
+            try:
+                cls(*args)
+            except ValueError as exc:
+                raise ConfigError(f"invalid {names}: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"

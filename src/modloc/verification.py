@@ -15,7 +15,7 @@ pointwise.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class CheckReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return _plain(asdict(self))
+        return _plain({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _worst(values, pick=max) -> float:
@@ -198,7 +198,7 @@ class IntervalFixture:
     T: HermitianOperator
     grid: GridSpec
     rep: GridRep
-    states: list  # dicts: sub-interval, spectral/tilde/grid StateVectors
+    states: list  # >= 1 dicts: sub-interval, spectral/tilde/grid StateVectors
     seed: int
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -210,8 +210,7 @@ class IntervalFixture:
     def table(self, backend: str) -> list:
         """One row of expectation values per state in the backend."""
         if backend not in self._tables:
-            self._tables[backend] = (BACKENDS[backend](self) if self.states
-                                     else [])
+            self._tables[backend] = BACKENDS[backend](self)
         return self._tables[backend]
 
 
@@ -260,18 +259,18 @@ def fixture_emax(b: float) -> float:
 def build_interval_fixture(a: float, b: float, k: float = 1.0,
                            M: int = FIXTURE_M, grid_n: int = RunConfig.grid_n,
                            n_bumps: int = N_BUMPS, seed: int = 0,
-                           beta: float | None = None,
                            family: str = "mollifier") -> IntervalFixture:
-    """Build operators and n_bumps localized states for the interval [a, b].
+    """Build operators and n_bumps >= 1 localized states for the interval
+    [a, b].
 
     The first bump fills [a, b]; the rest sit on random sub-intervals with
     width at least 0.6 (b - a), so every state is local in [a, b] while the
     ensemble varies.  All bumps share one x grid, so one blocked Fourier
     profile feeds one batched projection per backend.
     """
-    if beta is None:
-        beta = fixture_beta(a, b)
-    spec = BasisSpec(k=k, beta=beta, M=M)
+    if n_bumps < 1:
+        raise ValueError(f"a fixture needs n_bumps >= 1, got {n_bumps}")
+    spec = BasisSpec(k=k, beta=fixture_beta(a, b), M=M)
     g = build_generators(spec)
     gt = build_tilde_generators(g)
     # squared-argument states keep about 1e-3 of their norm in the last
@@ -290,24 +289,21 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
             bi = b - 0.2 * w * rng.random()
         bumps.append(BumpSpec(ai, bi, family=family, samples=BUMP_SAMPLES,
                               extent_factor=4.0 * b / bi))
-    states = []
-    if bumps:
-        # every bump lives on the first one's x grid, [0, 4b]
-        samples = [make_bump(bs) for bs in bumps]
-        prof = FourierProfile(samples[0][0],
-                              np.stack([psi for _, psi in samples], 1))
-        prov = [{"interval": [a, b], "support": [bs.a, bs.b], "seed": seed,
-                 "index": i, "family": family} for i, bs in enumerate(bumps)]
-        svs = project_bumps(prof, spec, "Z", provenance=prov)
-        # the squared-argument family converges slowly at the origin
-        # (coefficient tail ~ u^{1/4}); its norm residual is near 1e-2 at
-        # the default M and falls only slowly with M
-        svts = project_bumps(prof, spec, "Ztilde", max_residual=3e-2,
-                             provenance=prov)
-        svgs = project_bumps(prof, grid, max_residual=1e-3, provenance=prov)
-        states = [{"support": (bs.a, bs.b), "Z": sv, "Ztilde": svt,
-                   "grid": svg, "bump": bs}
-                  for bs, sv, svt, svg in zip(bumps, svs, svts, svgs)]
+    # every bump lives on the first one's x grid, [0, 4b]
+    samples = [make_bump(bs) for bs in bumps]
+    prof = FourierProfile(samples[0][0],
+                          np.stack([psi for _, psi in samples], 1))
+    prov = [{"interval": [a, b], "support": [bs.a, bs.b], "seed": seed,
+             "index": i, "family": family} for i, bs in enumerate(bumps)]
+    svs = project_bumps(prof, spec, "Z", provenance=prov)
+    # the squared-argument family converges slowly at the origin
+    # (coefficient tail ~ u^{1/4}); its norm residual is near 1e-2 at the
+    # default M and falls only slowly with M
+    svts = project_bumps(prof, spec, "Ztilde", max_residual=3e-2,
+                         provenance=prov)
+    svgs = project_bumps(prof, grid, max_residual=1e-3, provenance=prov)
+    states = [{"support": (bs.a, bs.b), "Z": sv, "Ztilde": svt, "grid": svg,
+               "bump": bs} for bs, sv, svt, svg in zip(bumps, svs, svts, svgs)]
     return IntervalFixture(a=a, b=b, spec=spec, g=g, gt=gt, T=T, grid=grid,
                            rep=rep, states=states, seed=seed)
 
@@ -368,13 +364,6 @@ def check_lowest_weights(ks=(1.0, 1.5, 2.0), beta: float = 1.0,
 # ---------------------------------------------------------------------------
 # localization chain checks
 
-def _no_states(name: str, fx: IntervalFixture, tol: float) -> CheckReport:
-    """A fixture check on a fixture without states fails: no evidence is no
-    pass."""
-    return CheckReport(name, False, None, tol, {"interval": [fx.a, fx.b]},
-                       error="fixture has no states")
-
-
 def _rows(fx: IntervalFixture):
     """Yield each state's support and its rows, {backend: row} over
     BACKENDS."""
@@ -392,8 +381,6 @@ def check_D_positive(fx: IntervalFixture,
     with strictly negative <D>; the report fails if the control finds none,
     which would mean the check cannot distinguish anything.
     """
-    if not fx.states:
-        return _no_states("d_positive", fx, tol)
     per_state = [{"support": support, **{n: e["D"] for n, e in rows.items()}}
                  for support, rows in _rows(fx)]
     worst = _worst((ps[n] for ps in per_state for n in BACKENDS), min)
@@ -419,8 +406,6 @@ def check_HC_chain(fx: IntervalFixture,
     The residual, minus the least slack, passes below tol: tol = 0 demands
     the strict slack the propositions promise for states local in (a, b).
     """
-    if not fx.states:
-        return _no_states("hc_chain", fx, tol)
     a2, b2 = fx.a ** 2, fx.b ** 2
     per_state = []
     for support, rows in _rows(fx):
@@ -448,8 +433,6 @@ def check_T_bounds(fx: IntervalFixture, tol: float = _DEFAULT_TOLS["t_bounds"],
     number tol gates: negative when every state sits inside the bounds, by
     that margin.  values["failed_gates"] names the gates ("bound",
     "agreement") that failed."""
-    if not fx.states:
-        return _no_states("t_bounds", fx, tol)
     la, lb = np.log(fx.a), np.log(fx.b)
     per_state = []
     for support, rows in _rows(fx):
@@ -580,8 +563,6 @@ def f_alpha_profile(fx: IntervalFixture, n_states: int = 5, n_alpha: int = 21,
     all second differences must be >= -tol.  Curve data for each state is
     returned in values.
     """
-    if not fx.states:
-        return _no_states("f_alpha", fx, tol)
     alphas = np.linspace(-1.0, 1.0, n_alpha)
     powers = np.exp(2.0 * np.outer(alphas, fx.T.evals))
     norms = [e["tilde_norm_sq"] for e in fx.table("spectral")[:n_states]]
@@ -673,8 +654,6 @@ def check_covariance_transport(fx: IntervalFixture, scale: float = 2.0,
     the signed worst excursion from the image bounds, negative by the
     margin when every state lands inside.
     """
-    if not fx.states:
-        return _no_states("covariance", fx, tol)
     shift = np.log(scale * scale)
     lo = np.log(scale * scale * fx.a)
     hi = np.log(scale * scale * fx.b)
@@ -757,12 +736,11 @@ class SuiteResult:
                    config=doc.get("config", {}), elapsed=None)
 
 
-def _suite_checks(config: dict, profile: ToleranceProfile):
-    """Yield (name, thunk) pairs in deterministic order for a config with
-    every key of RunConfig.suite_config."""
-    k, beta, M = config["k"], config["beta"], config["M"]
-    grid_n, grid_emax = config["grid_n"], config["grid_emax"]
-    intervals = [tuple(iv) for iv in config["intervals"]]
+def _suite_checks(cfg: RunConfig, profile: ToleranceProfile):
+    """Yield (name, thunk) pairs in deterministic order for a run config."""
+    k, beta, M = cfg.k, cfg.beta, cfg.M
+    grid_n, grid_emax = cfg.grid_n, cfg.grid_emax
+    intervals = [tuple(iv) for iv in cfg.intervals]
     cache: dict = {}
 
     def reps(m=M):
@@ -774,9 +752,8 @@ def _suite_checks(config: dict, profile: ToleranceProfile):
     def fixture(iv):
         if iv not in cache:
             cache[iv] = build_interval_fixture(
-                *iv, k=k, M=config["fixture_M"], grid_n=grid_n,
-                n_bumps=config["n_bumps"], seed=config["seed"],
-                family=config["bump"])
+                *iv, k=k, M=cfg.fixture_M, grid_n=grid_n,
+                n_bumps=cfg.n_bumps, seed=cfg.seed, family=cfg.bump)
         return cache[iv]
 
     for i, name in enumerate(("commutators_plain", "commutators_tilde")):
@@ -785,7 +762,7 @@ def _suite_checks(config: dict, profile: ToleranceProfile):
     # the tilde triple needs a denser grid per unit energy: C~ carries the
     # full 1/h^2 stencil while its smooth modes live at low energy
     for triple, emax in (("plain", grid_emax),
-                         ("tilde", config["grid_emax_tilde"])):
+                         ("tilde", cfg.grid_emax_tilde)):
         yield (f"commutators_grid_{triple}",
                lambda triple=triple, emax=emax: check_commutators(
                    build_grid_ops(GridSpec(N=grid_n, E_max=emax), k),
@@ -800,7 +777,7 @@ def _suite_checks(config: dict, profile: ToleranceProfile):
             yield (f"{name}[{iv[0]},{iv[1]}]",
                    lambda iv=iv, name=name, check=check: check(
                        fixture(iv), tol=profile.tol(name)))
-    yield ("weyl", lambda: check_weyl(*reps(config["weyl_M"]),
+    yield ("weyl", lambda: check_weyl(*reps(cfg.weyl_M),
                                       tol=profile.tol("weyl")))
     yield ("positive_inclusions",
            lambda: check_positive_inclusions(
@@ -825,8 +802,8 @@ def run_suite(config: dict | None = None,
     """Run the named checks in deterministic order.
 
     config overrides RunConfig's suite defaults (RunConfig.suite_config);
-    an unknown key raises ConfigError, while values are left to the checks
-    that use them.  scope is a list of name prefixes; None means
+    an unknown key or a value RunConfig rejects raises ConfigError before
+    any check runs.  scope is a list of name prefixes; None means
     everything, an empty list selects nothing.  Per-check exceptions
     become failed-with-error reports and never abort the suite;
     inconclusive reports (passed = None) do not count against the aggregate.
@@ -840,10 +817,10 @@ def run_suite(config: dict | None = None,
     unknown = sorted(set(config) - set(full))
     if unknown:
         raise ConfigError(f"unknown suite config keys: {unknown}")
-    full.update(config)
+    cfg = RunConfig(**{**full, **config})
     start = time.perf_counter()
     reports = []
-    for name, thunk in _suite_checks(full, profile):
+    for name, thunk in _suite_checks(cfg, profile):
         if scope is not None and not any(name.startswith(s) for s in scope):
             continue
         try:
@@ -855,8 +832,7 @@ def run_suite(config: dict | None = None,
                               error=f"{type(exc).__name__}: {exc}")
         reports.append(rep)
     aggregate = all(r.passed is not False for r in reports)
-    cfg = dict(full)
-    cfg["profile"] = profile.name
-    cfg["scope"] = scope
     return SuiteResult(reports=reports, aggregate_pass=bool(aggregate),
-                       config=cfg, elapsed=time.perf_counter() - start)
+                       config={**cfg.suite_config(), "profile": profile.name,
+                               "scope": scope},
+                       elapsed=time.perf_counter() - start)

@@ -30,6 +30,7 @@ from modloc.verification import (
     check_lowest_weights,
     check_positive_inclusions,
     f_alpha_profile,
+    fixture_beta,
     run_suite,
 )
 
@@ -442,14 +443,20 @@ def test_fixture_states_match_single_bump_projection(a, b, n_bumps):
 
 
 def test_fixture_checks_fail_without_states():
-    # an empty ensemble is no evidence: t_bounds and f_alpha passed with
-    # residual 0.0, covariance raised and d_positive, hc_chain failed on NaN
-    scope = ["d_positive", "hc_chain", "t_bounds", "f_alpha", "covariance"]
-    res = run_suite({"n_bumps": 0, "intervals": [[1.0, 2.0]],
-                     "fixture_M": 64}, scope=scope)
-    assert [r.name.split("[")[0] for r in res.reports] == scope
-    for r in res.reports:
-        assert r.passed is False and r.error == "fixture has no states", r
+    # an empty ensemble is no evidence, so it is refused where it enters:
+    # by the fixture builder and by run_suite's config
+    with pytest.raises(ValueError, match="n_bumps"):
+        build_interval_fixture(1.0, 2.0, M=64, n_bumps=0)
+    with pytest.raises(ConfigError, match="n_bumps"):
+        run_suite({"n_bumps": 0, "intervals": [[1.0, 2.0]], "fixture_M": 64},
+                  scope=["d_positive", "t_bounds", "f_alpha"])
+
+
+def _fixture_T(beta: float, M: int = 64):
+    """T built the way build_interval_fixture builds it: log(2 C~) at 2M."""
+    spec = BasisSpec(k=1.0, beta=beta, M=M)
+    return spec, build_T(build_tilde_generators(build_generators(spec)),
+                         log_M=2 * M)
 
 
 @pytest.mark.parametrize("beta", [0.3, 1.0, 7.5])
@@ -458,12 +465,12 @@ def test_fixture_T_is_shifted_unit_T(beta):
     # block of (1/2) log(2 C~) at 2M, solved densely at this beta
     from scipy.linalg import eigh
 
-    fx = build_interval_fixture(1.0, 2.0, M=64, n_bumps=0, beta=beta)
+    spec, T = _fixture_T(beta)
     gt2 = build_tilde_generators(build_generators(
-        dataclasses.replace(fx.spec, M=128)))
+        dataclasses.replace(spec, M=128)))
     lam, V = eigh(2.0 * np.asarray(gt2.C))
     ref = ((0.5 * np.log(lam) * V) @ V.conj().T)[:64, :64]
-    assert np.max(np.abs(fx.T.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(T.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_fixtures_share_one_unit_T(monkeypatch):
@@ -480,17 +487,17 @@ def test_fixtures_share_one_unit_T(monkeypatch):
 
     monkeypatch.setattr(Tridiagonal, "eigh", counted)
     sp._unit_ladder_eig.cache_clear()
-    fx1 = build_interval_fixture(1.0, 2.0, M=64, n_bumps=0)
-    fx2 = build_interval_fixture(4.0, 8.0, M=64, n_bumps=0)
+    spec1, T1 = _fixture_T(fixture_beta(1.0, 2.0))
+    spec2, T2 = _fixture_T(fixture_beta(4.0, 8.0))
     assert calls == [128]
     unit = sp._unit_ladder_eig(0.75, 128)[1]
     assert not unit.flags.writeable
     with pytest.raises(ValueError):
-        fx1.T.vecs[0, 0] = 0.0
-    assert np.shares_memory(fx1.T.vecs, unit)
-    assert np.shares_memory(fx2.T.vecs, unit)
-    shift = 0.5 * np.log(fx2.spec.beta / fx1.spec.beta)
-    assert np.allclose(fx2.T.evals - fx1.T.evals, shift, rtol=0, atol=1e-13)
+        T1.vecs[0, 0] = 0.0
+    assert np.shares_memory(T1.vecs, unit)
+    assert np.shares_memory(T2.vecs, unit)
+    shift = 0.5 * np.log(spec2.beta / spec1.beta)
+    assert np.allclose(T2.evals - T1.evals, shift, rtol=0, atol=1e-13)
     sp._unit_ladder_eig.cache_clear()
 
 
@@ -636,15 +643,21 @@ def test_run_suite_deterministic():
     assert d1 == d2
 
 
-def test_run_suite_error_capture():
-    # inverted interval: the fixture constructor raises; the suite must
-    # record the failure and keep going
-    res = run_suite({"intervals": [[2.0, 1.0]], "M": 64, "grid_n": 1024},
+def test_run_suite_error_capture(monkeypatch):
+    # a check raises; the suite must record the failure and keep going
+    import modloc.verification as ver
+
+    def broken(fx, tol):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(ver, "build_interval_fixture", lambda *a, **k: None)
+    monkeypatch.setattr(ver, "check_D_positive", broken)
+    res = run_suite({"intervals": [[1.0, 2.0]], "M": 64, "grid_n": 1024},
                     scope=["d_positive", "lowest_weights"])
     by_name = {r.name: r for r in res.reports}
-    bad = by_name["d_positive[2.0,1.0]"]
+    bad = by_name["d_positive[1.0,2.0]"]
     assert bad.passed is False
-    assert bad.error
+    assert bad.error == "RuntimeError: broken check"
     assert by_name["lowest_weights"].passed
     assert res.aggregate_pass is False
 
@@ -744,3 +757,20 @@ def test_suite_fixtures_use_configured_bump(monkeypatch):
 def test_run_suite_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="nbumps"):
         run_suite({"nbumps": 3}, scope=[])
+
+
+@pytest.mark.parametrize("config", [
+    {"k": 0.3}, {"n_bumps": 0}, {"seed": -1}, {"intervals": [[2.0, 1.0]]},
+    {"grid_n": 8}, {"fixture_M": "x"}], ids=str)
+def test_run_suite_rejects_bad_values_before_building(config, monkeypatch):
+    # each value is validated where it enters, not by the checks using it
+    import modloc.verification as ver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an operator before validating")
+
+    for name in ("build_generators", "build_grid_ops",
+                 "build_interval_fixture"):
+        monkeypatch.setattr(ver, name, refuse)
+    with pytest.raises(ConfigError):
+        run_suite(config)
