@@ -14,12 +14,12 @@ squared-coordinate generator triple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import get_blas_funcs
-from scipy.special import gammaln
 
 from .errors import EigenFailure
 
@@ -116,8 +116,8 @@ def gauss_laguerre(order: int, alpha: float = 0.0) -> QuadratureRule:
         nodes = nodes - step
     _, lm = laguerre_log_abs(order + 1, alpha, nodes)
     log_weights = (
-        gammaln(order + alpha + 1.0)
-        - gammaln(order + 1.0)
+        math.lgamma(order + alpha + 1.0)
+        - math.lgamma(order + 1.0)
         - 2.0 * np.log(order + 1.0)
         + np.log(nodes)
         - 2.0 * lm
@@ -154,16 +154,6 @@ class BasisSpec:
     def tilde_k(self) -> float:
         """Lowest weight k/2 + 1/4 of the squared-coordinate companion triple."""
         return 0.5 * self.k + 0.25
-
-    def log_norm(self, n) -> np.ndarray:
-        """log of the Gamma-ratio prefactor sqrt(Gamma(n+1)/Gamma(n+2k))."""
-        n = np.asarray(n, dtype=float)
-        return 0.5 * (gammaln(n + 1.0) - gammaln(n + 2.0 * self.k))
-
-    def tilde_log_norm(self, n) -> np.ndarray:
-        """Same prefactor with the companion weight k/2 + 1/4."""
-        n = np.asarray(n, dtype=float)
-        return 0.5 * (gammaln(n + 1.0) - gammaln(n + 2.0 * self.tilde_k))
 
 
 def basis_eval(spec: BasisSpec, n: int, E, which: str = "Z") -> np.ndarray:
@@ -241,7 +231,7 @@ def basis_matrix(spec: BasisSpec, E, which: str = "Z",
     else:
         raise ValueError(f"unknown family {which!r}")
     a = 2.0 * k - 1.0
-    logfac = (extra - 0.5 * gammaln(2.0 * k) + k * np.log(x)
+    logfac = (extra - 0.5 * math.lgamma(2.0 * k) + k * np.log(x)
               - 0.5 * np.log(E) - 0.5 * x)
     fac = np.exp(logfac)
     M = spec.M

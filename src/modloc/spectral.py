@@ -7,7 +7,8 @@ standard discrete-series matrix elements, so the triples are written down in
 closed form as bands (Tridiagonal), and every eigensystem of a
 generator-derived matrix comes from the equivalent real symmetric
 tridiagonal problem (Tridiagonal.eigh), kept as real eigenvectors and a
-diagonal unit gauge.
+diagonal unit gauge; T's ladder alone takes its eigenvectors from the
+Laguerre rows at its eigenvalues (_unit_ladder_eig).
 
 Identities that hold for the infinite-dimensional operators are corrupted
 by truncation only near the boundary rows, so they are tested under an
@@ -26,7 +27,7 @@ from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import dptsv
 
 from .errors import SpectrumOutOfDomain
-from .laguerre import BasisSpec
+from .laguerre import BasisSpec, basis_matrix
 
 __all__ = [
     "Tridiagonal",
@@ -483,7 +484,7 @@ def build_T(gt: GeneratorSet, log_M: int | None = None) -> HermitianOperator:
     truncation log_M and keeps the leading M rows of the eigenvectors: the
     compression of that T, closer to that of the untruncated T as log_M
     grows.  2 C~ is 4 beta times the discrete-series bands at k~, so every
-    beta shares one unit solve.
+    beta shares one unit solve (_unit_ladder_eig), with no eigenvector solve.
     """
     if gt.variant != "tilde":
         raise ValueError("T is built from the tilde triple")
@@ -498,8 +499,15 @@ def build_T(gt: GeneratorSet, log_M: int | None = None) -> HermitianOperator:
 @lru_cache(maxsize=1)
 def _unit_ladder_eig(k: float, M: int):
     """Eigensystem of the discrete-series bands (d, s) at (k, M), read-only
-    and shared; built from the bands alone, with no generator matrix."""
-    mu, vecs = Tridiagonal(*_bands(k, M)).eigh()
+    and shared, with no eigenvector solve: 2 (d, s) is the Laguerre Jacobi
+    matrix at a = 2k - 1 in the gauge (-1)^n, so the eigenvector at mu is
+    (-1)^n q_n(2 mu) scaled to unit length (Golub & Welsch, Math. Comp. 23
+    (1969) 221): basis_matrix's rows at beta = 1/2, whose prefactor keeps
+    large nodes finite and cancels in the scaling."""
+    mu = eigh_tridiagonal(*_bands(k, M), eigvals_only=True)
+    vecs = basis_matrix(BasisSpec(k=k, beta=0.5, M=M), 2.0 * mu)
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+    vecs[1::2] *= -1.0
     mu.setflags(write=False)
     vecs.setflags(write=False)
     return mu, vecs

@@ -2,12 +2,20 @@
 the closed form that shares none of its arithmetic.  In x = 2 beta E with
 weight exponent 2k-1 every integrand is weight times a polynomial of degree
 <= 2M, so the rule is exact up to round-off.  The plain and log-scaled
-Laguerre recurrences it rests on live here too: nothing in modloc needs
-them."""
+Laguerre recurrences it rests on, and the basis prefactors, live here too:
+nothing in modloc needs them."""
 
 import numpy as np
+from scipy.special import gammaln
 
 from modloc.laguerre import BasisSpec, gauss_laguerre
+
+
+def log_norm(k: float, n) -> np.ndarray:
+    """log of the basis prefactor sqrt(Gamma(n+1)/Gamma(n+2k)) at lowest
+    weight k (spec.tilde_k for the companion family)."""
+    n = np.asarray(n, dtype=float)
+    return 0.5 * (gammaln(n + 1.0) - gammaln(n + 2.0 * k))
 
 
 def laguerre_eval(n: int, alpha: float, x):
@@ -74,7 +82,7 @@ def weighted_rows(spec: BasisSpec, rule):
     x = rule.nodes
     lw2 = 0.5 * rule.log_weights
     a = 2.0 * spec.k - 1.0
-    c = np.exp(spec.log_norm(np.arange(M)))
+    c = np.exp(log_norm(spec.k, np.arange(M)))
     B = c[:, None] * laguerre_rows_logscale(M, a, x, lw2)
     B1 = np.zeros_like(B)
     if M > 1:

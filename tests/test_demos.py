@@ -45,6 +45,16 @@ def test_import_loads_no_interpolation():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_special():
+    # the package takes Gamma only on scalars (math.lgamma) and T's
+    # eigenvectors from its own Laguerre rows, so importing it needs
+    # scipy.linalg alone
+    proc = _run(["-c", "import sys, modloc; print(sorted(m for m in "
+                 "sys.modules if m.startswith('scipy.special')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("name", sorted(
     m.name for m in pkgutil.iter_modules(modloc.__path__)))
 def test_exports_resolve(name):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from quadrature_oracle import laguerre_eval, laguerre_rows_logscale
+from quadrature_oracle import laguerre_eval, laguerre_rows_logscale, log_norm
 from scipy.integrate import simpson
 from scipy.special import eval_genlaguerre, gamma, gammaln, roots_genlaguerre
 
@@ -122,14 +122,13 @@ def test_basis_matrix_no_underflow_on_energy_cap(M, which, k, beta):
     cap = _basis_energy_cap(spec, which)
     E = np.linspace(0.5 * cap, cap, 2000)
     if which == "Z":
-        x, k, log_norm = 2.0 * beta * E, spec.k, spec.log_norm
+        x, k = 2.0 * beta * E, spec.k
         extra = 0.0
     else:
         x, k = 2.0 * beta * E * E, spec.tilde_k
-        log_norm = spec.tilde_log_norm
         extra = 0.5 * np.log(2.0)
     log_scale = extra + k * np.log(x) - 0.5 * np.log(E) - 0.5 * x
-    ref = np.exp(log_norm(np.arange(M)))[:, None] * laguerre_rows_logscale(
+    ref = np.exp(log_norm(k, np.arange(M)))[:, None] * laguerre_rows_logscale(
         M, 2.0 * k - 1.0, x, log_scale)
     B = basis_matrix(spec, E, which=which)
     assert np.max(np.abs(B - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -163,13 +162,12 @@ def test_blocked_sweep_matches_logscale_oracle_at_large_M(which):
     cap = _basis_energy_cap(spec, which)
     E = np.geomspace(1e-3 * cap, cap, 400)
     if which == "Z":
-        x, k, log_norm, extra = 2.0 * E, spec.k, spec.log_norm, 0.0
+        x, k, extra = 2.0 * E, spec.k, 0.0
     else:
-        x, k = 2.0 * E * E, spec.tilde_k
-        log_norm, extra = spec.tilde_log_norm, 0.5 * np.log(2.0)
+        x, k, extra = 2.0 * E * E, spec.tilde_k, 0.5 * np.log(2.0)
     log_scale = extra + k * np.log(x) - 0.5 * np.log(E) - 0.5 * x
     rows = laguerre_rows_logscale(spec.M, 2.0 * k - 1.0, x, log_scale)
-    ref = np.exp(log_norm(np.arange(spec.M)))[:, None] * rows
+    ref = np.exp(log_norm(k, np.arange(spec.M)))[:, None] * rows
     B = basis_matrix(spec, E, which=which)
     assert np.max(np.abs(B - ref)) <= 1e-10 * np.max(np.abs(ref))
 

@@ -15,7 +15,9 @@ from modloc.spectral import (
     HermitianOperator,
     Tridiagonal,
     TridiagonalLog,
+    _bands,
     _norm2,
+    _unit_ladder_eig,
     build_generators,
     build_T,
     build_tilde_generators,
@@ -339,6 +341,23 @@ def test_T_from_tilde_only(g128, gt128):
     assert build_T(gt128).matrix.shape == (128, 128)
     with pytest.raises(ValueError):
         build_T(g128)
+
+
+@pytest.mark.parametrize("k", [0.5, 0.75, 1.75])
+@pytest.mark.parametrize("N", [1, 2, 64, 768, 2048])
+def test_unit_ladder_eig_matches_lapack(k, N):
+    # the Laguerre rows at the eigenvalues against LAPACK's eigenvectors of
+    # the same bands: T's compression onto the leading half, and the
+    # orthonormality of those rows
+    mu0, V0 = Tridiagonal(*_bands(k, N)).eigh()
+    _unit_ladder_eig.cache_clear()
+    mu, V = _unit_ladder_eig(k, N)
+    _unit_ladder_eig.cache_clear()
+    h = max(N // 2, 1)
+    ref = (V0[:h] * (0.5 * np.log(4.0 * mu0))) @ V0[:h].T
+    T = (V[:h] * (0.5 * np.log(4.0 * mu))) @ V[:h].T
+    assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(V[:h] @ V[:h].T - np.eye(h))) <= 1e-12
 
 
 def test_translate_generators_closed_form(g128):

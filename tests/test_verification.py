@@ -474,22 +474,23 @@ def test_fixture_T_is_shifted_unit_T(beta):
 
 
 def test_fixtures_share_one_unit_T(monkeypatch):
-    # fixtures with the same (k, M) make one eigensolve of the unit bands
-    # at 2M; beta only shifts the eigenvalues of T
+    # fixtures with the same (k, M) make one eigenvalue-only solve of the
+    # unit bands at 2M and no eigenvector solve; beta only shifts the
+    # eigenvalues of T
     import modloc.spectral as sp
 
     calls = []
-    solve = Tridiagonal.eigh
+    solve = sp.eigh_tridiagonal
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.diag.size)
-        return solve(self, *args, **kwargs)
+    def counted(d, e, eigvals_only=False, **kwargs):
+        calls.append((d.size, eigvals_only))
+        return solve(d, e, eigvals_only=eigvals_only, **kwargs)
 
-    monkeypatch.setattr(Tridiagonal, "eigh", counted)
+    monkeypatch.setattr(sp, "eigh_tridiagonal", counted)
     sp._unit_ladder_eig.cache_clear()
     spec1, T1 = _fixture_T(fixture_beta(1.0, 2.0))
     spec2, T2 = _fixture_T(fixture_beta(4.0, 8.0))
-    assert calls == [128]
+    assert calls == [(128, True)]
     unit = sp._unit_ladder_eig(0.75, 128)[1]
     assert not unit.flags.writeable
     with pytest.raises(ValueError):
