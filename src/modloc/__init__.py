@@ -5,6 +5,8 @@ Moebius group, the squared-Hamiltonian companion triple, and the modular
 coordinate operator T = (1/2) log(2 C~), and verifies the commutation
 relations, positivity statements, and localization inequalities that the
 construction promises, against an independent finite-difference backend.
+The group enters only through its generators H, D and C; its action on
+points of the line is the demo demos/group_geometry.py.
 """
 
 from ._heap import pin_mmap_threshold
@@ -20,20 +22,6 @@ from .errors import (
     SpectrumOutOfDomain,
 )
 from .laguerre import BasisSpec, QuadratureRule, basis_eval, gauss_laguerre
-from .mobius import (
-    INFINITY,
-    Interval,
-    MoebiusMap,
-    act_interval,
-    act_point,
-    dilation,
-    dilation_matrix,
-    iwasawa,
-    map_halfline_to,
-    rotation,
-    special_conformal,
-    translation,
-)
 from .spectral import (
     GeneratorSet,
     HermitianOperator,

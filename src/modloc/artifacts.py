@@ -440,6 +440,8 @@ class RunConfig:
                 f"unknown tolerance profile {self.tol_profile!r}")
         if self.format is not None and self.format not in FORMATS:
             raise ConfigError(f"unknown output format {self.format!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be null or a path, got {self.out!r}")
         # the ranges are those of the specs a run builds from these fields
         specs = ([(f"k, beta, {m}", BasisSpec,
                    (self.k, self.beta, getattr(self, m)))

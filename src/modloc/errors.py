@@ -6,7 +6,7 @@ class ModlocError(Exception):
 
 
 class DecompositionFailure(ModlocError):
-    """Iwasawa factorization hit a numerically degenerate coset representative."""
+    """A saved artifact is malformed: bad header, format, array or size."""
 
 
 class EigenFailure(ModlocError):

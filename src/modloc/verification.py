@@ -33,7 +33,6 @@ from .spectral import (
     build_generators,
     build_tilde_generators,
     log_spectrum,
-    matrix_function,
     relative_residual,
 )
 
@@ -475,15 +474,13 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
     matrices, so their truncation error decays only algebraically from the
     boundary, and the observation window must stay well inside.
     """
-    # H and C share one eigensystem; T = (1/2) log(2 C~) shares that of
-    # 2 C~ and the plain dilation generator in the tilde basis is 2 D~
+    # H and C share one eigensystem; T is the one build_T gives, and the
+    # plain dilation generator in the tilde basis is 2 D~
     D = g.D.eigensystem()
     H, C = g.hc_eigensystems()
     pairs = [("Th", H.function(log_spectrum), D, -1),
              ("Tc", C.function(log_spectrum), D, +1),
-             ("T", matrix_function(2.0 * gt.C,
-                                   lambda e: 0.5 * log_spectrum(e)),
-              matrix_function(gt.D, lambda e: 2.0 * e), +1)]
+             ("T", build_T(gt), (2.0 * gt.D).eigensystem(), +1)]
     b = slice(0, WEYL_BLOCK)
     values = {}
     for name, W, V, s in pairs:

@@ -75,6 +75,22 @@ def test_malformed_config_values_give_config_error(field, value, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,value", [
+    pytest.param(["verify", "--scope", "lowest_weights", "--M", "64"], 5,
+                 id="verify-int"),
+    pytest.param(["build"], ["a"], id="build-list"),
+])
+def test_non_string_out_in_config_gives_config_error(argv, value, tmp_path,
+                                                     monkeypatch, capsys):
+    # no --out flag: it would override the config's field
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": value}))
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 # the flags of each subcommand: those of the settings it reads
 SUBCOMMAND_FLAGS = {
     "build": {"--config", "--k", "--beta", "--M", "--out"},

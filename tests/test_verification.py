@@ -268,9 +268,11 @@ def test_swapped_interval_bounds_break_chain(fx_small):
 
 
 def test_flow_checks_solve_each_generator_once(monkeypatch):
-    # check_weyl needs D, D~, 2 C~ and one solve that H and C share;
+    # check_weyl needs D, 2 D~ and one solve that H and C share, and takes
+    # T = (1/2) log(2 C~) from build_T's one eigenvalue-only unit ladder;
     # check_positive_inclusions needs D and the shared H, C solve; every
     # flow is built from those eigensystems
+    import modloc.spectral as sp
     import modloc.verification as ver
 
     calls = []
@@ -281,11 +283,13 @@ def test_flow_checks_solve_each_generator_once(monkeypatch):
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(Tridiagonal, "eigh", counted)
+    sp._unit_ladder_eig.cache_clear()
     g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
     ver.check_weyl(g, build_tilde_generators(g))
-    assert len(calls) == 4
+    assert len(calls) == 3
+    assert sp._unit_ladder_eig.cache_info().misses == 1
     ver.check_positive_inclusions(g)
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_flow_checks_reach_flows_through_hermitian_operator(monkeypatch,
