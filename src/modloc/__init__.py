@@ -9,14 +9,16 @@ The group enters only through its generators H, D and C; its action on
 points of the line is the demo demos/group_geometry.py.
 """
 
-from ._heap import pin_mmap_threshold
+try:
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import _set_madvise_hugepage
+
 from .errors import (
     ConfigError,
     DecompositionFailure,
-    DegenerateInterval,
     EigenFailure,
     ModlocError,
-    NyquistViolation,
     OverflowAbort,
     ProjectionLoss,
     SpectrumOutOfDomain,
@@ -43,6 +45,7 @@ from .localization import (
 
 __version__ = "0.1.0"
 
-# large arrays are mapped on their own, so peak memory follows the live
-# arrays from run to run (see modloc._heap)
-pin_mmap_threshold()
+# numpy advises transparent huge pages for every array of 4 MiB or more; the
+# kernel then fills the freed holes of the heap with huge pages whenever it
+# has some to spare, and peak memory moves from run to run
+_set_madvise_hugepage(False)

@@ -429,8 +429,8 @@ class RunConfig:
         if self.n_bumps < 1:
             raise ConfigError(f"n_bumps must be >= 1, got {self.n_bumps}")
         if self.bump not in FIXTURE_FAMILIES:
-            why = ("its transform decays only like E^-3, past the fixtures' "
-                   "x-sampling Nyquist limit" if self.bump in BUMP_FAMILIES
+            why = ("its transform decays only like E^-3, so its cutoff lies "
+                   "far past the other families'" if self.bump in BUMP_FAMILIES
                    else "unknown family")
             raise ConfigError(f"bump family {self.bump!r} cannot build "
                               f"fixtures ({why}); expected one of "

@@ -17,16 +17,8 @@ class SpectrumOutOfDomain(ModlocError):
     """A matrix function (log, inverse square root) was asked for outside its domain."""
 
 
-class NyquistViolation(ModlocError):
-    """The energy-side resolution cannot represent the x-side sampling."""
-
-
 class ProjectionLoss(ModlocError):
     """Too much state mass falls outside the truncated basis."""
-
-
-class DegenerateInterval(ModlocError):
-    """An interval is too narrow for the requested sampling."""
 
 
 class OverflowAbort(ModlocError):

@@ -1,11 +1,14 @@
 """Local wavefunctions on the half line and their positive-frequency parts.
 
-A bump is a smooth real function supported in [a, b] with 0 < a < b < oo,
-sampled on a uniform x grid.  Its positive-frequency profile is
+A bump is a smooth real function supported in [a, b] with 0 < a < b < oo:
+its family's unit window w0 on [-1, 1] moved to the centre c = (a + b)/2
+and stretched by h = (b - a)/2.  Its positive-frequency profile is
 
-    psi_plus_tilde(E) = i sqrt(E/pi) int psi(x) e^{i E x} dx,
+    psi_plus_tilde(E) = i sqrt(E/pi) int psi(x) e^{i E x} dx
+                      = i sqrt(E/pi) h e^{i E c} W(E h),
 
-and the one-particle scalar product is int |psi_plus_tilde|^2 dE (the
+with W(s) = int w0(u) cos(s u) du, one real, even table per family, and
+the one-particle scalar product is int |psi_plus_tilde|^2 dE (the
 symplectic-form expression evaluated through Plancherel; the magnitude of
 the inversion constant is fixed by requiring this identity, and the global
 phase i by the modular invariance exp(-pi D) psi = J psi of real bumps).
@@ -19,11 +22,12 @@ wavelength, and each panel spans one wavelength.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import DegenerateInterval, NyquistViolation, ProjectionLoss
+from .errors import ProjectionLoss
 from .gridop import GridSpec, GridState
 from .laguerre import BasisSpec, basis_matrix
 
@@ -38,8 +42,9 @@ __all__ = [
 
 PROJECTION_GATE = 1e-4
 BUMP_FAMILIES = ("mollifier", "sine-window", "polynomial-window")
-# the families whose profiles the fixtures' x sampling resolves: the sin^2
-# window's second derivative jumps, so its transform decays only like E^-3
+# the families whose transforms fit the table: the sin^2 window's second
+# derivative jumps, so its transform decays only like E^-3 and its cutoff
+# lies far past the other families'
 FIXTURE_FAMILIES = ("mollifier", "polynomial-window")
 
 
@@ -50,8 +55,6 @@ class BumpSpec:
     a: float
     b: float
     family: str = "mollifier"
-    samples: int = 4096
-    extent_factor: float = 4.0
 
     def __post_init__(self):
         if not 0 < self.a < self.b:
@@ -59,115 +62,133 @@ class BumpSpec:
         if self.family not in BUMP_FAMILIES:
             raise ValueError(f"unknown bump family {self.family!r}")
 
-    @property
-    def extent(self) -> float:
-        return self.extent_factor * self.b
 
-    def xgrid(self) -> np.ndarray:
-        return np.linspace(0.0, self.extent, self.samples)
-
-
-def make_bump(spec: BumpSpec):
-    """Sampled bump; max normalized to 1.  Returns (x, psi)."""
-    x = spec.xgrid()
-    dx = x[1] - x[0]
-    if spec.b - spec.a < 4 * dx:
-        raise DegenerateInterval(
-            f"interval width {spec.b - spec.a} below 4 grid spacings {4 * dx}"
-        )
-    u = (2.0 * x - spec.a - spec.b) / (spec.b - spec.a)
-    psi = np.zeros_like(x)
+def _unit_window(family: str, u) -> np.ndarray:
+    """The family's window w0 at u: peak w0(0) = 1, zero outside (-1, 1)."""
+    u = np.asarray(u, dtype=float)
+    w = np.zeros_like(u)
     inside = np.abs(u) < 1.0
-    if spec.family == "mollifier":
-        psi[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    elif spec.family == "sine-window":
-        psi[inside] = np.sin(0.5 * np.pi * (1.0 - np.abs(u[inside]))) ** 2
+    v = u[inside]
+    if family == "mollifier":
+        w[inside] = np.exp(1.0 - 1.0 / (1.0 - v * v))
+    elif family == "sine-window":
+        w[inside] = np.cos(0.5 * np.pi * v) ** 2
     else:  # polynomial-window
-        psi[inside] = (1.0 - u[inside] ** 2) ** 4
-    peak = psi.max()
-    if peak > 0:
-        psi /= peak
-    return x, psi
+        w[inside] = (1.0 - v * v) ** 4
+    return w
 
 
-# samples per block of the positive-frequency sum, and energies per chunk of
-# its power table: a chunk's table of z^0 .. z^63 is 512 KiB and stays in
-# cache for the GEMM that reads it
-_BLOCK = 64
-_CHUNK = 512
+def make_bump(spec: BumpSpec, x) -> np.ndarray:
+    """The bump at the points x: w0((2x - a - b)/(b - a)), peak 1 at the
+    centre of [a, b]."""
+    x = np.asarray(x, dtype=float)
+    return _unit_window(spec.family,
+                        (2.0 * x - spec.a - spec.b) / (spec.b - spec.a))
+
+
+# the table: panels of width 2 in s up to _SPAN with _TERMS Taylor
+# coefficients each.  The _U_NODES-point rule in u is exact to degree
+# 2 * _U_NODES - 1, past the degree ~ s of cos(s u) at s = _SPAN with room
+# for the mollifier's flat ends; the moments take _BLOCK panels at a time
+# (160 KiB of phases)
+_SPAN = 1024
+_TERMS = 20
+_U_NODES = 640
+_BLOCK = 16
+_CUTOFF = 1e-10
+_MARGIN = 1.2
+
+
+class _UnitTransform:
+    """W(s) = int w0(u) cos(s u) du for one family's unit window w0.
+
+    Panel p covers s in [2p, 2p + 2] and holds the Taylor coefficients of W
+    about its centre c = 2p + 1,
+
+        W^(k)(c) / k! = int w0(u) u^k cos(c u + k pi/2) du / k!,
+
+    so with |s - c| <= 1 and |u| <= 1 term k is below W(0)/k!: twenty
+    terms reach round-off.  s_cut is the last point of a probe of step 1/4
+    where sqrt(s)|W(s)| reaches _CUTOFF of its peak, and W is 0 from
+    s_end = _MARGIN s_cut on.  norm_sq = (1/pi) int s W(s)^2 ds is the
+    norm of every bump of the family, on Gauss-Legendre nodes exact for
+    each panel.
+    """
+
+    def __init__(self, family: str):
+        u, w = _legendre(_U_NODES)
+        k = np.arange(_TERMS)
+        moments = ((w * _unit_window(family, u))[:, None] * u[:, None] ** k
+                   / np.cumprod(np.maximum(k, 1)))
+        centres = np.arange(1.0, _SPAN, 2.0)
+        self.coef = np.empty((_TERMS, centres.size))
+        for i in range(0, centres.size, _BLOCK):
+            c = centres[i:i + _BLOCK]
+            # Re(i^k e^{i c u}) = cos(c u + k pi/2)
+            self.coef[:, i:i + c.size] = (
+                (np.exp(1j * np.outer(c, u)) @ moments) * 1j ** k).real.T
+        self.s_end = float(_SPAN)  # the probe reads the whole span
+        probe = np.arange(0.0, _SPAN, 0.25)
+        env = np.sqrt(probe) * np.abs(self(probe))
+        self.s_cut = float(probe[env >= _CUTOFF * env.max()][-1])
+        self.s_end = _MARGIN * self.s_cut
+        if self.s_end >= _SPAN:
+            raise ValueError(
+                f"the {family} transform still exceeds {_CUTOFF:.0e} of its "
+                f"peak at s = {self.s_cut}, past the table")
+        self.coef = self.coef[:, :int(np.ceil(0.5 * self.s_end))].copy()
+        self.coef.setflags(write=False)
+        t, wt = _legendre(_TERMS)
+        s = (2.0 * np.arange(self.coef.shape[1])[:, None] + 1.0 + t).ravel()
+        self.norm_sq = float(np.tile(wt, self.coef.shape[1])
+                             @ (s * self(s) ** 2) / np.pi)
+
+    def __call__(self, s) -> np.ndarray:
+        """W at s by Horner's rule on the panel holding |s|; 0 past s_end."""
+        s = np.abs(np.asarray(s, dtype=float))
+        live = s < self.s_end
+        p = (0.5 * np.where(live, s, 0.0)).astype(np.intp)
+        t = s - (2.0 * p + 1.0)
+        acc = np.take(self.coef[-1], p)
+        for c in self.coef[-2::-1]:
+            acc *= t
+            acc += np.take(c, p)
+        return np.where(live, acc, 0.0)
+
+
+@lru_cache(maxsize=None)
+def _unit_transform(family: str) -> _UnitTransform:
+    """The family's transform table, built on first use and shared."""
+    return _UnitTransform(family)
 
 
 class FourierProfile:
-    """Positive-frequency profiles of real bumps on one uniform x grid.
+    """Positive-frequency profiles of bumps of one family.
 
-    psi is one bump, shape (n,), or a block of bumps as columns, (n, r);
-    every value below is per bump, on a trailing axis for a block.
-    psi_hat(E) = dx sum_j psi_j e^{i E x_j} runs from the first to the last
-    sample where any bump is nonzero, with the phase e^{i E x_lo} applied
-    at the end.  With z = e^{i E dx} the sum is blocked, sum_m (z^B)^m
-    sum_t psi_{mB+t} z^t with B = 64: the powers come by doubling, z^t ..
-    z^(2t-1) as z^0 .. z^(t-1) times z^t, so each takes at most six
-    roundings, one real GEMM of the (blocks * bumps x B) sample matrix
-    against them gives every inner sum, and Horner's rule in z^B, in place,
-    finishes.  The bumps vanish at both ends of the x grid, so the sum is
-    the trapezoid rule.  E_cut and norm_sq are computed on first use and
-    kept, so every backend projection shares them.
+    bumps is one BumpSpec or a sequence of them; every value below is per
+    bump, on a trailing axis for a sequence.  psi_hat(E) = h e^{iEc} W(Eh)
+    with the family's table W, so the profile is 0 from E_cut = s_end / h
+    on, and its norm int |psi_plus_tilde|^2 dE = (1/pi) int s W(s)^2 ds is
+    the same for every bump of a family.
     """
 
-    def __init__(self, x, psi):
-        x = np.asarray(x, dtype=float)
-        psi = np.asarray(psi)
-        if np.iscomplexobj(psi) and not np.allclose(psi.imag, 0.0):
-            raise ValueError("bump must be real")
-        if psi.shape[0] != x.size:
-            raise ValueError("samples and grid disagree")
-        self._single = psi.ndim == 1
-        psi = psi.real.astype(float).reshape(x.size, -1)
-        self._bumps = psi.shape[1]
-        live = psi != 0.0
-        if self._bumps == 0 or not live.any(axis=0).all():
-            raise ValueError("bump has no support")
-        rows = np.flatnonzero(live.any(axis=1))
-        self.dx = float(x[1] - x[0])
-        self.nyquist = np.pi / self.dx
-        self.x_lo = float(x[rows[0]])
-        self.x_hi = float(x[rows[-1]])
-        s = psi[rows[0]:rows[-1] + 1]
-        s = np.pad(s, ((0, -len(s) % _BLOCK), (0, 0)))
-        # row m * r + c holds block m of bump c
-        self._blocks = (s.reshape(-1, _BLOCK, self._bumps).transpose(0, 2, 1)
-                        .reshape(-1, _BLOCK))
+    def __init__(self, bumps):
+        self._single = isinstance(bumps, BumpSpec)
+        bumps = [bumps] if self._single else list(bumps)
+        families = {bs.family for bs in bumps}
+        if len(families) != 1:
+            raise ValueError(f"a profile needs bumps of one family, got "
+                             f"{sorted(families)}")
+        self.W = _unit_transform(families.pop())
+        self.h = np.array([0.5 * (bs.b - bs.a) for bs in bumps])
+        self.c = np.array([0.5 * (bs.a + bs.b) for bs in bumps])
+        self.x_hi = float(np.max(self.c + self.h))
+        self.E_cut = self._per_bump(self.W.s_end / self.h)
+        self.norm_sq = self._per_bump(np.full(self.h.shape, self.W.norm_sq))
 
     def _per_bump(self, v):
         """v without its bump axis, a scalar for a 0-d result, for one bump."""
         return v[..., 0][()] if self._single else v
-
-    def hat(self, E) -> np.ndarray:
-        E = np.asarray(E, dtype=float)
-        flat = E.ravel()
-        out = np.empty((self._bumps, flat.size), dtype=complex)
-        for i in range(0, flat.size, _CHUNK):
-            e = flat[i:i + _CHUNK]
-            P = np.empty((_BLOCK, e.size), dtype=complex)
-            P[0] = 1.0
-            P[1] = np.exp(1j * self.dx * e)
-            # z^t .. z^(2t-1) as z^0 .. z^(t-1) times z^t = (z^(t/2))^2
-            t = 2
-            while t < _BLOCK:
-                np.multiply(P[:t], P[t // 2] * P[t // 2], out=P[t:2 * t])
-                t *= 2
-            # rows of P viewed as float interleave re and im, so the real
-            # GEMM's rows view back as complex
-            S = (self._blocks @ P.view(float)).view(complex)
-            S = S.reshape(-1, self._bumps, e.size)
-            zB = P[_BLOCK // 2] * P[_BLOCK // 2]
-            acc = out[:, i:i + e.size]
-            acc[...] = S[-1]
-            for m in range(len(S) - 2, -1, -1):
-                acc *= zB
-                acc += S[m]
-        out *= self.dx * np.exp(1j * self.x_lo * flat)
-        return self._per_bump(out.T.reshape(E.shape + (self._bumps,)))
 
     def positive_part(self, E) -> np.ndarray:
         """psi_plus_tilde(E) = i sqrt(E/pi) psi_hat(E).
@@ -175,33 +196,9 @@ class FourierProfile:
         The factor i pins the inversion phase so real bumps satisfy the
         modular invariance exp(-pi D) psi = J psi (J = conjugation).
         """
-        E = np.asarray(E, dtype=float)
-        fac = 1j * np.sqrt(np.abs(E) / np.pi)
-        return (fac if self._single else fac[..., None]) * self.hat(E)
-
-    @cached_property
-    def E_cut(self):
-        """Energy beyond which the profile stays below 1e-10 of its peak on a
-        400-point probe, plus a 20 percent margin, capped at Nyquist."""
-        probe = np.linspace(1.0, self.nyquist, 400)
-        mags = np.abs(self.positive_part(probe)).reshape(probe.size, -1)
-        # one past the last probe point at or above the threshold
-        stop = np.max((mags >= 1e-10 * mags.max(axis=0))
-                      * np.arange(1, probe.size + 1)[:, None], axis=0)
-        return self._per_bump(np.minimum(np.append(1.2 * probe, np.inf)[stop],
-                                         self.nyquist))
-
-    @cached_property
-    def norm_sq(self):
-        """Full |psi_plus_tilde|^2 integral on state-resolution panels.
-
-        The modulus drops the phase e^{i E x_lo}, so it oscillates on the
-        scale of the support width x_hi - x_lo rather than of x_hi.
-        """
-        u, w = _umesh(np.max(self.E_cut), beta=1.0, M=1,
-                      b=self.x_hi - self.x_lo)
-        vals = self.positive_part(u * u).reshape(u.size, -1)
-        return self._per_bump((w * 2.0 * u) @ np.abs(vals) ** 2)
+        E = np.asarray(E, dtype=float)[..., None]
+        return self._per_bump(1j * np.sqrt(np.abs(E) / np.pi) * self.h
+                              * np.exp(1j * self.c * E) * self.W(self.h * E))
 
 
 def _umesh(E_cut: float, beta: float, M: int, b: float,
@@ -230,10 +227,21 @@ def _umesh(E_cut: float, beta: float, M: int, b: float,
 
 @lru_cache(maxsize=4)
 def _legendre(n: int) -> tuple:
-    """The n-node Gauss-Legendre rule on [-1, 1], read-only and shared."""
-    from numpy.polynomial.legendre import leggauss
+    """The n-node Gauss-Legendre rule on [-1, 1], read-only and shared.
 
-    rule = leggauss(n)
+    The nodes are the eigenvalues of the Jacobi matrix (off-diagonal
+    m / sqrt(4m^2 - 1)), which one Newton step on P_n polishes; the weights
+    are 2 / ((1 - x^2) P_n'(x)^2).  Only the tridiagonal matrix is held.
+    """
+    m = np.arange(1.0, n)
+    x = eigh_tridiagonal(np.zeros(n), m / np.sqrt(4.0 * m * m - 1.0),
+                         eigvals_only=True)
+    p0, p1 = np.ones(n), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    dp = n * (x * p1 - p0) / (x * x - 1.0)
+    x = x - p1 / dp
+    rule = (x, 2.0 / ((1.0 - x * x) * dp * dp))
     for a in rule:
         a.setflags(write=False)
     return rule
@@ -275,16 +283,12 @@ class StateVector:
         return GridState(self.data, self.basis)
 
 
-def positive_frequency(x, psi, target, family: str = "Z",
+def positive_frequency(bump: BumpSpec, target, family: str = "Z",
                        max_residual: float = PROJECTION_GATE,
-                       profile: FourierProfile | None = None,
                        provenance: dict | None = None) -> StateVector:
-    """Positive-frequency part of one real sampled bump in a chosen backend:
-    project_bumps on the bump's FourierProfile, which may be shared across
-    backends."""
-    if profile is None:
-        profile = FourierProfile(x, psi)
-    return project_bumps(profile, target, family, max_residual,
+    """Positive-frequency part of one bump in a chosen backend: project_bumps
+    on the bump's FourierProfile."""
+    return project_bumps(FourierProfile(bump), target, family, max_residual,
                          [provenance or {}])[0]
 
 
@@ -299,8 +303,7 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
     family) or a GridSpec (samples at the grid nodes).  The bumps share one
     energy mesh, sized by the largest cutoff and the union support, and one
     Laguerre sweep projects the real and imaginary parts of all of them.
-    provenance holds one dict per bump.  Raises NyquistViolation when the x
-    sampling cannot carry the needed energies and ProjectionLoss when more
+    provenance holds one dict per bump.  Raises ProjectionLoss when more
     than max_residual of some bump's continuum mass misses the
     representation.
     """
@@ -308,10 +311,6 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
         if family not in ("Z", "Ztilde"):
             raise ValueError(f"unknown family {family!r}")
         cut = np.atleast_1d(profile.E_cut)
-        if cut.max() >= 0.999 * profile.nyquist:
-            raise NyquistViolation(
-                f"profile still carries mass at the x-grid Nyquist limit "
-                f"{profile.nyquist:.1f}")
         # the basis sees nothing past its turning point, so the coefficient
         # integral stops at the earlier of basis cap and profile cutoff
         E_int = min(cut.max(), _basis_energy_cap(target, family))
@@ -331,10 +330,6 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
         rep_norm = np.sum(np.abs(data) ** 2, axis=0)
         kind = "z-spectral"
     elif isinstance(target, GridSpec):
-        if target.E_max >= profile.nyquist:
-            raise NyquistViolation(
-                f"grid E_max {target.E_max} exceeds the x-grid Nyquist limit "
-                f"{profile.nyquist:.1f}")
         norm_sq = np.atleast_1d(profile.norm_sq)
         data = profile.positive_part(target.nodes).reshape(target.N, -1)
         rep_norm = target.spacing * np.sum(np.abs(data) ** 2, axis=0)

@@ -23,8 +23,8 @@ from .artifacts import RunConfig
 from .errors import ConfigError, OverflowAbort
 from .gridop import GridRep, GridSpec, build_grid_ops
 from .laguerre import BasisSpec
-from .localization import (BumpSpec, FourierProfile, make_bump,
-                           positive_frequency, project_bumps)
+from .localization import (BumpSpec, FourierProfile, positive_frequency,
+                           project_bumps)
 from .spectral import (
     INTERIOR_FRACTION,
     GeneratorSet,
@@ -59,7 +59,6 @@ __all__ = [
 
 # default bump budget and fixture truncation matching the acceptance scale
 N_BUMPS = RunConfig.n_bumps
-BUMP_SAMPLES = 8192
 FIXTURE_M = RunConfig.fixture_M
 WEYL_BLOCK = 16
 S_INV_INTERVAL = (1.0, 2.0)
@@ -182,7 +181,9 @@ class IntervalFixture:
     equally: beta grows like x^2 where the plain family needs beta ~ x,
     and E_max stops at its floor for b >= 4, so narrow intervals (b/a <=
     1.5) and far scales such as [0.25, 0.5] and [16, 32] miss projection
-    gates.
+    gates.  The bump profiles add no cause of their own: each is its
+    family's unit-window transform at the bump's centre and scale
+    (FourierProfile), the same at every scale.
 
     table(backend) is the expectation table of one backend of BACKENDS,
     built on first use and kept per instance (a dataclasses.replace copy
@@ -264,8 +265,8 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
 
     The first bump fills [a, b]; the rest sit on random sub-intervals with
     width at least 0.6 (b - a), so every state is local in [a, b] while the
-    ensemble varies.  All bumps share one x grid, so one blocked Fourier
-    profile feeds one batched projection per backend.
+    ensemble varies.  The bumps share one family, so one profile feeds one
+    batched projection per backend.
     """
     if n_bumps < 1:
         raise ValueError(f"a fixture needs n_bumps >= 1, got {n_bumps}")
@@ -279,19 +280,10 @@ def build_interval_fixture(a: float, b: float, k: float = 1.0,
     rep = build_grid_ops(grid, k)
     rng = np.random.default_rng(seed)
     w = b - a
-    bumps = []
-    for i in range(n_bumps):
-        if i == 0:
-            ai, bi = a, b
-        else:
-            ai = a + 0.2 * w * rng.random()
-            bi = b - 0.2 * w * rng.random()
-        bumps.append(BumpSpec(ai, bi, family=family, samples=BUMP_SAMPLES,
-                              extent_factor=4.0 * b / bi))
-    # every bump lives on the first one's x grid, [0, 4b]
-    samples = [make_bump(bs) for bs in bumps]
-    prof = FourierProfile(samples[0][0],
-                          np.stack([psi for _, psi in samples], 1))
+    bumps = [BumpSpec(a, b, family=family)] + [
+        BumpSpec(a + 0.2 * w * rng.random(), b - 0.2 * w * rng.random(),
+                 family=family) for _ in range(n_bumps - 1)]
+    prof = FourierProfile(bumps)
     prov = [{"interval": [a, b], "support": [bs.a, bs.b], "seed": seed,
              "index": i, "family": family} for i, bs in enumerate(bumps)]
     svs = project_bumps(prof, spec, "Z", provenance=prov)
@@ -602,8 +594,7 @@ def check_S_invariance_convergence(k: float = 1.0, beta: float = 1.0,
     def window(e):
         return np.where(np.abs(e) <= S_INV_WINDOW, 1.0, 0.0)
 
-    x, psi = make_bump(BumpSpec(*S_INV_INTERVAL, samples=BUMP_SAMPLES))
-    prof = FourierProfile(x, psi)
+    bump = BumpSpec(*S_INV_INTERVAL)
     params = {"interval": list(S_INV_INTERVAL), "k": k, "beta": beta,
               "ladder": list(ladder), "window": S_INV_WINDOW}
     rs = []
@@ -611,8 +602,8 @@ def check_S_invariance_convergence(k: float = 1.0, beta: float = 1.0,
         for M in ladder:
             sp = BasisSpec(k=k, beta=beta, M=M)
             D = build_generators(sp).D.eigensystem()
-            v = positive_frequency(x, psi, sp, family="Z", max_residual=1e-2,
-                                   profile=prof).data
+            v = positive_frequency(bump, sp, family="Z",
+                                   max_residual=1e-2).data
             amp = np.max(D.weights(v)[np.abs(D.evals) <= S_INV_WINDOW])
             if np.exp(np.pi * S_INV_WINDOW) * np.sqrt(amp) > guard:
                 raise OverflowAbort(f"window {S_INV_WINDOW} amplifies "

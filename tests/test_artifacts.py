@@ -28,7 +28,6 @@ from modloc.laguerre import BasisSpec
 from modloc.localization import (
     BumpSpec,
     StateVector,
-    make_bump,
     positive_frequency,
 )
 from modloc.spectral import build_generators
@@ -42,10 +41,10 @@ def g64():
 
 @pytest.fixture(scope="module")
 def states():
-    x, psi = make_bump(BumpSpec(1.0, 2.0, samples=8192))
-    sv = positive_frequency(x, psi, BasisSpec(k=1.0, beta=1.0, M=128),
+    bump = BumpSpec(1.0, 2.0)
+    sv = positive_frequency(bump, BasisSpec(k=1.0, beta=1.0, M=128),
                             provenance={"interval": [1, 2]})
-    svg = positive_frequency(x, psi, GridSpec(N=1024, E_max=40.0),
+    svg = positive_frequency(bump, GridSpec(N=1024, E_max=40.0),
                              max_residual=1e-3)
     return sv, svg
 

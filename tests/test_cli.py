@@ -142,8 +142,8 @@ def test_flags_a_subcommand_does_not_read_exit_2(argv, tmp_path,
 
 
 def test_unresolvable_bump_family_gives_config_error(capsys):
-    # the sin^2 window's transform outruns the fixtures' x sampling, so
-    # every fixture check would fail with NyquistViolation
+    # the sin^2 window's transform decays only like E^-3, past the end of
+    # the transform table every fixture profile is built from
     code = main(["verify", "--bump", "sine-window", "--scope", "d_positive",
                  "--interval", "1", "2"])
     assert code == 2
@@ -296,6 +296,18 @@ def test_localize_summary_and_states(tmp_path, capsys):
     summary = (outdir / "summary.csv").read_text().strip().splitlines()
     assert len(summary) == 3
     assert all("True" in line for line in summary[1:])
+
+
+def test_polynomial_window_localizes_at_a_far_scale(tmp_path, capsys):
+    # its E_cut follows the bump's scale, so no sampling limit stops it at
+    # [16, 32]; the sampled profile exited 2 with NyquistViolation there
+    outdir = tmp_path / "states"
+    code = main(["localize", "--bump", "polynomial-window", "--interval",
+                 "16", "32", "--out", str(outdir)])
+    assert code == 0, capsys.readouterr().err
+    names = sorted(p.name for p in outdir.iterdir())
+    assert names == sorted(["summary.csv"] + [
+        f"state_{i:03d}.{ext}" for i in range(20) for ext in ("bin", "csv")])
 
 
 def test_localize_builds_no_grid_table(tmp_path, monkeypatch, capsys):

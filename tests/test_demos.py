@@ -55,6 +55,21 @@ def test_import_loads_no_special():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_turns_off_huge_page_advice():
+    # with numpy's huge-page advice on, the kernel fills freed heap holes
+    # with huge pages and the peak memory of one run moves from run to run
+    code = """import modloc
+try:
+    from numpy._core.multiarray import _get_madvise_hugepage
+except ImportError:
+    from numpy.core.multiarray import _get_madvise_hugepage
+print(_get_madvise_hugepage())
+"""
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("name", sorted(
     m.name for m in pkgutil.iter_modules(modloc.__path__)))
 def test_exports_resolve(name):

@@ -9,7 +9,6 @@ from modloc.gridop import GridSpec, GridState, build_grid_ops
 from modloc.localization import (
     BumpSpec,
     FourierProfile,
-    make_bump,
     positive_frequency,
 )
 from modloc.spectral import Tridiagonal
@@ -22,10 +21,9 @@ def rep():
 
 @pytest.fixture(scope="module")
 def bump_state(rep):
-    x, psi = make_bump(BumpSpec(1.0, 2.0, samples=8192))
-    prof = FourierProfile(x, psi)
-    return positive_frequency(x, psi, rep.grid, max_residual=1e-3,
-                              profile=prof), prof
+    bump = BumpSpec(1.0, 2.0)
+    return (positive_frequency(bump, rep.grid, max_residual=1e-3),
+            FourierProfile(bump))
 
 
 def test_grid_spec_validation():

@@ -37,16 +37,15 @@ def test_tracer_patches_and_restores_every_target(spans):
                  for m, a, *_ in spans.TARGETS if "." not in a}
     init = localization.FourierProfile.__dict__["__init__"]
     with spans.Tracer() as tracer:
-        x, psi = localization.make_bump(
-            localization.BumpSpec(1.0, 2.0, samples=8192))
-        prof = localization.FourierProfile(x, psi)
+        bump = localization.BumpSpec(1.0, 2.0)
+        localization.make_bump(bump, np.linspace(0.0, 3.0, 31))
+        localization.FourierProfile(bump)
         for family in ("Z", "Ztilde"):
             localization.positive_frequency(
-                x, psi, laguerre.BasisSpec(k=1.0, M=16), family=family,
-                max_residual=1.0, profile=prof)
+                bump, laguerre.BasisSpec(k=1.0, M=16), family=family,
+                max_residual=1.0)
         grid = gridop.GridSpec(N=256, E_max=40.0)
-        sv = localization.positive_frequency(x, psi, grid, max_residual=1.0,
-                                             profile=prof)
+        sv = localization.positive_frequency(bump, grid, max_residual=1.0)
         gridop.build_grid_ops(grid, 1.0).expect_T(sv.as_grid_state())
         laguerre.gauss_laguerre(8)
     calls, _ = tracer.self_times()

@@ -429,14 +429,13 @@ def test_fixture_states_match_single_bump_projection(a, b, n_bumps):
     # the shared mesh of a fixture gives each bump the state its own mesh
     # gives; the projection residual is already a fraction of the norm, a
     # difference of two nearly equal norms, so it is compared absolutely
-    from modloc.localization import make_bump, positive_frequency
+    from modloc.localization import positive_frequency
 
     fx = build_interval_fixture(a, b, n_bumps=n_bumps)
     for st in fx.states:
-        x, psi = make_bump(st["bump"])
         for key, target in (("Z", fx.spec), ("Ztilde", fx.spec),
                             ("grid", fx.grid)):
-            ref = positive_frequency(x, psi, target, family=key,
+            ref = positive_frequency(st["bump"], target, family=key,
                                      max_residual=1.0)
             sv = st[key]
             assert (np.linalg.norm(sv.data - ref.data)
