@@ -11,8 +11,11 @@ points of the line is the demo demos/group_geometry.py.
 
 try:
     from numpy._core.multiarray import _set_madvise_hugepage
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import _set_madvise_hugepage
+except ImportError:  # numpy < 2, or a numpy without the switch
+    try:
+        from numpy.core.multiarray import _set_madvise_hugepage
+    except ImportError:
+        _set_madvise_hugepage = None
 
 from .errors import (
     ConfigError,
@@ -48,4 +51,5 @@ __version__ = "0.1.0"
 # numpy advises transparent huge pages for every array of 4 MiB or more; the
 # kernel then fills the freed holes of the heap with huge pages whenever it
 # has some to spare, and peak memory moves from run to run
-_set_madvise_hugepage(False)
+if _set_madvise_hugepage is not None:
+    _set_madvise_hugepage(False)

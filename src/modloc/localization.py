@@ -310,10 +310,9 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
     if isinstance(target, BasisSpec):
         if family not in ("Z", "Ztilde"):
             raise ValueError(f"unknown family {family!r}")
-        cut = np.atleast_1d(profile.E_cut)
         # the basis sees nothing past its turning point, so the coefficient
         # integral stops at the earlier of basis cap and profile cutoff
-        E_int = min(cut.max(), _basis_energy_cap(target, family))
+        E_int = min(np.max(profile.E_cut), _basis_energy_cap(target, family))
         u, w = _umesh(E_int, target.beta, target.M, b=profile.x_hi,
                       family=family)
         E = u * u
@@ -324,18 +323,15 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
         re_im = basis_matrix(target, E, which=family,
                              weights=np.concatenate([f.real, f.imag], 1))
         data = re_im[:, :f.shape[1]] + 1j * re_im[:, f.shape[1]:]
-        norm_sq = wts @ np.abs(vals) ** 2
-        if E_int < cut.max():
-            norm_sq = np.where(E_int < cut, profile.norm_sq, norm_sq)
         rep_norm = np.sum(np.abs(data) ** 2, axis=0)
         kind = "z-spectral"
     elif isinstance(target, GridSpec):
-        norm_sq = np.atleast_1d(profile.norm_sq)
         data = profile.positive_part(target.nodes).reshape(target.N, -1)
         rep_norm = target.spacing * np.sum(np.abs(data) ** 2, axis=0)
         kind, family = "e-grid", "grid"
     else:
         raise TypeError(f"unsupported projection target {type(target)!r}")
+    norm_sq = np.atleast_1d(profile.norm_sq)
     residual = np.abs(norm_sq - rep_norm) / norm_sq
     lost = residual > max_residual
     if lost.any():

@@ -70,6 +70,24 @@ print(_get_madvise_hugepage())
     assert proc.stdout.strip() == "False"
 
 
+def test_import_without_huge_page_switch():
+    # the switch is private to numpy; a numpy without it leaves the advice
+    # as it is and the package still imports
+    code = """import numpy as np
+for name in ("numpy._core.multiarray", "numpy.core.multiarray"):
+    try:
+        module = __import__(name, fromlist=["_set_madvise_hugepage"])
+        del module._set_madvise_hugepage
+    except (ImportError, AttributeError):
+        pass
+import modloc
+print(modloc.BumpSpec(1.0, 2.0).family)
+"""
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "mollifier"
+
+
 @pytest.mark.parametrize("name", sorted(
     m.name for m in pkgutil.iter_modules(modloc.__path__)))
 def test_exports_resolve(name):

@@ -2,7 +2,6 @@
 
 import functools
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -31,7 +30,9 @@ ORACLE_S = (0.5, 7.5, 60.0, 250.0, 520.0)
 @functools.lru_cache(maxsize=None)
 def unit_transform_oracle(family: str, s: float) -> float:
     """W(s) = 2 int_0^1 w0(u) cos(s u) du by mpmath quadrature, split at
-    every half period of the cosine."""
+    every half period of the cosine; the tests that read it skip without
+    mpmath (the test extra)."""
+    mpmath = pytest.importorskip("mpmath")
     if family == "mollifier":
         def w0(u):
             return mpmath.exp(1 - 1 / (1 - u * u))
@@ -46,13 +47,21 @@ def unit_transform_oracle(family: str, s: float) -> float:
 
 def direct_positive_part(bump, E, n: int = 2049) -> np.ndarray:
     """i sqrt(E/pi) int psi(x) e^{iEx} dx by the trapezoid rule on n points
-    of the support, from the closed-form bump."""
-    x = np.linspace(bump.a, bump.b, n)
-    wpsi = (x[1] - x[0]) * make_bump(bump, x)
+    of the support, from the closed-form bump.
+
+    The phase is taken about the centre c, e^{iEx} = e^{iEc} e^{iE(x - c)},
+    so its rounding grows with E h rather than E b.  The bump and its
+    derivatives through the third vanish at both ends, so the rule's error
+    is the aliased transform at 2 pi (n - 1)/(b - a) - E, below 1e-16 of
+    the peak up to either fixture family's cutoff at n = 2049.
+    """
+    c, h = 0.5 * (bump.a + bump.b), 0.5 * (bump.b - bump.a)
+    u = h * np.linspace(-1.0, 1.0, n)
+    wpsi = (u[1] - u[0]) * make_bump(bump, c + u)
     E = np.asarray(E, dtype=float)
-    out = np.concatenate([np.exp(1j * np.outer(e, x)) @ wpsi
+    out = np.concatenate([np.exp(1j * np.outer(e, u)) @ wpsi
                           for e in np.array_split(E, max(1, E.size // 128))])
-    return 1j * np.sqrt(E / np.pi) * out
+    return 1j * np.sqrt(E / np.pi) * np.exp(1j * E * c) * out
 
 
 def positive_part_samples(bump, x_eval) -> np.ndarray:
@@ -174,6 +183,23 @@ def test_profile_matches_oracle_up_to_cutoff(a, b):
         if col == 0:
             assert np.max(np.abs(prof.positive_part(E) - oracle)) <= (
                 1e-12 * peak)
+
+
+@pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+@pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.0, 2.0), (4.0, 8.0)])
+def test_profile_matches_direct_transform_up_to_cutoff(family, a, b):
+    # every panel of the table, seams included, against the trapezoid
+    # transform of the closed-form bump on a dense mesh below E_cut
+    bump = BumpSpec(a, b, family=family)
+    prof = FourierProfile(bump)
+    h = 0.5 * (b - a)
+    seams = np.arange(2.0, prof.W.s_end, 2.0) / h
+    E = np.concatenate([np.linspace(0.0, prof.E_cut, 4001)[:-1], seams,
+                        seams * (1.0 - 1e-12)])
+    vals = prof.positive_part(E)
+    peak = np.max(np.abs(vals))
+    assert np.max(np.abs(vals - direct_positive_part(bump, E))) <= (
+        1e-12 * peak)
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.0, 2.0), (4.0, 8.0)])
