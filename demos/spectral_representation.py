@@ -17,10 +17,11 @@ from scipy.linalg import eigh
 
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
+    INTERIOR_FRACTION,
     build_generators,
     build_T,
     build_tilde_generators,
-    interior_residual,
+    relative_residual,
     unitary_flow,
 )
 from modloc.verification import check_commutators
@@ -49,10 +50,12 @@ def main():
         print(f"  {tag}: [H,D]-iH {res['HD']:.2e}, [C,D]+iC {res['CD']:.2e}, "
               f"[H,C]-2iD {res['HC']:.2e}")
 
+    # on the interior block of the leading ceil(INTERIOR_FRACTION M) rows
     R = unitary_flow(g.rotation(), np.pi)
-    swapped = R @ (g.H @ R.conj().T)
+    b = int(np.ceil(INTERIOR_FRACTION * g.M))
+    swapped = (R @ (g.H @ R.conj().T))[:b, :b]
     print(f"\nrotation by pi swaps H and C: residual "
-          f"{interior_residual(swapped, g.C @ np.eye(g.M)):.2e}")
+          f"{relative_residual(swapped, (g.C @ np.eye(g.M))[:b, :b]):.2e}")
 
     T = build_T(gt)
     evals_T = np.sort(eigh(T.matrix, eigvals_only=True))

@@ -26,7 +26,7 @@ from .errors import (
     ProjectionLoss,
     SpectrumOutOfDomain,
 )
-from .laguerre import BasisSpec, QuadratureRule, basis_eval, gauss_laguerre
+from .laguerre import BasisSpec, QuadratureRule, basis_matrix, gauss_laguerre
 from .spectral import (
     GeneratorSet,
     HermitianOperator,

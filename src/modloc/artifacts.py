@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DecompositionFailure
+from .errors import (ConfigError, DecompositionFailure, check_numbers,
+                     is_number)
 from .gridop import GridSpec
 from .laguerre import BasisSpec
 from .localization import (BUMP_FAMILIES, FIXTURE_FAMILIES, BumpSpec,
@@ -33,7 +33,6 @@ __all__ = [
     "load_representation",
     "save_state",
     "load_state",
-    "state_profile_rows",
     "write_state_csv",
     "report_rows",
     "write_report_csv",
@@ -82,7 +81,7 @@ def _fields(doc: dict, where: str, **kinds) -> list:
     values = [doc.get(key) for key in kinds]
     for (key, kind), value in zip(kinds.items(), values):
         ok = (value in kind if isinstance(kind, tuple) else
-              _is_number(value, kind) if issubclass(kind, numbers.Number)
+              is_number(value, kind) if issubclass(kind, numbers.Number)
               else isinstance(value, kind))
         if not ok:
             raise DecompositionFailure(
@@ -90,10 +89,10 @@ def _fields(doc: dict, where: str, **kinds) -> list:
     return values
 
 
-def _spec(cls, doc: dict, where: str, **kinds):
-    """cls built from doc's fields of the given kinds."""
+def _spec(cls, doc: dict, where: str, names):
+    """cls built from doc's fields of the given names, which cls checks."""
     try:
-        return cls(*_fields(doc, where, **kinds))
+        return cls(*[doc.get(name) for name in names])
     except ValueError as exc:
         raise DecompositionFailure(f"invalid artifact {where}: {exc}") from exc
 
@@ -157,7 +156,7 @@ def load_representation(path) -> GeneratorSet:
     or not of length M, or an upper band not one shorter than it."""
     header, payload = _read_header(Path(path).read_bytes(), REP_MAGIC)
     arrays = _unpack_arrays(header, payload)
-    spec = _spec(BasisSpec, header, "header", **_BASES["z-spectral"][2])
+    spec = _spec(BasisSpec, header, "header", _BASES["z-spectral"][2])
     (variant,) = _fields(header, "header", variant=("plain", "tilde"))
     try:
         ops = {name: Tridiagonal(arrays.get(name + "_diag"),
@@ -174,10 +173,8 @@ def load_representation(path) -> GeneratorSet:
 # state artifacts
 
 # representation: the basis kind of its states, the spec type and its fields
-_BASES = {"z-spectral": ("basis", BasisSpec, {
-              "k": numbers.Real, "beta": numbers.Real, "M": numbers.Integral}),
-          "e-grid": ("grid", GridSpec, {
-              "N": numbers.Integral, "E_max": numbers.Real})}
+_BASES = {"z-spectral": ("basis", BasisSpec, ("k", "beta", "M")),
+          "e-grid": ("grid", GridSpec, ("N", "E_max"))}
 
 
 def save_state(path, sv: StateVector, config: dict | None = None):
@@ -185,7 +182,7 @@ def save_state(path, sv: StateVector, config: dict | None = None):
     provenance, then the coefficient or sample array."""
     if sv.representation not in _BASES:
         raise ConfigError(f"unknown representation {sv.representation!r}")
-    kind, _, kinds = _BASES[sv.representation]
+    kind, _, names = _BASES[sv.representation]
     header = {
         "format": STATE_MAGIC,
         "version": FORMAT_VERSION,
@@ -194,7 +191,7 @@ def save_state(path, sv: StateVector, config: dict | None = None):
         "norm_sq": sv.norm_sq,
         "projection_residual": sv.projection_residual,
         "basis": {"kind": kind, **{key: getattr(sv.basis, key)
-                                   for key in kinds}},
+                                   for key in names}},
         "provenance": sv.provenance,
         "config": config or {},
     }
@@ -211,42 +208,23 @@ def load_state(path) -> StateVector:
         header, "header", representation=tuple(_BASES), basis=dict,
         norm_sq=numbers.Real, projection_residual=numbers.Real, family=str,
         provenance=dict)
-    kind, cls, kinds = _BASES[rep]
+    kind, cls, names = _BASES[rep]
     _fields(b, "basis", kind=(kind,))
-    basis = _spec(cls, b, "basis", **kinds)
+    basis = _spec(cls, b, "basis", names)
     (data,) = _fields(arrays, "payload", data=np.ndarray)
     return StateVector(representation=rep, data=data, basis=basis,
                        norm_sq=norm_sq, projection_residual=residual,
                        family=family, provenance=dict(provenance))
 
 
-def state_profile_rows(sv: StateVector, n_points: int = 512):
-    """(E, Re psi_plus_tilde, Im psi_plus_tilde) rows for plotting.
-
-    Grid states report their own nodes; spectral states are reconstructed
-    from the basis on a uniform mesh up to the basis resolution cap.
-    """
-    from .laguerre import basis_matrix
-
-    if sv.representation == "e-grid":
-        E = sv.basis.nodes
-        vals = sv.data
-    else:
-        spec = sv.basis
-        if sv.family == "Ztilde":
-            cap = np.sqrt((2.0 * spec.M + 4.0) / (2.0 * spec.beta))
-        else:
-            cap = (2.0 * spec.M + 4.0) / (2.0 * spec.beta)
-        E = np.linspace(cap / n_points, cap, n_points)
-        vals = sv.data @ basis_matrix(spec, E, which=sv.family)
-    return list(zip(E.tolist(), vals.real.tolist(), vals.imag.tolist()))
-
-
-def write_state_csv(path, sv: StateVector, n_points: int = 512):
-    """state_profile_rows under the header E,re_psi_plus,im_psi_plus in one
-    write: the bytes csv.writer gives, each float by repr and each line
-    ended by \\r\\n."""
-    rows = state_profile_rows(sv, n_points)
+def write_state_csv(path, sv: StateVector):
+    """A grid state's nodes and samples under the header
+    E,re_psi_plus,im_psi_plus in one write: the bytes csv.writer gives, each
+    float by repr and each line ended by \\r\\n.  A spectral state raises
+    ValueError."""
+    gs = sv.as_grid_state()
+    rows = zip(gs.grid.nodes.tolist(), gs.samples.real.tolist(),
+               gs.samples.imag.tolist())
     with open(path, "w", newline="") as f:
         f.write("E,re_psi_plus,im_psi_plus\r\n" + "".join(
             [f"{e!r},{re!r},{im!r}\r\n" for e, re, im in rows]))
@@ -368,12 +346,6 @@ def write_curves_csv(path, report):
 # ---------------------------------------------------------------------------
 # run configuration
 
-def _is_number(value, kind) -> bool:
-    """A finite instance of the numbers ABC kind that is not a bool."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 @dataclass
 class RunConfig:
     """Everything a run needs, serializable and round-trippable.
@@ -404,18 +376,12 @@ class RunConfig:
     format: str | None = None
 
     def __post_init__(self):
-        ints = ("M", "grid_n", "n_bumps", "fixture_M", "weyl_M", "seed")
-        for name in ("k", "beta", "grid_emax", "grid_emax_tilde") + ints:
-            value = getattr(self, name)
-            if not _is_number(value, numbers.Integral if name in ints
-                              else numbers.Real):
-                raise ConfigError(
-                    f"{name} must be a finite "
-                    f"{'integer' if name in ints else 'real number'}, "
-                    f"got {value!r}")
+        check_numbers(self, ("k", "beta", "grid_emax", "grid_emax_tilde"),
+                      ("M", "grid_n", "n_bumps", "fixture_M", "weyl_M",
+                       "seed"), ConfigError)
         if not (isinstance(self.intervals, list) and self.intervals and all(
                 isinstance(iv, (list, tuple)) and len(iv) == 2
-                and all(_is_number(x, numbers.Real) for x in iv)
+                and all(is_number(x, numbers.Real) for x in iv)
                 for iv in self.intervals)):
             raise ConfigError(f"intervals must be a non-empty list of [a, b] "
                               f"pairs of real numbers, got {self.intervals!r}")

@@ -1,4 +1,8 @@
-"""Exception types raised by the modloc numerical machinery."""
+"""Exception types raised by the modloc numerical machinery, and the number
+check behind every spec's and config's range rules."""
+
+import math
+import numbers
 
 
 class ModlocError(Exception):
@@ -27,3 +31,20 @@ class OverflowAbort(ModlocError):
 
 class ConfigError(ModlocError):
     """A run configuration failed validation."""
+
+
+def is_number(value, kind) -> bool:
+    """A finite instance of the numbers ABC kind that is not a bool."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_numbers(obj, reals=(), ints=(), error=ValueError):
+    """Raise error unless each field of obj named in reals is a finite real
+    number and each named in ints an integer, none of them a bool."""
+    for names, kind, word in ((reals, numbers.Real, "real number"),
+                              (ints, numbers.Integral, "integer")):
+        for name in names:
+            value = getattr(obj, name)
+            if not is_number(value, kind):
+                raise error(f"{name} must be a finite {word}, got {value!r}")

@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
+from .errors import check_numbers
 from .spectral import (SL2_RELATIONS, Tridiagonal, TridiagonalLog,
                        relative_residual)
 
@@ -38,6 +39,7 @@ class GridSpec:
     E_max: float = 40.0
 
     def __post_init__(self):
+        check_numbers(self, ("E_max",), ("N",))
         if self.N < 16:
             raise ValueError("grid needs at least 16 points")
         if self.E_max <= 0:

@@ -15,20 +15,20 @@ squared-coordinate generator triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import get_blas_funcs
 
-from .errors import EigenFailure
+from .errors import EigenFailure, check_numbers
 
 __all__ = [
     "QuadratureRule",
     "BasisSpec",
     "laguerre_log_abs",
     "gauss_laguerre",
-    "basis_eval",
+    "basis_matrix",
 ]
 
 
@@ -74,10 +74,6 @@ class QuadratureRule:
     log_weights: np.ndarray
     order: int
     alpha: float
-
-    def integrate(self, values) -> float:
-        """Integral of f(x) x^alpha e^{-x} dx given f sampled on the nodes."""
-        return float(np.dot(self.weights, values))
 
 
 def gauss_laguerre(order: int, alpha: float = 0.0) -> QuadratureRule:
@@ -140,9 +136,7 @@ class BasisSpec:
     M: int = 256
 
     def __post_init__(self):
-        if not (np.isfinite(self.k) and np.isfinite(self.beta)):
-            raise ValueError(
-                f"k and beta must be finite, got k={self.k}, beta={self.beta}")
+        check_numbers(self, ("k", "beta"), ("M",))
         if self.k < 0.5:
             raise ValueError(f"lowest weight k must be >= 1/2, got {self.k}")
         if self.beta <= 0:
@@ -154,19 +148,6 @@ class BasisSpec:
     def tilde_k(self) -> float:
         """Lowest weight k/2 + 1/4 of the squared-coordinate companion triple."""
         return 0.5 * self.k + 0.25
-
-
-def basis_eval(spec: BasisSpec, n: int, E, which: str = "Z") -> np.ndarray:
-    """Pointwise value of the n-th basis function (m = n + k) at E > 0.
-
-    which = "Z" evaluates the plain family (argument 2 beta E); "Ztilde"
-    evaluates the squared-coordinate family (argument 2 beta E^2, extra
-    sqrt(2) prefactor).  It is the last row of basis_matrix at truncation
-    n + 1.
-    """
-    if not 0 <= n < spec.M:
-        raise ValueError(f"basis index {n} outside 0..{spec.M - 1}")
-    return basis_matrix(replace(spec, M=n + 1), E, which=which)[n]
 
 
 # rows come out in blocks of at most _BLOCK_ROWS, one GEMM (or one product

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ProjectionLoss
+from .errors import ProjectionLoss, check_numbers
 from .gridop import GridSpec, GridState
 from .laguerre import BasisSpec, basis_matrix
 
@@ -57,6 +57,7 @@ class BumpSpec:
     family: str = "mollifier"
 
     def __post_init__(self):
+        check_numbers(self, ("a", "b"))
         if not 0 < self.a < self.b:
             raise ValueError(f"need 0 < a < b, got [{self.a}, {self.b}]")
         if self.family not in BUMP_FAMILIES:
@@ -163,18 +164,15 @@ def _unit_transform(family: str) -> _UnitTransform:
 
 
 class FourierProfile:
-    """Positive-frequency profiles of bumps of one family.
+    """Positive-frequency profiles of a sequence of bumps of one family.
 
-    bumps is one BumpSpec or a sequence of them; every value below is per
-    bump, on a trailing axis for a sequence.  psi_hat(E) = h e^{iEc} W(Eh)
-    with the family's table W, so the profile is 0 from E_cut = s_end / h
-    on, and its norm int |psi_plus_tilde|^2 dE = (1/pi) int s W(s)^2 ds is
-    the same for every bump of a family.
+    Every value below is per bump, on a trailing axis.  psi_hat(E) =
+    h e^{iEc} W(Eh) with the family's table W, so the profile is 0 from
+    E_cut = s_end / h on, and its norm int |psi_plus_tilde|^2 dE =
+    (1/pi) int s W(s)^2 ds is the same for every bump of a family.
     """
 
     def __init__(self, bumps):
-        self._single = isinstance(bumps, BumpSpec)
-        bumps = [bumps] if self._single else list(bumps)
         families = {bs.family for bs in bumps}
         if len(families) != 1:
             raise ValueError(f"a profile needs bumps of one family, got "
@@ -183,12 +181,8 @@ class FourierProfile:
         self.h = np.array([0.5 * (bs.b - bs.a) for bs in bumps])
         self.c = np.array([0.5 * (bs.a + bs.b) for bs in bumps])
         self.x_hi = float(np.max(self.c + self.h))
-        self.E_cut = self._per_bump(self.W.s_end / self.h)
-        self.norm_sq = self._per_bump(np.full(self.h.shape, self.W.norm_sq))
-
-    def _per_bump(self, v):
-        """v without its bump axis, a scalar for a 0-d result, for one bump."""
-        return v[..., 0][()] if self._single else v
+        self.E_cut = self.W.s_end / self.h
+        self.norm_sq = np.full(self.h.shape, self.W.norm_sq)
 
     def positive_part(self, E) -> np.ndarray:
         """psi_plus_tilde(E) = i sqrt(E/pi) psi_hat(E).
@@ -197,8 +191,8 @@ class FourierProfile:
         modular invariance exp(-pi D) psi = J psi (J = conjugation).
         """
         E = np.asarray(E, dtype=float)[..., None]
-        return self._per_bump(1j * np.sqrt(np.abs(E) / np.pi) * self.h
-                              * np.exp(1j * self.c * E) * self.W(self.h * E))
+        return (1j * np.sqrt(np.abs(E) / np.pi) * self.h
+                * np.exp(1j * self.c * E) * self.W(self.h * E))
 
 
 def _umesh(E_cut: float, beta: float, M: int, b: float,
@@ -287,9 +281,9 @@ def positive_frequency(bump: BumpSpec, target, family: str = "Z",
                        max_residual: float = PROJECTION_GATE,
                        provenance: dict | None = None) -> StateVector:
     """Positive-frequency part of one bump in a chosen backend: project_bumps
-    on the bump's FourierProfile."""
-    return project_bumps(FourierProfile(bump), target, family, max_residual,
-                         [provenance or {}])[0]
+    on the FourierProfile of [bump]."""
+    return project_bumps(FourierProfile([bump]), target, family,
+                         max_residual, [provenance or {}])[0]
 
 
 def project_bumps(profile: FourierProfile, target, family: str = "Z",
@@ -303,10 +297,15 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
     family) or a GridSpec (samples at the grid nodes).  The bumps share one
     energy mesh, sized by the largest cutoff and the union support, and one
     Laguerre sweep projects the real and imaginary parts of all of them.
-    provenance holds one dict per bump.  Raises ProjectionLoss when more
-    than max_residual of some bump's continuum mass misses the
-    representation.
+    provenance holds one dict per bump; a list of another length raises
+    ValueError.  Raises ProjectionLoss when more than max_residual of some
+    bump's continuum mass misses the representation.
     """
+    if provenance is None:
+        provenance = [{} for _ in profile.h]
+    elif len(provenance) != profile.h.size:
+        raise ValueError(f"{len(provenance)} provenance dicts for "
+                         f"{profile.h.size} bumps")
     if isinstance(target, BasisSpec):
         if family not in ("Z", "Ztilde"):
             raise ValueError(f"unknown family {family!r}")
@@ -316,7 +315,7 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
         u, w = _umesh(E_int, target.beta, target.M, b=profile.x_hi,
                       family=family)
         E = u * u
-        vals = profile.positive_part(E).reshape(E.size, -1)
+        vals = profile.positive_part(E)
         wts = w * 2.0 * u  # dE = 2u du
         f = wts[:, None] * vals
         # re/im projected inside the recurrence: no basis matrix is stored
@@ -326,12 +325,12 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
         rep_norm = np.sum(np.abs(data) ** 2, axis=0)
         kind = "z-spectral"
     elif isinstance(target, GridSpec):
-        data = profile.positive_part(target.nodes).reshape(target.N, -1)
+        data = profile.positive_part(target.nodes)
         rep_norm = target.spacing * np.sum(np.abs(data) ** 2, axis=0)
         kind, family = "e-grid", "grid"
     else:
         raise TypeError(f"unsupported projection target {type(target)!r}")
-    norm_sq = np.atleast_1d(profile.norm_sq)
+    norm_sq = profile.norm_sq
     residual = np.abs(norm_sq - rep_norm) / norm_sq
     lost = residual > max_residual
     if lost.any():
@@ -341,4 +340,4 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
     columns = np.ascontiguousarray(data.T)
     return [StateVector(kind, columns[j], target, float(norm_sq[j]),
                         float(residual[j]), family, prov)
-            for j, prov in enumerate(provenance or [{} for _ in columns])]
+            for j, prov in enumerate(provenance)]

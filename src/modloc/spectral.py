@@ -41,7 +41,6 @@ __all__ = [
     "build_T",
     "unitary_flow",
     "relative_residual",
-    "interior_residual",
 ]
 
 INTERIOR_FRACTION = 0.8
@@ -443,7 +442,7 @@ def build_generators(spec: BasisSpec) -> GeneratorSet:
 def build_tilde_generators(g: GeneratorSet) -> GeneratorSet:
     """Squared-coordinate triple (H^2/2, D/2, H^{-1/2} C H^{-1/2} / 2).
 
-    The matrices are written in the companion basis (basis_eval family
+    The matrices are written in the companion basis (basis_matrix family
     "Ztilde": argument 2 beta E^2, weight parameter k~ = k/2 + 1/4), the
     orthonormal eigenbasis of the triple's rotation generator.  Under the
     square-coordinate unitary u = E^2, psi -> sqrt(2E) psi(E^2), the triple
@@ -540,11 +539,3 @@ def _norm2(X: np.ndarray) -> float:
            if np.all(np.isfinite(gram)) else np.nan)
     return float(np.sqrt(max(top, 0.0)))
 
-
-def interior_residual(lhs: np.ndarray, rhs: np.ndarray,
-                      fraction: float = INTERIOR_FRACTION) -> float:
-    """relative_residual of P lhs P and P rhs P, with P the compression onto
-    the first ceil(fraction * M) basis vectors; lhs and rhs have M rows and
-    at least that many leading columns."""
-    b = slice(0, int(np.ceil(fraction * rhs.shape[0])))
-    return relative_residual(lhs[b, b], rhs[b, b])

@@ -16,7 +16,6 @@ from modloc.artifacts import (
     report_rows,
     save_representation,
     save_state,
-    state_profile_rows,
     write_curves_csv,
     write_report_csv,
     write_report_json,
@@ -183,16 +182,20 @@ def test_state_roundtrip(tmp_path, states):
 
 
 def test_state_csv(tmp_path, states):
+    # a grid state's rows are its nodes and samples; a spectral state has
+    # no CSV form
     sv, svg = states
-    rows = state_profile_rows(svg)
-    assert len(rows) == 1024
-    E0, re0, im0 = rows[0]
-    assert E0 == pytest.approx(svg.basis.nodes[0])
     p = tmp_path / "state.csv"
-    write_state_csv(p, sv, n_points=64)
+    write_state_csv(p, svg)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "E,re_psi_plus,im_psi_plus"
-    assert len(lines) == 65
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in lines[1:]])
+    assert rows.shape == (1024, 3)
+    assert np.array_equal(rows[:, 0], svg.basis.nodes)
+    assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], svg.data)
+    with pytest.raises(ValueError, match="not a grid state"):
+        write_state_csv(tmp_path / "spectral.csv", sv)
 
 
 def test_state_csv_bytes_match_csv_writer(tmp_path):

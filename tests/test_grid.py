@@ -23,7 +23,7 @@ def rep():
 def bump_state(rep):
     bump = BumpSpec(1.0, 2.0)
     return (positive_frequency(bump, rep.grid, max_residual=1e-3),
-            FourierProfile(bump))
+            FourierProfile([bump]))
 
 
 def test_grid_spec_validation():
@@ -31,6 +31,11 @@ def test_grid_spec_validation():
         GridSpec(N=4)
     with pytest.raises(ValueError):
         GridSpec(N=64, E_max=-1.0)
+    # E_max is a finite real number, N an integer, neither a bool
+    for N, E_max in ((4096, float("inf")), (4096, float("nan")),
+                     (100.5, 40.0), (64, True), ("64", 40.0)):
+        with pytest.raises(ValueError):
+            GridSpec(N, E_max)
     g = GridSpec(N=99, E_max=10.0)
     assert abs(g.spacing - 0.1) < 1e-12
     assert abs(g.nodes[0] - 0.1) < 1e-12 and len(g.nodes) == 99
@@ -136,7 +141,7 @@ def test_dilation_flows_agree(rep, bump_state):
     sel = (E > 0.5) & (E < 20.0)
     for t in (0.2, 0.3):
         flowed = vecs @ (np.exp(-1j * t * evals) * amps)
-        exact = np.exp(-t / 2.0) * prof.positive_part(np.exp(-t) * E)
+        exact = np.exp(-t / 2.0) * prof.positive_part(np.exp(-t) * E)[:, 0]
         err = np.linalg.norm((flowed - exact)[sel]) / np.linalg.norm(psi)
         assert err < 1e-3
 
@@ -189,7 +194,7 @@ def test_expect_T_matches_dense_oracle(bump_state, k, N):
     for emax in (40.0, 160.0):
         rep = build_grid_ops(GridSpec(N=N, E_max=emax), k)
         h = rep.grid.spacing
-        v = np.stack([prof.positive_part(rep.grid.nodes),
+        v = np.stack([prof.positive_part(rep.grid.nodes)[:, 0],
                       rng.standard_normal(N) + 1j * rng.standard_normal(N)],
                      axis=1)
         # real GEMMs: the complex product would cast vecs to complex

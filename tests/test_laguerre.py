@@ -1,5 +1,7 @@
 """Laguerre recurrences and quadrature against the scipy oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from quadrature_oracle import laguerre_eval, laguerre_rows_logscale, log_norm
@@ -8,7 +10,6 @@ from scipy.special import eval_genlaguerre, gamma, gammaln, roots_genlaguerre
 
 from modloc.laguerre import (
     BasisSpec,
-    basis_eval,
     basis_matrix,
     gauss_laguerre,
     laguerre_log_abs,
@@ -48,7 +49,7 @@ def test_quadrature_polynomial_exactness():
     rule = gauss_laguerre(order, alpha)
     # exact for degree <= 2*order - 1: int x^j x^alpha e^-x = Gamma(alpha+j+1)
     for j in (0, 1, 5, 2 * order - 1):
-        val = rule.integrate(rule.nodes ** j)
+        val = rule.weights @ rule.nodes ** j
         ref = gamma(alpha + j + 1.0)
         assert abs(val - ref) < 1e-10 * ref
 
@@ -58,7 +59,7 @@ def test_quadrature_large_order_finite():
     assert np.all(np.isfinite(rule.log_weights))
     assert np.all(np.diff(rule.nodes) > 0)
     # total mass int x e^-x dx = 1
-    assert abs(rule.integrate(np.ones(600)) - 1.0) < 1e-9
+    assert abs(rule.weights @ np.ones(600) - 1.0) < 1e-9
 
 
 def test_quadrature_validation():
@@ -77,6 +78,11 @@ def test_basis_spec_validation():
         BasisSpec(k=float("inf"))
     with pytest.raises(ValueError):
         BasisSpec(k=1.0, beta=float("nan"))
+    # sizes are integers and no field is a bool
+    for bad in ({"M": 3.5}, {"M": True}, {"beta": float("inf")},
+                {"k": True}, {"M": "8"}):
+        with pytest.raises(ValueError):
+            BasisSpec(**{"k": 1.0, **bad})
     spec = BasisSpec(k=1.0)
     assert spec.tilde_k == 0.75
 
@@ -91,9 +97,9 @@ def test_basis_orthonormality(which):
     assert np.max(np.abs(G - np.eye(12))) < 1e-6
 
 
-def test_basis_matrix_matches_basis_eval():
+def test_basis_matrix_matches_closed_form():
     # against the closed form with scipy's Laguerre polynomials, away from
-    # k = beta = 1
+    # k = beta = 1; row n is the same at every truncation past n
     spec = BasisSpec(k=1.5, beta=0.7, M=8)
     E = np.linspace(0.05, 10.0, 31)
     for which in ("Z", "Ztilde"):
@@ -107,8 +113,8 @@ def test_basis_matrix_matches_basis_eval():
                    * E ** -0.5 * x ** k * np.exp(-0.5 * x)
                    * eval_genlaguerre(n, 2.0 * k - 1.0, x))
             assert np.allclose(B[n], ref, rtol=1e-10, atol=1e-12)
-            assert np.allclose(basis_eval(spec, n, E, which=which), ref,
-                               rtol=1e-10, atol=1e-12)
+            row = basis_matrix(replace(spec, M=n + 1), E, which=which)[n]
+            assert np.allclose(row, ref, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("k,beta", [(1.0, 1.0), (1.5, 0.7)])
@@ -133,7 +139,7 @@ def test_basis_matrix_no_underflow_on_energy_cap(M, which, k, beta):
     B = basis_matrix(spec, E, which=which)
     assert np.max(np.abs(B - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert np.max(np.abs(B[-1] - ref[-1])) <= 1e-10 * np.max(np.abs(ref[-1]))
-    assert basis_eval(spec, M - 1, E[-3:], which=which) == pytest.approx(
+    assert basis_matrix(spec, E[-3:], which=which)[-1] == pytest.approx(
         ref[-1, -3:], rel=1e-10)
 
 
@@ -219,11 +225,9 @@ def test_basis_matrix_weights_shape_checked():
         basis_matrix(spec, E, weights=np.ones((10, 2)))
 
 
-def test_basis_eval_validation():
+def test_basis_matrix_validation():
     spec = BasisSpec(k=1.0, M=4)
     with pytest.raises(ValueError):
-        basis_eval(spec, 4, np.array([1.0]))
+        basis_matrix(spec, np.array([-1.0]))
     with pytest.raises(ValueError):
-        basis_eval(spec, 0, np.array([-1.0]))
-    with pytest.raises(ValueError):
-        basis_eval(spec, 0, np.array([1.0]), which="bogus")
+        basis_matrix(spec, np.array([1.0]), which="bogus")

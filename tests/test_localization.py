@@ -71,9 +71,9 @@ def positive_part_samples(bump, x_eval) -> np.ndarray:
     so the real bump still splits as psi = 2 Re psi_plus.  Evaluated on the
     Gauss-Legendre panels of the profile's energy range.
     """
-    profile = FourierProfile(bump)
-    u, w = _umesh(profile.E_cut, beta=1.0, M=1, b=profile.x_hi)
-    vals = profile.positive_part(u * u)
+    profile = FourierProfile([bump])
+    u, w = _umesh(profile.E_cut[0], beta=1.0, M=1, b=profile.x_hi)
+    vals = profile.positive_part(u * u)[:, 0]
     # dE/(sqrt(4 pi E)) = 2u du/(2 sqrt(pi) u) = du/sqrt(pi)
     phases = np.exp(-1j * np.outer(np.asarray(x_eval, dtype=float), u * u))
     return -1j * (phases @ (w * vals)) / np.sqrt(np.pi)
@@ -105,6 +105,11 @@ def test_bump_validation():
         BumpSpec(2.0, 1.0)
     with pytest.raises(ValueError):
         BumpSpec(1.0, 2.0, family="gaussian")
+    # the ends are finite real numbers, not bools
+    for a, b in ((1.0, float("inf")), (float("nan"), 2.0), (True, 2.0),
+                 (1.0, "2")):
+        with pytest.raises(ValueError):
+            BumpSpec(a, b)
 
 
 @pytest.mark.parametrize("family", FIXTURE_FAMILIES)
@@ -136,7 +141,7 @@ def test_unit_transform_build_is_small(family):
 def test_sine_window_transform_outruns_the_table():
     # the sin^2 window's transform decays only like s^-3
     with pytest.raises(ValueError, match="past the table"):
-        FourierProfile(BumpSpec(1.0, 2.0, family="sine-window"))
+        FourierProfile([BumpSpec(1.0, 2.0, family="sine-window")])
 
 
 @pytest.mark.parametrize("family", FIXTURE_FAMILIES)
@@ -145,17 +150,17 @@ def test_cutoff_is_scale_covariant(family):
     # 649 at [1, 2] and 760 at [16, 32] for the mollifier
     cuts = []
     for s in (0.25, 1.0, 16.0):
-        prof = FourierProfile(BumpSpec(s, 2.0 * s, family=family))
-        cuts.append(prof.E_cut * 0.5 * s)
+        prof = FourierProfile([BumpSpec(s, 2.0 * s, family=family)])
+        cuts.append(prof.E_cut[0] * 0.5 * s)
     assert max(cuts) - min(cuts) <= 1e-12 * cuts[0]
 
 
 def test_profile_matches_direct_fourier():
-    prof = FourierProfile(BUMP)
+    prof = FourierProfile([BUMP])
     E = np.array([0.3, 1.0, 2.7, 9.9, 20.0])
     direct = direct_positive_part(BUMP, E)
-    assert np.max(np.abs(prof.positive_part(E) - direct)) < 1e-7 * np.max(
-        np.abs(direct))
+    assert np.max(np.abs(prof.positive_part(E)[:, 0] - direct)) < (
+        1e-7 * np.max(np.abs(direct)))
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.0, 2.0), (4.0, 8.0)])
@@ -165,9 +170,9 @@ def test_profile_matches_oracle_up_to_cutoff(a, b):
     # own cutoff, alone and in a block with a narrower sub-interval bump
     w = b - a
     bumps = [BumpSpec(a, b), BumpSpec(a + 0.15 * w, b - 0.1 * w)]
-    prof = FourierProfile(bumps[0])
+    prof = FourierProfile(bumps[:1])
     block = FourierProfile(bumps)
-    assert block.E_cut[0] == prof.E_cut
+    assert block.E_cut[0] == prof.E_cut[0]
     s = np.array(ORACLE_S)
     W = np.array([unit_transform_oracle("mollifier", v) for v in s])
     for col, bump in enumerate(bumps):
@@ -181,7 +186,7 @@ def test_profile_matches_oracle_up_to_cutoff(a, b):
         assert vals.shape == (E.size, 2)
         assert np.max(np.abs(vals[:, col] - oracle)) <= 1e-12 * peak
         if col == 0:
-            assert np.max(np.abs(prof.positive_part(E) - oracle)) <= (
+            assert np.max(np.abs(prof.positive_part(E)[:, 0] - oracle)) <= (
                 1e-12 * peak)
 
 
@@ -191,12 +196,12 @@ def test_profile_matches_direct_transform_up_to_cutoff(family, a, b):
     # every panel of the table, seams included, against the trapezoid
     # transform of the closed-form bump on a dense mesh below E_cut
     bump = BumpSpec(a, b, family=family)
-    prof = FourierProfile(bump)
+    prof = FourierProfile([bump])
     h = 0.5 * (b - a)
     seams = np.arange(2.0, prof.W.s_end, 2.0) / h
-    E = np.concatenate([np.linspace(0.0, prof.E_cut, 4001)[:-1], seams,
+    E = np.concatenate([np.linspace(0.0, prof.E_cut[0], 4001)[:-1], seams,
                         seams * (1.0 - 1e-12)])
-    vals = prof.positive_part(E)
+    vals = prof.positive_part(E)[:, 0]
     peak = np.max(np.abs(vals))
     assert np.max(np.abs(vals - direct_positive_part(bump, E))) <= (
         1e-12 * peak)
@@ -206,10 +211,11 @@ def test_profile_matches_direct_transform_up_to_cutoff(family, a, b):
 def test_norm_mesh_matches_refined_mesh(a, b):
     # the family's norm constant against the energy integral of
     # |psi_plus_tilde|^2 on 24-node panels that resolve the phase (scale b)
-    prof = FourierProfile(BumpSpec(a, b))
-    u, w = _umesh(prof.E_cut, beta=1.0, M=1, b=prof.x_hi, nodes_per_panel=24)
-    ref = w @ (np.abs(prof.positive_part(u * u)) ** 2 * 2.0 * u)
-    assert abs(prof.norm_sq - ref) <= 1e-11 * ref
+    prof = FourierProfile([BumpSpec(a, b)])
+    u, w = _umesh(prof.E_cut[0], beta=1.0, M=1, b=prof.x_hi,
+                  nodes_per_panel=24)
+    ref = w @ (np.abs(prof.positive_part(u * u)[:, 0]) ** 2 * 2.0 * u)
+    assert abs(prof.norm_sq[0] - ref) <= 1e-11 * ref
 
 
 @pytest.mark.parametrize("family", FIXTURE_FAMILIES)
@@ -295,9 +301,9 @@ def test_scalar_product_normalization():
     # int |psi_plus_tilde|^2 dE by two independent quadratures: the
     # profile on a fine energy mesh and the direct x-space transform of
     # the closed-form bump on a coarser one
-    prof = FourierProfile(BUMP)
+    prof = FourierProfile([BUMP])
     E = np.linspace(1e-4, 60.0, 200001)
-    vals = prof.positive_part(E)
+    vals = prof.positive_part(E)[:, 0]
     norm_fft = np.trapezoid(np.abs(vals) ** 2, E)
     Ed = np.linspace(1e-4, 60.0, 3001)
     direct = direct_positive_part(BUMP, Ed)
@@ -355,6 +361,21 @@ def test_bump_without_support_rejected(target):
         positive_frequency(BumpSpec(1.0, 1.0), target, max_residual=1.0)
     with pytest.raises(ValueError, match="one family"):
         project_bumps(FourierProfile([]), target, max_residual=1.0)
+
+
+@pytest.mark.parametrize("target", [BasisSpec(k=1.0, M=64),
+                                    GridSpec(N=1024, E_max=40.0)])
+def test_provenance_needs_one_dict_per_bump(target):
+    # a short list silently dropped the last states, a long one raised
+    # IndexError
+    prof = FourierProfile([BUMP, BumpSpec(1.1, 1.9)])
+    for prov in ([{}], [{}, {}, {}], []):
+        with pytest.raises(ValueError, match="provenance"):
+            project_bumps(prof, target, max_residual=1.0, provenance=prov)
+    svs = project_bumps(prof, target, max_residual=1.0,
+                        provenance=[{"i": 0}, {"i": 1}])
+    assert [sv.provenance for sv in svs] == [{"i": 0}, {"i": 1}]
+    assert len(project_bumps(prof, target, max_residual=1.0)) == 2
 
 
 def test_panel_rule_exact_for_degree_23():

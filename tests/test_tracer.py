@@ -39,7 +39,7 @@ def test_tracer_patches_and_restores_every_target(spans):
     with spans.Tracer() as tracer:
         bump = localization.BumpSpec(1.0, 2.0)
         localization.make_bump(bump, np.linspace(0.0, 3.0, 31))
-        localization.FourierProfile(bump)
+        localization.FourierProfile([bump])
         for family in ("Z", "Ztilde"):
             localization.positive_frequency(
                 bump, laguerre.BasisSpec(k=1.0, M=16), family=family,
