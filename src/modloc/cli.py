@@ -34,7 +34,7 @@ from .artifacts import (
 )
 from .errors import ConfigError, ModlocError
 from .laguerre import BasisSpec
-from .localization import FIXTURE_FAMILIES
+from .localization import BUMP_FAMILIES
 from .spectral import build_generators
 from .verification import (
     SuiteResult,
@@ -56,7 +56,7 @@ _FLAGS = {
     "--grid-n": {"type": int},
     "--grid-emax": {"type": float},
     "--interval": {"type": float, "nargs": 2, "metavar": ("A", "B")},
-    "--bump": {"help": f"bump family ({', '.join(FIXTURE_FAMILIES)})"},
+    "--bump": {"help": f"bump family ({', '.join(BUMP_FAMILIES)})"},
     "--scope": {"nargs": "+", "help": "check name prefixes"},
     "--tol-profile": {"choices": TOL_PROFILES},
     "--seed": {"type": int},

@@ -6,10 +6,10 @@ The basis attached to a lowest weight k >= 1/2 and scale beta > 0 is
     Z_n(E) = sqrt(Gamma(n+1)/Gamma(n+2k)) E^{-1/2} (2 beta E)^k
              e^{-beta E} L_n^{(2k-1)}(2 beta E),        n = 0 .. M-1,
 
-orthonormal under int_0^oo . dE, together with its companion family on the
-squared coordinate (argument 2 beta E^2, extra sqrt(2) prefactor, weight
-parameter k/2 + 1/4): the orthonormal rotation eigenbasis of the
-squared-coordinate generator triple.
+orthonormal under int_0^oo . dE.  The rotation eigenbasis of the
+squared-coordinate generator triple is this family at lowest weight
+k/2 + 1/4 under the map u = E^2, psi -> sqrt(2E) psi(E^2)
+(localization.project_bumps).
 """
 
 from __future__ import annotations
@@ -174,8 +174,7 @@ def _block_rows(x_max: float, a: float, M: int) -> int:
     return int(min(_BLOCK_ROWS, max(1, 511 // bits - 1)))
 
 
-def basis_matrix(spec: BasisSpec, E, which: str = "Z",
-                 weights=None) -> np.ndarray:
+def basis_matrix(spec: BasisSpec, E, weights=None) -> np.ndarray:
     """All basis functions at once: shape (M, len(E)).
 
     The orthonormal rows q_n = sqrt(n!/Gamma(n+2k)) L_n^(a)(x), a = 2k - 1,
@@ -194,25 +193,16 @@ def basis_matrix(spec: BasisSpec, E, which: str = "Z",
     overflows for any node up to about x = 6e76.
 
     A block is emitted at once: its rows times the prefactor, or with
-    weights of shape (len(E), r) the projection basis_matrix(spec, E, which)
-    @ weights, shape (M, r), as one GEMM of the block against the weights
+    weights of shape (len(E), r) the projection basis_matrix(spec, E) @
+    weights, shape (M, r), as one GEMM of the block against the weights
     with the prefactor folded in; no row is stored then.
     """
     E = np.asarray(E, dtype=float)
     if np.any(E <= 0):
         raise ValueError("E must be positive")
-    if which == "Z":
-        x = 2.0 * spec.beta * E
-        extra = 0.0
-        k = spec.k
-    elif which == "Ztilde":
-        x = 2.0 * spec.beta * E * E
-        extra = 0.5 * np.log(2.0)
-        k = spec.tilde_k
-    else:
-        raise ValueError(f"unknown family {which!r}")
-    a = 2.0 * k - 1.0
-    logfac = (extra - 0.5 * math.lgamma(2.0 * k) + k * np.log(x)
+    x = 2.0 * spec.beta * E
+    a = 2.0 * spec.k - 1.0
+    logfac = (-0.5 * math.lgamma(2.0 * spec.k) + spec.k * np.log(x)
               - 0.5 * np.log(E) - 0.5 * x)
     fac = np.exp(logfac)
     M = spec.M

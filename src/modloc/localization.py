@@ -21,7 +21,7 @@ wavelength, and each panel spans one wavelength.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,11 +41,7 @@ __all__ = [
 ]
 
 PROJECTION_GATE = 1e-4
-BUMP_FAMILIES = ("mollifier", "sine-window", "polynomial-window")
-# the families whose transforms fit the table: the sin^2 window's second
-# derivative jumps, so its transform decays only like E^-3 and its cutoff
-# lies far past the other families'
-FIXTURE_FAMILIES = ("mollifier", "polynomial-window")
+BUMP_FAMILIES = ("mollifier", "polynomial-window")
 
 
 @dataclass(frozen=True)
@@ -72,8 +68,6 @@ def _unit_window(family: str, u) -> np.ndarray:
     v = u[inside]
     if family == "mollifier":
         w[inside] = np.exp(1.0 - 1.0 / (1.0 - v * v))
-    elif family == "sine-window":
-        w[inside] = np.cos(0.5 * np.pi * v) ** 2
     else:  # polynomial-window
         w[inside] = (1.0 - v * v) ** 4
     return w
@@ -293,8 +287,10 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
     one StateVector per bump.
 
     target is a BasisSpec (spectral coefficients by panel quadrature in
-    sqrt(E); family "Z" or "Ztilde" picks the plain or squared-argument
-    family) or a GridSpec (samples at the grid nodes).  The bumps share one
+    sqrt(E); family "Z" picks the plain basis, "Ztilde" the rotation
+    eigenbasis of the squared-coordinate triple, the plain family at
+    (k~, beta) under u = E^2: Ztilde_n(E) = sqrt(2E) Z_n^{(k~, beta)}(E^2))
+    or a GridSpec (samples at the grid nodes).  The bumps share one
     energy mesh, sized by the largest cutoff and the union support, and one
     Laguerre sweep projects the real and imaginary parts of all of them.
     provenance holds one dict per bump; a list of another length raises
@@ -317,9 +313,13 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
         E = u * u
         vals = profile.positive_part(E)
         wts = w * 2.0 * u  # dE = 2u du
+        spec, E_rows = target, E
+        if family == "Ztilde":
+            wts *= np.sqrt(2.0 * E)
+            spec, E_rows = replace(target, k=target.tilde_k), E * E
         f = wts[:, None] * vals
         # re/im projected inside the recurrence: no basis matrix is stored
-        re_im = basis_matrix(target, E, which=family,
+        re_im = basis_matrix(spec, E_rows,
                              weights=np.concatenate([f.real, f.imag], 1))
         data = re_im[:, :f.shape[1]] + 1j * re_im[:, f.shape[1]:]
         rep_norm = np.sum(np.abs(data) ** 2, axis=0)

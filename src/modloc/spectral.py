@@ -442,12 +442,13 @@ def build_generators(spec: BasisSpec) -> GeneratorSet:
 def build_tilde_generators(g: GeneratorSet) -> GeneratorSet:
     """Squared-coordinate triple (H^2/2, D/2, H^{-1/2} C H^{-1/2} / 2).
 
-    The matrices are written in the companion basis (basis_matrix family
-    "Ztilde": argument 2 beta E^2, weight parameter k~ = k/2 + 1/4), the
-    orthonormal eigenbasis of the triple's rotation generator.  Under the
-    square-coordinate unitary u = E^2, psi -> sqrt(2E) psi(E^2), the triple
-    maps onto the standard generator form with lowest weight k~ and scale
-    2 beta, so its matrices there are exactly a plain build at (k~, 2 beta).
+    The matrices are written in the companion basis, the orthonormal
+    eigenbasis of the triple's rotation generator: the plain basis at
+    (k~, beta), k~ = k/2 + 1/4, under the square-coordinate unitary
+    u = E^2, psi -> sqrt(2E) psi(E^2) (family "Ztilde" of
+    localization.project_bumps).  The same unitary maps the triple onto
+    the standard generator form with lowest weight k~ and scale 2 beta,
+    so its matrices are exactly a plain build at (k~, 2 beta).
     In the plain basis the entries of the third operator diverge with the
     truncation; this basis is the one where all three are finite.
     """
@@ -530,8 +531,9 @@ def _ratio(num: float, den: float) -> float:
 def _norm2(X: np.ndarray) -> float:
     """The Euclidean norm of a vector; for a block, the root of the top
     eigenvalue of its Gram matrix on the narrow side, by BLAS syrk/herk on
-    X.T, the Fortran-ordered view (its Gram is the conjugate of X's)."""
-    if X.ndim == 1:
+    X.T, the Fortran-ordered view (its Gram is the conjugate of X's); an
+    empty block has norm 0 and never reaches BLAS."""
+    if X.ndim == 1 or X.size == 0:
         return float(np.linalg.norm(X))
     rank_k = get_blas_funcs("herk" if np.iscomplexobj(X) else "syrk", (X,))
     gram = rank_k(1.0, X.T, trans=0 if X.shape[0] >= X.shape[1] else 2)

@@ -142,13 +142,13 @@ def test_flags_a_subcommand_does_not_read_exit_2(argv, tmp_path,
 
 
 def test_unresolvable_bump_family_gives_config_error(capsys):
-    # the sin^2 window's transform decays only like E^-3, past the end of
-    # the transform table every fixture profile is built from
+    # the sin^2 window is no bump family: its transform decays only like
+    # E^-3, past the end of the transform table every profile is built from
     code = main(["verify", "--bump", "sine-window", "--scope", "d_positive",
                  "--interval", "1", "2"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "ConfigError" in err and "E^-3" in err
+    assert "ConfigError" in err and "unknown bump family" in err
 
 
 @pytest.mark.parametrize("argv,env", [

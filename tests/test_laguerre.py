@@ -87,12 +87,25 @@ def test_basis_spec_validation():
     assert spec.tilde_k == 0.75
 
 
+def family_rows(spec, E, which, weights=None):
+    """basis_matrix rows of the plain family, or of the squared-argument
+    family through the map project_bumps applies, Ztilde_n(E) = sqrt(2E)
+    Z_n^{(k~, beta)}(E^2), the weights taking the factor sqrt(2E)."""
+    if which == "Z":
+        return basis_matrix(spec, E, weights=weights)
+    root = np.sqrt(2.0 * E)
+    spec, E = replace(spec, k=spec.tilde_k), E * E
+    if weights is None:
+        return root * basis_matrix(spec, E)
+    return basis_matrix(spec, E, weights=root[:, None] * weights)
+
+
 @pytest.mark.parametrize("which", ["Z", "Ztilde"])
 def test_basis_orthonormality(which):
     spec = BasisSpec(k=1.0, beta=1.0, M=12)
     E = np.linspace(1e-4, 60.0, 50001) if which == "Z" else np.linspace(
         1e-4, 9.0, 50001)
-    B = basis_matrix(spec, E, which=which)
+    B = family_rows(spec, E, which)
     G = simpson(B[:, None, :] * B[None, :, :], x=E, axis=2)
     assert np.max(np.abs(G - np.eye(12))) < 1e-6
 
@@ -107,13 +120,13 @@ def test_basis_matrix_matches_closed_form():
             x, k, pre = 2.0 * spec.beta * E, spec.k, 1.0
         else:
             x, k, pre = 2.0 * spec.beta * E * E, spec.tilde_k, np.sqrt(2.0)
-        B = basis_matrix(spec, E, which=which)
+        B = family_rows(spec, E, which)
         for n in (0, 3, 7):
             ref = (pre * np.sqrt(gamma(n + 1.0) / gamma(n + 2.0 * k))
                    * E ** -0.5 * x ** k * np.exp(-0.5 * x)
                    * eval_genlaguerre(n, 2.0 * k - 1.0, x))
             assert np.allclose(B[n], ref, rtol=1e-10, atol=1e-12)
-            row = basis_matrix(replace(spec, M=n + 1), E, which=which)[n]
+            row = family_rows(replace(spec, M=n + 1), E, which)[n]
             assert np.allclose(row, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -136,10 +149,10 @@ def test_basis_matrix_no_underflow_on_energy_cap(M, which, k, beta):
     log_scale = extra + k * np.log(x) - 0.5 * np.log(E) - 0.5 * x
     ref = np.exp(log_norm(k, np.arange(M)))[:, None] * laguerre_rows_logscale(
         M, 2.0 * k - 1.0, x, log_scale)
-    B = basis_matrix(spec, E, which=which)
+    B = family_rows(spec, E, which)
     assert np.max(np.abs(B - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert np.max(np.abs(B[-1] - ref[-1])) <= 1e-10 * np.max(np.abs(ref[-1]))
-    assert basis_matrix(spec, E[-3:], which=which)[-1] == pytest.approx(
+    assert family_rows(spec, E[-3:], which)[-1] == pytest.approx(
         ref[-1, -3:], rel=1e-10)
 
 
@@ -154,8 +167,8 @@ def test_basis_matrix_weights_match_product(M, which, k, beta):
     cap = _basis_energy_cap(spec, which)
     E = np.linspace(0.5 * cap if M == 1024 else 1e-3, cap, 3000)
     W = np.random.default_rng(M).standard_normal((E.size, 3))
-    ref = basis_matrix(spec, E, which=which) @ W
-    out = basis_matrix(spec, E, which=which, weights=W)
+    ref = family_rows(spec, E, which) @ W
+    out = family_rows(spec, E, which, weights=W)
     assert out.shape == (M, 3)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -174,7 +187,7 @@ def test_blocked_sweep_matches_logscale_oracle_at_large_M(which):
     log_scale = extra + k * np.log(x) - 0.5 * np.log(E) - 0.5 * x
     rows = laguerre_rows_logscale(spec.M, 2.0 * k - 1.0, x, log_scale)
     ref = np.exp(log_norm(k, np.arange(spec.M)))[:, None] * rows
-    B = basis_matrix(spec, E, which=which)
+    B = family_rows(spec, E, which)
     assert np.max(np.abs(B - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -229,5 +242,3 @@ def test_basis_matrix_validation():
     spec = BasisSpec(k=1.0, M=4)
     with pytest.raises(ValueError):
         basis_matrix(spec, np.array([-1.0]))
-    with pytest.raises(ValueError):
-        basis_matrix(spec, np.array([1.0]), which="bogus")

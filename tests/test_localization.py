@@ -10,7 +10,7 @@ from modloc.errors import ProjectionLoss
 from modloc.gridop import GridSpec
 from modloc.laguerre import BasisSpec
 from modloc.localization import (
-    FIXTURE_FAMILIES,
+    BUMP_FAMILIES,
     BumpSpec,
     FourierProfile,
     _legendre,
@@ -88,8 +88,7 @@ def test_bump_support_and_normalization():
     assert np.all(psi >= 0.0)
 
 
-@pytest.mark.parametrize("family", ["mollifier", "sine-window",
-                                    "polynomial-window"])
+@pytest.mark.parametrize("family", BUMP_FAMILIES)
 def test_bump_families(family):
     # every family peaks at exactly 1 in the centre and is even about it
     spec = BumpSpec(0.5, 1.5, family=family)
@@ -112,7 +111,7 @@ def test_bump_validation():
             BumpSpec(a, b)
 
 
-@pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+@pytest.mark.parametrize("family", BUMP_FAMILIES)
 def test_unit_transform_matches_oracle(family):
     W = _unit_transform(family)
     assert max(ORACLE_S) <= W.s_cut
@@ -122,7 +121,7 @@ def test_unit_transform_matches_oracle(family):
         assert abs(W(s) - unit_transform_oracle(family, s)) <= 1e-12 * peak
 
 
-@pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+@pytest.mark.parametrize("family", BUMP_FAMILIES)
 def test_unit_transform_build_is_small(family):
     # the table is built on first use; its build holds under 1 MiB
     import tracemalloc
@@ -138,13 +137,17 @@ def test_unit_transform_build_is_small(family):
     assert table(table.s_end) == 0.0 and table(table.s_end - 1.0) != 0.0
 
 
-def test_sine_window_transform_outruns_the_table():
-    # the sin^2 window's transform decays only like s^-3
+def test_transform_outrunning_the_table_is_refused(monkeypatch):
+    # a table too short for the family's cutoff: at _SPAN = 256 the
+    # mollifier's transform still exceeds the cutoff at s = 255.75
+    import modloc.localization as loc
+
+    monkeypatch.setattr(loc, "_SPAN", 256)
     with pytest.raises(ValueError, match="past the table"):
-        FourierProfile([BumpSpec(1.0, 2.0, family="sine-window")])
+        _UnitTransform("mollifier")
 
 
-@pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+@pytest.mark.parametrize("family", BUMP_FAMILIES)
 def test_cutoff_is_scale_covariant(family):
     # E_cut h is one number per family: the sampled profile's cutoff read
     # 649 at [1, 2] and 760 at [16, 32] for the mollifier
@@ -190,7 +193,7 @@ def test_profile_matches_oracle_up_to_cutoff(a, b):
                 1e-12 * peak)
 
 
-@pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+@pytest.mark.parametrize("family", BUMP_FAMILIES)
 @pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.0, 2.0), (4.0, 8.0)])
 def test_profile_matches_direct_transform_up_to_cutoff(family, a, b):
     # every panel of the table, seams included, against the trapezoid
@@ -218,7 +221,7 @@ def test_norm_mesh_matches_refined_mesh(a, b):
     assert abs(prof.norm_sq[0] - ref) <= 1e-11 * ref
 
 
-@pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+@pytest.mark.parametrize("family", BUMP_FAMILIES)
 def test_family_norm_matches_refined_quadrature(family):
     # (1/pi) int s W(s)^2 ds on 40-node panels of width 1/2
     W = _unit_transform(family)
@@ -349,6 +352,8 @@ def test_projection_error_paths():
         positive_frequency(BUMP, object())
     with pytest.raises(ValueError):
         positive_frequency(BUMP, BasisSpec(k=1.0, M=64), family="bogus")
+    with pytest.raises(ValueError, match="unknown family"):
+        project_bumps(FourierProfile([BUMP]), BasisSpec(k=1.0, M=64), "bogus")
     with pytest.raises(ValueError, match="one family"):
         FourierProfile([BUMP, BumpSpec(1.0, 2.0, family="polynomial-window")])
 

@@ -424,6 +424,15 @@ def test_relative_residual_is_nan_without_finite_evidence():
     assert relative_residual(2.0 * block, block) == pytest.approx(1.0)
 
 
+def test_empty_blocks_give_nan_without_blas(capfd):
+    # an empty Gram matrix is an illegal BLAS argument: the reference xerbla
+    # stops the program, OpenBLAS prints a message and carries on
+    for dtype in (float, complex):
+        empty = np.zeros((0, 0), dtype=dtype)
+        assert np.isnan(relative_residual(empty, empty))
+    assert capfd.readouterr() == ("", "")
+
+
 def test_banded_commutators_match_dense_interior_block():
     # on a perturbed triple, so that the residuals compared are not
     # round-off: the interior block of [X, Y] - z W from dense products,

@@ -395,9 +395,9 @@ def test_fixture_projects_all_bumps_in_one_pass(monkeypatch):
     sweeps = []
     sweep = loc.basis_matrix
 
-    def counted_sweep(spec, E, which="Z", weights=None):
-        sweeps.append((which, np.shape(weights)))
-        return sweep(spec, E, which=which, weights=weights)
+    def counted_sweep(spec, E, weights=None):
+        sweeps.append((spec.k, np.shape(weights)))
+        return sweep(spec, E, weights=weights)
 
     projections = []
     weights = HermitianOperator.weights
@@ -417,7 +417,7 @@ def test_fixture_projects_all_bumps_in_one_pass(monkeypatch):
     monkeypatch.setattr(HermitianOperator, "weights", counted_weights)
     monkeypatch.setattr(TridiagonalLog, "expect", counted_expect)
     fx = build_interval_fixture(1.0, 2.0, n_bumps=5)
-    assert [(w, s[1]) for w, s in sweeps] == [("Z", 10), ("Ztilde", 10)]
+    assert [(k, s[1]) for k, s in sweeps] == [(1.0, 10), (0.75, 10)]
     assert len(fx.table("spectral")) == 5 and projections == [(384, 5)]
     assert len(fx.table("grid")) == 5 and quadratures == [(4096, 5)]
     assert projections == [(384, 5)]
@@ -688,6 +688,15 @@ def test_j_check_detects_complex_hamiltonian():
     assert rep.values["J"]["JUhJ=Uh*"] > rep.params["j_tol"]
     assert rep.passed is False
     assert check_positive_inclusions(g).values["J"]["JUhJ=Uh*"] < 1e-14
+
+
+def test_positive_inclusions_with_empty_interior_block_fails():
+    # at M = 3 the interior block M // 4 holds no rows: no evidence
+    rep = check_positive_inclusions(
+        build_generators(BasisSpec(k=1.0, beta=1.0, M=3)))
+    assert rep.params["block"] == 0
+    assert rep.passed is False and np.isnan(rep.residual)
+    assert rep.error is None
 
 
 def test_s_invariance_guard_gives_inconclusive():
