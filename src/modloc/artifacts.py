@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (ConfigError, DecompositionFailure, check_numbers,
                      is_number)
-from .gridop import GridSpec
+from .gridop import SMOOTH_MODES, GridSpec
 from .laguerre import BasisSpec
 from .localization import BumpSpec, StateVector
 from .spectral import GeneratorSet, Tridiagonal
@@ -411,6 +411,11 @@ class RunConfig:
                 cls(*args)
             except ValueError as exc:
                 raise ConfigError(f"invalid {names}: {exc}") from exc
+        # a grid commutator check needs more nodes than smooth modes
+        least = max(SMOOTH_MODES.values()) + 1
+        if self.grid_n < least:
+            raise ConfigError(f"grid_n must be at least {least}, got "
+                              f"{self.grid_n}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"

@@ -3,9 +3,10 @@
 This backend exists to be dumb and independent: H is the coordinate, the
 derivatives are second-order central differences with Dirichlet walls at
 both ends, and every derived object comes from those tridiagonal bands:
-their eigendecompositions, or for T shifted band solves.  It shares the
-Tridiagonal type with the spectral backend; the independence lies in the
-discretization.
+their eigenvalues by bisection, the commutator checks' smooth modes by
+inverse iteration on shifted band factorizations (_smooth_modes), and <T>
+by shifted band solves.  It shares the Tridiagonal type with the spectral
+backend; the independence lies in the discretization.
 Agreement with the spectral backend is the main cross-check of the whole
 laboratory.
 """
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
-from .errors import check_numbers
+from .errors import EigenFailure, check_numbers
 from .spectral import (SL2_RELATIONS, Tridiagonal, TridiagonalLog,
                        relative_residual)
 
@@ -29,6 +31,11 @@ __all__ = ["GridSpec", "GridState", "GridRep", "build_grid_ops"]
 WINDOW_INNER = (0.3, 1.2)
 WINDOW_OUTER = (0.6, 0.9)
 SMOOTH_MODES = {"plain": 48, "tilde": 16}
+# _smooth_modes: the bisection tolerance, as a fraction of the least gap
+# between the bracketed eigenvalues, when the first pass is too coarse;
+# and the most inverse iterations a mode may take
+GAP_FRACTION = 1e-2
+MAX_ITERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,9 @@ class GridRep:
         hi = _smooth_step((o1 * emax - self.E) / ((o1 - o0) * emax))
         return lo * hi
 
-    def commutator_residuals(self, triple: str = "plain") -> dict:
-        """Relative residuals of the three sl(2,R) relations on smooth modes.
+    def commutator_residuals(self, triple: str = "plain") -> tuple:
+        """Relative residuals of the three sl(2,R) relations on smooth modes,
+        and the Rayleigh quotients of those modes.
 
         Raw operator norms of the commutator defects never converge: the
         Dirichlet walls and the unresolved high-frequency grid modes carry
@@ -156,11 +164,13 @@ class GridRep:
             D, C = 0.5 * self.D, self.Ctilde
         else:
             raise ValueError(f"unknown triple {triple!r}")
-        # the smooth vectors are the lowest modes of the rotation (H + C)/2
-        _, base = (0.5 * (H + C)).eigh(
-            select="i", select_range=(0, SMOOTH_MODES[triple] - 1))
+        # the smooth vectors are the lowest modes of the rotation (H + C)/2;
+        # the windowed modes are far from orthogonal (condition number
+        # 6.6e5 for the plain triple), so the QR is Householder's
+        theta, base = _smooth_modes(0.5 * (H + C), SMOOTH_MODES[triple])
         U, _ = np.linalg.qr(self.smooth_window()[:, None] * base)
-        ops = {"H": H.__matmul__, "C": C.__matmul__,
+        # H is diagonal in both triples
+        ops = {"H": partial(np.multiply, H.diag[:, None]), "C": C.__matmul__,
                "D": partial(_skew, (1j * D.upper).real)}
         XU = {name: X(U) for name, X in ops.items()}
         out = {}
@@ -168,7 +178,77 @@ class GridRep:
             z = z * 1j ** (x + y).count("D") * (-1j) ** (w == "D")
             out[x + y] = relative_residual(ops[x](XU[y]) - ops[y](XU[x]),
                                            z.real * XU[w])
-        return out
+        return out, theta
+
+
+def _smooth_modes(band: Tridiagonal, m: int) -> tuple:
+    """(theta, V): the lowest m eigenvectors of a real symmetric band as the
+    columns of V, and their Rayleigh quotients theta.
+
+    Sturm bisection (LAPACK stebz, by index) brackets the lowest m + 1
+    eigenvalues; the last one gives the top mode a gap above.  A first
+    pass bisects to sqrt(eps) |R|.  If the bracket then shows a least gap
+    under 1 / (4 GAP_FRACTION) times that tolerance, it is bisected again
+    at GAP_FRACTION of that gap (the slack of 4 keeps a second pass from
+    needing a third).  At N = 4096 the first pass stands: its tolerance is
+    1.2 % of the least gap of the plain rotation and 0.25 % of the tilde
+    one.  Each mode is then inverse iteration on one pivoted LU of the
+    shifted band (gttrf, then a gttrs solve per step) from one seeded
+    start vector, until the normalized update is below eps |R| / gap, the
+    round-off level of an eigenvector with that gap (Parlett, The
+    Symmetric Eigenvalue Problem, 1980, ch. 4).  A step divides the error
+    by gap / tol or more, so a mode takes about five.  An exactly singular
+    pivot moves the shift by a few ulps of |R| and refactors.
+    """
+    d, e = band.diag, band.upper
+    n = d.size
+    if not 0 < m < n:
+        raise ValueError(f"{m} smooth modes need a band of more than {m} "
+                         f"rows, got N = {n}")
+    norm = np.abs(d).max() + 2.0 * np.abs(e).max()  # bounds |R|
+    eps = np.finfo(float).eps
+    tol = np.sqrt(eps) * norm
+    while True:
+        lam = _bisect(d, e, 1, m + 1, tol)
+        gaps = np.diff(lam)
+        if tol <= 4.0 * GAP_FRACTION * gaps.min() or tol == 0.0:
+            break
+        tol = GAP_FRACTION * gaps.min()
+    gap = np.minimum(np.concatenate(([np.inf], gaps[:-1])), gaps)
+    start = np.random.default_rng(0).standard_normal(n)
+    start /= np.linalg.norm(start)
+    theta, V = np.empty(m), np.empty((n, m))
+    for i in range(m):
+        shift = lam[i]
+        while True:
+            *lu, info = dgttrf(e, d - shift, e)
+            if info == 0:
+                break
+            shift += 4.0 * eps * norm
+        x = start
+        for _ in range(MAX_ITERATIONS):
+            y, _ = dgttrs(*lu, x)
+            # a shift above the eigenvalue flips the sign at every step
+            y /= np.copysign(np.linalg.norm(y), y @ x)
+            update = np.linalg.norm(y - x)
+            x = y
+            if update <= eps * norm / gap[i]:
+                break
+        else:
+            raise EigenFailure(f"inverse iteration for smooth mode {i} of "
+                               f"{m} did not converge (update {update:.1e})")
+        theta[i], V[:, i] = x @ (band @ x), x
+    return theta, V
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, il: int, iu: int,
+            tol: float) -> np.ndarray:
+    """Eigenvalues il..iu (from 1, ascending) of the real symmetric band
+    (d, e), each to within tol (LAPACK's round-off level for tol 0)."""
+    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, il, iu, tol, "E")
+    if info != 0:
+        raise EigenFailure(f"Sturm bisection failed (stebz info {info})")
+    return w[:m]
 
 
 def _skew(e: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -308,16 +308,19 @@ def check_commutators(g, tol: float | None = None,
     commutator_residuals.
 
     g is a GeneratorSet (spectral backend, interior-projected) or a GridRep
-    (finite differences, on windowed smooth rotation modes); triple selects
-    the plain or the squared-coordinate generator triple on the grid.  tol
-    defaults to the default profile's entry for the backend and triple.
+    (finite differences, on windowed smooth rotation modes, whose count
+    and range of Rayleigh quotients the grid report keeps in params);
+    triple selects the plain or the squared-coordinate generator triple on
+    the grid.  tol defaults to the default profile's entry for the backend
+    and triple.
     """
     if isinstance(g, GridRep):
         backend, key = "grid", "commutators_grid"
         name = f"{key}_{triple}"
-        res = g.commutator_residuals(triple=triple)
+        res, theta = g.commutator_residuals(triple=triple)
         params = {"N": g.grid.N, "E_max": g.grid.E_max, "k": g.k,
-                  "triple": triple}
+                  "triple": triple, "smooth_modes": theta.size,
+                  "smooth_mode_range": [float(theta[0]), float(theta[-1])]}
     else:
         backend, key = "spectral", f"commutators_{g.variant}"
         name, res = key, g.commutator_residuals()

@@ -271,6 +271,14 @@ def test_runconfig_validation():
         RunConfig.from_json("not json")
 
 
+def test_runconfig_refuses_fewer_grid_nodes_than_smooth_modes():
+    # the plain grid commutator check takes 48 smooth modes, so it needs 49
+    # nodes; fewer is a ConfigError, not a failed check
+    with pytest.raises(ConfigError, match="grid_n must be at least 49"):
+        RunConfig(grid_n=48)
+    assert RunConfig(grid_n=49).grid_n == 49
+
+
 def test_runconfig_content_excludes_output():
     c1 = RunConfig(out="/tmp/a.json")
     c2 = RunConfig(out="/tmp/b.json", format="csv")

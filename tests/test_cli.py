@@ -53,6 +53,16 @@ def test_bad_values_give_config_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_on_fewer_grid_nodes_than_smooth_modes_exits_2(tmp_path,
+                                                              capsys):
+    out = tmp_path / "r.json"
+    argv = ["verify", "--grid-n", "32", "--scope", "commutators_grid",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "grid_n must be at least 49" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field,value", [
     pytest.param("intervals", [[1, 2, 3]], id="interval-triple"),
     pytest.param("intervals", [["a", 2]], id="interval-string"),

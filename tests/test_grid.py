@@ -59,10 +59,10 @@ def test_k_validation():
 
 def test_commutator_residuals_both_triples():
     rep4 = build_grid_ops(GridSpec(N=4096, E_max=40.0), 1.0)
-    res = rep4.commutator_residuals(triple="plain")
+    res, _ = rep4.commutator_residuals(triple="plain")
     assert max(res.values()) < 1e-3
     rept = build_grid_ops(GridSpec(N=4096, E_max=10.0), 1.0)
-    res_t = rept.commutator_residuals(triple="tilde")
+    res_t, _ = rept.commutator_residuals(triple="tilde")
     assert max(res_t.values()) < 1e-3
     with pytest.raises(ValueError):
         rep4.commutator_residuals(triple="bogus")
@@ -72,9 +72,132 @@ def test_commutator_residuals_second_order():
     rs = []
     for N in (1024, 2048, 4096):
         r = build_grid_ops(GridSpec(N=N, E_max=40.0), 1.0)
-        rs.append(r.commutator_residuals(triple="plain")["HD"])
+        rs.append(r.commutator_residuals(triple="plain")[0]["HD"])
     orders = np.log2(np.array(rs[:-1]) / np.array(rs[1:]))
     assert np.all(orders > 1.5)
+
+
+# the grid of each triple's default check
+TRIPLE_EMAX = {"plain": 40.0, "tilde": 10.0}
+
+
+def _oracle_modes(band, m):
+    """The lowest m eigenpairs of a real band from LAPACK's subset solve."""
+    return eigh_tridiagonal(band.diag, band.upper, select="i",
+                            select_range=(0, m - 1))
+
+
+def _recorded_modes(monkeypatch, rep, triple):
+    """Run the commutator check and return (band, theta, V) of the smooth-
+    mode kernel call inside it."""
+    calls = []
+    kernel = gridop._smooth_modes
+
+    def recorded(band, m):
+        out = kernel(band, m)
+        calls.append((band, *out))
+        return out
+
+    monkeypatch.setattr(gridop, "_smooth_modes", recorded)
+    _, theta = rep.commutator_residuals(triple)
+    (band, theta_k, V), = calls
+    assert theta is theta_k
+    return band, theta, V
+
+
+@pytest.mark.parametrize("N", [1024, 4096])
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("triple", ["plain", "tilde"])
+def test_smooth_modes_span_the_lapack_oracle_modes(monkeypatch, triple, k,
+                                                   N):
+    rep = build_grid_ops(GridSpec(N=N, E_max=TRIPLE_EMAX[triple]), k)
+    band, theta, X = _recorded_modes(monkeypatch, rep, triple)
+    m = gridop.SMOOTH_MODES[triple]
+    w, V = _oracle_modes(band, m)
+    assert X.shape == (N, m)
+    assert np.linalg.norm(X.T @ X - np.eye(m), 2) <= 1e-10
+    assert np.linalg.norm(X - V @ (V.T @ X), 2) <= 1e-10
+    # the Rayleigh quotients are the eigenvalues, to the bands' round-off
+    scale = np.abs(band.diag).max() + 2.0 * np.abs(band.upper).max()
+    assert np.max(np.abs(theta - w)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("triple", ["plain", "tilde"])
+def test_commutator_residuals_match_oracle_modes(monkeypatch, triple):
+    rep = build_grid_ops(GridSpec(N=4096, E_max=TRIPLE_EMAX[triple]), 1.0)
+    res, _ = rep.commutator_residuals(triple)
+    monkeypatch.setattr(gridop, "_smooth_modes", _oracle_modes)
+    ref, _ = rep.commutator_residuals(triple)
+    worst, worst_ref = max(res.values()), max(ref.values())
+    assert abs(worst - worst_ref) <= 1e-9 * worst_ref
+
+
+def test_grid_commutator_checks_solve_no_eigenvectors(monkeypatch):
+    # the smooth modes come from bisection and inverse iteration, not from
+    # an eigenvector solve
+    import scipy.linalg
+
+    from modloc.verification import check_commutators
+
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only", False))
+        return solve(*args, **kwargs)
+
+    for module in (spectral, gridop, scipy.linalg):
+        if hasattr(module, "eigh_tridiagonal"):
+            monkeypatch.setattr(module, "eigh_tridiagonal", counted)
+    for triple in ("plain", "tilde"):
+        rep = build_grid_ops(GridSpec(N=1024, E_max=TRIPLE_EMAX[triple]), 1.0)
+        assert np.isfinite(check_commutators(rep, triple=triple).residual)
+    assert not [c for c in calls if not c]
+
+
+def test_smooth_modes_need_more_nodes_than_modes():
+    rep = build_grid_ops(GridSpec(N=32, E_max=40.0), 1.0)
+    with pytest.raises(ValueError, match="48 smooth modes.*N = 32"):
+        rep.commutator_residuals("plain")
+    band = Tridiagonal(np.full(16, 2.0), np.full(15, -1.0))
+    with pytest.raises(ValueError, match="16 smooth modes.*N = 16"):
+        gridop._smooth_modes(band, 16)
+
+
+def test_smooth_modes_survive_an_exact_eigenvalue_shift():
+    # a zero coupling splits off the 1 x 1 block [0]: bisection returns
+    # its eigenvalue 0 exactly, the shifted band has an exactly zero pivot,
+    # and the shift moves off it
+    d = np.full(20, 3.0)
+    d[0] = 0.0
+    e = np.full(19, -1.0)
+    e[0] = 0.0
+    theta, V = gridop._smooth_modes(Tridiagonal(d, e), 3)
+    w, ref = _oracle_modes(Tridiagonal(d, e), 3)
+    assert abs(theta[0]) < 1e-14 and abs(abs(V[0, 0]) - 1.0) < 1e-14
+    assert np.allclose(theta, w, rtol=0, atol=1e-13)
+    assert np.linalg.norm(V - ref @ (ref.T @ V), 2) < 1e-12
+
+
+def test_smooth_modes_bisect_a_coarse_bracket_again(monkeypatch):
+    # eigenvalues 1e-3 apart under |R| = 1e4: the first pass, to sqrt(eps)
+    # |R| = 1.5e-4, is too coarse for that gap, so a second pass bisects at
+    # GAP_FRACTION of it
+    band = Tridiagonal([0.0, 1e-3, 2e-3, 3e-3, 1e4], np.full(4, 1e-5))
+    tols = []
+    bisect = gridop._bisect
+
+    def recorded(d, e, il, iu, tol):
+        tols.append(tol)
+        return bisect(d, e, il, iu, tol)
+
+    monkeypatch.setattr(gridop, "_bisect", recorded)
+    theta, V = gridop._smooth_modes(band, 3)
+    assert len(tols) == 2 and tols[1] < gridop.GAP_FRACTION * 1e-3
+    w, ref = _oracle_modes(band, 3)
+    # the oracle's eigenvalues are exact only to the round-off of |R|
+    assert np.max(np.abs(theta - w)) <= 1e-15 * 1e4
+    assert np.linalg.norm(V - ref @ (ref.T @ V), 2) < 1e-10
 
 
 def test_rotation_ground_state_convergence():

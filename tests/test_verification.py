@@ -147,6 +147,21 @@ def test_commutators_default_to_their_backend_tolerance():
         assert rep.tolerance == 1e-6 and rep.passed is True
 
 
+def test_grid_commutator_report_records_its_smooth_modes():
+    # the count of smooth modes and the range of their Rayleigh quotients
+    # (the rotation eigenvalues k + n, lifted at the top by the outer wall)
+    # go into params; values holds only the three residuals
+    rep = check_commutators(build_grid_ops(GridSpec(4096, 40.0), 1.0))
+    assert rep.params["smooth_modes"] == 48
+    lo, hi = rep.params["smooth_mode_range"]
+    assert abs(lo - 1.0000119) < 1e-7 and abs(hi - 78.598098) < 1e-5
+    assert set(rep.values) == {"HD", "CD", "HC"}
+    tilde = check_commutators(build_grid_ops(GridSpec(4096, 10.0), 1.0),
+                              triple="tilde")
+    assert tilde.params["smooth_modes"] == 16
+    assert abs(tilde.params["smooth_mode_range"][0] - 0.75) < 1e-6
+
+
 def test_nan_expectation_fails_t_bounds(fx_small):
     # max(0.0, nan) == 0.0: a NaN <T> must not read as zero excursion
     st = dict(fx_small.states[0])
@@ -774,7 +789,7 @@ def test_run_suite_rejects_unknown_keys():
 
 @pytest.mark.parametrize("config", [
     {"k": 0.3}, {"n_bumps": 0}, {"seed": -1}, {"intervals": [[2.0, 1.0]]},
-    {"grid_n": 8}, {"fixture_M": "x"}], ids=str)
+    {"grid_n": 8}, {"grid_n": 32}, {"fixture_M": "x"}], ids=str)
 def test_run_suite_rejects_bad_values_before_building(config, monkeypatch):
     # each value is validated where it enters, not by the checks using it
     import modloc.verification as ver
