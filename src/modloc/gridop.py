@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .errors import EigenFailure, check_numbers
@@ -168,7 +169,7 @@ class GridRep:
         # the windowed modes are far from orthogonal (condition number
         # 6.6e5 for the plain triple), so the QR is Householder's
         theta, base = _smooth_modes(0.5 * (H + C), SMOOTH_MODES[triple])
-        U, _ = np.linalg.qr(self.smooth_window()[:, None] * base)
+        U, _ = qr(self.smooth_window()[:, None] * base, mode="economic")
         # H is diagonal in both triples
         ops = {"H": partial(np.multiply, H.diag[:, None]), "C": C.__matmul__,
                "D": partial(_skew, (1j * D.upper).real)}

@@ -13,10 +13,10 @@ symplectic-form expression evaluated through Plancherel; the magnitude of
 the inversion constant is fixed by requiring this identity, and the global
 phase i by the modular invariance exp(-pi D) psi = J psi of real bumps).
 
-Energy integrals run on 12-node Gauss-Legendre panels in u = sqrt(E) that
-cover all of [0, u_max] (_umesh); in u both the basis oscillation (phase ~
-2 sqrt(n x)) and the bump oscillation (phase ~ b E) have uniformly resolved
-wavelength, and each panel spans one wavelength.
+Energy integrals run on Gauss-Legendre panels in u = sqrt(E) over
+[0, u_max] (_umesh), each spanning at most three local periods of the
+faster of the basis phase (~ 2 sqrt(n x)) and the bump phase (b E): graded
+in closed form, and halved towards u = 0.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "make_bump",
     "positive_frequency",
     "project_bumps",
+    "projection_mesh",
 ]
 
 PROJECTION_GATE = 1e-4
@@ -189,28 +190,40 @@ class FourierProfile:
                 * np.exp(1j * self.c * E) * self.W(self.h * E))
 
 
+# an energy panel: Gauss-Legendre nodes, and the local periods it spans
+_PANEL_NODES, _PANEL_PERIODS = 20, 3
+
+
 def _umesh(E_cut: float, beta: float, M: int, b: float,
-           nodes_per_panel: int = 12, family: str = "Z"):
+           nodes_per_panel: int = _PANEL_NODES, family: str = "Z"):
     """Gauss-Legendre panel nodes u and weights w on [0, sqrt(E_cut)]; an
     energy integral int g dE is w @ (g(u^2) 2u).
 
-    In u = sqrt(E) the plain basis phase 2 sqrt(2 beta M) u and the bump
-    phase b u^2 both have resolvable wavelength; the squared-argument
-    family oscillates uniformly in E instead, which in u means a wavelength
-    shrinking like 1/u, resolved at the far end of the mesh.  Each panel
-    spans the shorter wavelength with nodes_per_panel nodes.
+    The basis phase is 2 sqrt(2 beta M) u (plain) or 2 sqrt(2 beta M) u^2
+    (squared-argument), the bump phase b u^2.  The faster of the two counts
+    phi(u) = p u + q max(u - u0, 0)^2: rate p until 2 q u overtakes it at
+    u0 = p / 2q (p = 0 when both are quadratic).  The panel edges invert
+    phi in closed form at equal steps of at most _PANEL_PERIODS periods;
+    the first panel, where the integrand is least smooth, is halved down
+    to the shortest period 2 pi / phi'(u_max).
     """
     u_max = np.sqrt(E_cut)
-    lam_state = np.pi / max(b * u_max, 1e-3)
-    if family == "Ztilde":
-        lam_basis = np.pi / (2.0 * u_max * np.sqrt(2.0 * beta * max(M, 1)))
-    else:
-        lam_basis = np.pi / np.sqrt(2.0 * beta * max(M, 1))
-    n = int(np.ceil(u_max / min(lam_basis, lam_state)))
-    h = u_max / n
+    rate = 2.0 * np.sqrt(2.0 * beta * max(M, 1))
+    p, q = (0.0, max(rate, b)) if family == "Ztilde" else (rate, b)
+    u0 = p / (2.0 * q)
+    phi_max = p * u_max + q * max(u_max - u0, 0.0) ** 2
+    n = int(np.ceil(phi_max / (2.0 * np.pi * _PANEL_PERIODS)))
+    phi = phi_max * np.arange(1, n + 1) / n
+    lin = np.minimum(phi, p * u0)  # the phase spent at the constant rate
+    edges = (lin / p if p else 0.0) + 2.0 * (phi - lin) / (
+        p + np.sqrt(p * p + 4.0 * q * (phi - lin)))
+    halvings = np.log2(edges[0] * max(p, 2.0 * q * u_max) / (2.0 * np.pi))
+    edges = np.concatenate([[0.0], edges[0] * 0.5 ** np.arange(
+        max(int(np.ceil(halvings)), 0), 0, -1), edges])
     t, wt = _legendre(nodes_per_panel)
-    u = (np.arange(n)[:, None] + 0.5 * (t + 1.0)) * h
-    return u.ravel(), np.tile(0.5 * h * wt, n)
+    h = np.diff(edges)[:, None]
+    return ((edges[:-1, None] + 0.5 * (t + 1.0) * h).ravel(),
+            (0.5 * h * wt).ravel())
 
 
 @lru_cache(maxsize=4)
@@ -245,6 +258,14 @@ def _basis_energy_cap(spec: BasisSpec, family: str) -> float:
     if family == "Ztilde":
         return float(1.05 * np.sqrt(arg_max / (2.0 * spec.beta)))
     return float(1.05 * arg_max / (2.0 * spec.beta))
+
+
+def projection_mesh(profile: FourierProfile, spec: BasisSpec,
+                    family: str = "Z") -> tuple:
+    """The _umesh panels (u, w) of project_bumps: up to the earlier of the
+    profile cutoff and the basis cap, past which the basis sees nothing."""
+    E_int = min(np.max(profile.E_cut), _basis_energy_cap(spec, family))
+    return _umesh(E_int, spec.beta, spec.M, b=profile.x_hi, family=family)
 
 
 @dataclass
@@ -305,11 +326,7 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
     if isinstance(target, BasisSpec):
         if family not in ("Z", "Ztilde"):
             raise ValueError(f"unknown family {family!r}")
-        # the basis sees nothing past its turning point, so the coefficient
-        # integral stops at the earlier of basis cap and profile cutoff
-        E_int = min(np.max(profile.E_cut), _basis_energy_cap(target, family))
-        u, w = _umesh(E_int, target.beta, target.M, b=profile.x_hi,
-                      family=family)
+        u, w = projection_mesh(profile, target, family)
         E = u * u
         vals = profile.positive_part(E)
         wts = w * 2.0 * u  # dE = 2u du

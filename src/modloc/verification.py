@@ -24,7 +24,7 @@ from .errors import ConfigError, OverflowAbort
 from .gridop import GridRep, GridSpec, build_grid_ops
 from .laguerre import BasisSpec
 from .localization import (BumpSpec, FourierProfile, positive_frequency,
-                           project_bumps)
+                           project_bumps, projection_mesh)
 from .spectral import (
     INTERIOR_FRACTION,
     GeneratorSet,
@@ -428,6 +428,7 @@ def check_T_bounds(fx: IntervalFixture, tol: float = _DEFAULT_TOLS["t_bounds"],
     that margin.  values["failed_gates"] names the gates ("bound",
     "agreement") that failed."""
     la, lb = np.log(fx.a), np.log(fx.b)
+    prof = FourierProfile([st["bump"] for st in fx.states])
     per_state = []
     for support, rows in _rows(fx):
         T = {n: e["T"] for n, e in rows.items()}
@@ -447,6 +448,8 @@ def check_T_bounds(fx: IntervalFixture, tol: float = _DEFAULT_TOLS["t_bounds"],
         params={"interval": [fx.a, fx.b], "bounds": [float(la), float(lb)],
                 "agreement_tol": agreement_tol, "n_states": len(fx.states),
                 "grid_T_nodes": int(fx.rep.T.nodes.size),
+                "projection_nodes": {fam: int(projection_mesh(
+                    prof, fx.spec, fam)[0].size) for fam in ("Z", "Ztilde")},
                 "grid_T_range": list(fx.rep.T.spectral_range)},
         values={"worst_excursion": float(worst_out),
                 "worst_agreement": float(worst_agree),
@@ -469,26 +472,25 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
     matrices, so their truncation error decays only algebraically from the
     boundary, and the observation window must stay well inside.
     """
-    # H and C share one eigensystem; T is the one build_T gives, and the
-    # plain dilation generator in the tilde basis is 2 D~
-    D = g.D.eigensystem()
+    # H and C share one eigensystem and Th, Tc share V = Vs[0] = D; T is
+    # build_T's, with V = 2 D~ (the plain dilation in the tilde basis)
+    Vs = (g.D.eigensystem(), (2.0 * gt.D).eigensystem())
     H, C = g.hc_eigensystems()
-    pairs = [("Th", H.function(log_spectrum), D, -1),
-             ("Tc", C.function(log_spectrum), D, +1),
-             ("T", build_T(gt), (2.0 * gt.D).eigensystem(), +1)]
+    pairs = [("Th", H.function(log_spectrum), 0, -1),
+             ("Tc", C.function(log_spectrum), 0, +1),
+             ("T", build_T(gt), 1, +1)]
     b = slice(0, WEYL_BLOCK)
-    values = {}
-    for name, W, V, s in pairs:
-        sub = {}
-        for t in ts:
-            # V(-t)[:, b] = V(t)[b]^* and W(a)[:, b] = W(-a)[b]^*: row blocks
-            Vm, Vp = V.flow(-t, rows=b), V.flow(t, rows=b)
+    values = {name: {"sign": s, "residuals": {}} for name, _, _, s in pairs}
+    for t in ts:
+        # V(-t)[:, b] = V(t)[b]^* and W(a)[:, b] = W(-a)[b]^*: row blocks
+        flows = [(V.flow(-t, rows=b), V.flow(t, rows=b)) for V in Vs]
+        for name, W, v, s in pairs:
+            Vm, Vp = flows[v]
             for a in azs:
                 lhs = Vm @ W.flow(-a, rows=b).conj().T
                 rhs = W.flow(a, rows=b) @ Vp.conj().T
-                sub[f"t={t},a={a}"] = relative_residual(
+                values[name]["residuals"][f"t={t},a={a}"] = relative_residual(
                     lhs, np.exp(1j * s * a * t) * rhs)
-        values[name] = {"sign": s, "residuals": sub}
     worst = _worst(r for v in values.values() for r in v["residuals"].values())
     return CheckReport(
         name="weyl", passed=bool(worst < tol), residual=worst, tolerance=tol,

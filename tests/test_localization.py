@@ -13,6 +13,9 @@ from modloc.localization import (
     BUMP_FAMILIES,
     BumpSpec,
     FourierProfile,
+    _PANEL_NODES,
+    _PANEL_PERIODS,
+    _basis_energy_cap,
     _legendre,
     _umesh,
     _unit_transform,
@@ -20,6 +23,7 @@ from modloc.localization import (
     make_bump,
     positive_frequency,
     project_bumps,
+    projection_mesh,
 )
 
 BUMP = BumpSpec(1.0, 2.0)
@@ -242,28 +246,77 @@ def first_bumps():
             for a, b in ((0.5, 0.75), (1.0, 2.0), (4.0, 8.0))}
 
 
-@pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.0, 2.0), (4.0, 8.0)])
-def test_projection_converged_in_panel_nodes(first_bumps, monkeypatch, a, b):
+@pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.0, 2.0), (4.0, 8.0),
+                                 (1.0, 1.25), (16.0, 32.0)])
+def test_projection_converged_in_panel_nodes(monkeypatch, a, b):
+    # the coefficients against the same panels with twice the nodes per
+    # period, at three lowest weights and in both families
     import modloc.localization as loc
+    from modloc.verification import FIXTURE_M, fixture_beta
 
-    bump, spec = first_bumps[(a, b)]
+    bump = BumpSpec(a, b)
+    specs = [BasisSpec(k=k, beta=fixture_beta(a, b), M=FIXTURE_M)
+             for k in (0.5, 1.0, 1.5)]
 
-    def coeffs(family):
-        return positive_frequency(bump, spec, family=family,
-                                  max_residual=1.0).data
+    def coeffs():
+        return [positive_frequency(bump, spec, family=fam,
+                                   max_residual=1.0).data
+                for spec in specs for fam in ("Z", "Ztilde")]
 
-    at12 = {fam: coeffs(fam) for fam in ("Z", "Ztilde")}
-    monkeypatch.setattr(loc, "_umesh",
-                        functools.partial(_umesh, nodes_per_panel=24))
-    for fam, c12 in at12.items():
-        c24 = coeffs(fam)
-        assert np.linalg.norm(c12 - c24) <= 1e-12 * np.linalg.norm(c24)
+    rule = coeffs()
+    monkeypatch.setattr(loc, "_umesh", functools.partial(
+        _umesh, nodes_per_panel=2 * _PANEL_NODES))
+    for c, ref in zip(rule, coeffs()):
+        assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def faster_phase(u, beta, M, x_hi, family):
+    """(radians on [0, u], rate at u) of the faster of the basis phase
+    2 sqrt(2 beta M) u (plain) or 2 sqrt(2 beta M) u^2 (squared-argument)
+    and the bump phase x_hi u^2."""
+    r = 2.0 * np.sqrt(2.0 * beta * M)
+    if family == "Ztilde":
+        return max(r, x_hi) * u * u, 2.0 * max(r, x_hi) * u
+    cross = np.minimum(u, r / (2.0 * x_hi))
+    return (r * cross + x_hi * (u * u - cross * cross),
+            np.maximum(r, 2.0 * x_hi * u))
+
+
+@pytest.mark.parametrize("family", ["Z", "Ztilde"])
+@pytest.mark.parametrize("b", [0.75, 2.0, 32.0])
+def test_panels_span_few_local_periods(family, b):
+    # every panel spans at most _PANEL_PERIODS periods of the faster phase,
+    # the graded panels an equal share of the whole count, and the first
+    # one is halved until it spans at most the shortest period
+    prof = FourierProfile([BumpSpec(0.5 * b, b)])
+    step = 2.0 * np.pi * _PANEL_PERIODS
+    for beta in (1 / 16, 1.0, 16.0):
+        for M in (64, 384, 1024):
+            spec = BasisSpec(k=1.0, beta=beta, M=M)
+            u, w = projection_mesh(prof, spec, family)
+            h = w.reshape(-1, _PANEL_NODES).sum(axis=1)
+            edges = np.concatenate([[0.0], np.cumsum(h)])
+            u_max = np.sqrt(min(prof.E_cut[0],
+                                _basis_energy_cap(spec, family)))
+            assert abs(edges[-1] - u_max) <= 1e-13 * u_max
+            phi, rate = faster_phase(edges, beta, M, prof.x_hi, family)
+            n = int(np.ceil(phi[-1] / step))
+            halved = h.size - n  # the extra panels of the first step
+            assert np.all(np.diff(phi) <= step * (1.0 + 1e-12))
+            assert np.allclose(np.diff(phi[halved + 1:], prepend=0.0),
+                               phi[-1] / n, rtol=1e-12)
+            # halving: widths h0, h0, 2 h0, 4 h0, ... fill the first step
+            assert np.allclose(h[1:halved + 1],
+                               h[0] * 2.0 ** np.arange(halved), rtol=1e-12)
+            shortest = 2.0 * np.pi / rate[-1]
+            assert h[0] <= shortest * (1.0 + 1e-12)
+            assert halved == 0 or 2.0 * h[0] > shortest
 
 
 def test_corner_projection_mesh_size(first_bumps, monkeypatch):
-    # the corner Z projection evaluated the profile at 53,554 Simpson nodes;
-    # 12-node Gauss-Legendre panels need 13,392, and the cutoff and the
-    # norm evaluate none
+    # the corner Z projection evaluated the profile at 53,554 Simpson nodes
+    # and at 13,404 on uniform 12-node panels; graded 20-node panels need
+    # 4,000, and the cutoff and the norm evaluate none
     bump, spec = first_bumps[(0.5, 0.75)]
     sizes = []
     positive_part = FourierProfile.positive_part
@@ -274,12 +327,13 @@ def test_corner_projection_mesh_size(first_bumps, monkeypatch):
 
     monkeypatch.setattr(FourierProfile, "positive_part", recording)
     positive_frequency(bump, spec, family="Z")
-    assert len(sizes) == 1 and sizes[0] <= 14_000
+    assert len(sizes) == 1 and sizes[0] <= 4_200
 
 
 def test_projection_stores_no_basis_matrix(first_bumps):
     # the corner fixture's first bump: its Z basis matrix alone would be
-    # 39 MiB (M = 384 rows of a 13,392-node mesh)
+    # 11.7 MiB (M = 384 rows of a 4,000-node mesh); the projection peaks
+    # near 1 MiB
     import tracemalloc
 
     bump, spec = first_bumps[(0.5, 0.75)]
@@ -289,7 +343,7 @@ def test_projection_stores_no_basis_matrix(first_bumps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 def test_reality_split():
@@ -383,12 +437,12 @@ def test_provenance_needs_one_dict_per_bump(target):
     assert len(project_bumps(prof, target, max_residual=1.0)) == 2
 
 
-def test_panel_rule_exact_for_degree_23():
-    # one panel of 12 Legendre nodes integrates u^d exactly for d <= 23
+def test_panel_rule_exact_for_degree_39():
+    # one panel of 20 Legendre nodes integrates u^d exactly for d <= 39
     u, w = _umesh(2.0, beta=1.0, M=1, b=0.1)
-    assert u.size == 12
+    assert u.size == 20
     U = np.sqrt(2.0)
-    for d in range(24):
+    for d in range(40):
         exact = U ** (d + 1) / (d + 1)
         assert abs(w @ u ** d - exact) <= 1e-14 * exact
 

@@ -118,6 +118,14 @@ def test_t_bounds_backend_agreement(fx_small):
     assert rep.residual <= rep.tolerance
 
 
+def test_t_bounds_reports_projection_nodes(fx_small):
+    # the energy panels of both basis projections on [1, 2], beside the
+    # grid <T>'s quadrature nodes and out of the deterministic values
+    rep = check_T_bounds(fx_small)
+    assert rep.params["projection_nodes"] == {"Z": 2200, "Ztilde": 1840}
+    assert "projection_nodes" not in rep.values
+
+
 def test_t_bounds_agree_with_heavy_tilde_tail():
     # this seed's third bump keeps 2e-3 of its squared-argument norm in the
     # last 32 of 384 rows; against T truncated at M the backends disagreed
@@ -332,9 +340,10 @@ def test_flow_checks_reach_flows_through_hermitian_operator(monkeypatch,
     count("flow")
     count("apply")
     g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
-    # 3 pairs x 2 times x (2 dilation blocks + 2 amplitudes x 2 blocks)
+    # 2 times x (2 dilations x 2 blocks + 3 pairs x 2 amplitudes x 2
+    # blocks): Th and Tc share the dilation D, which flows once per time
     ver.check_weyl(g, build_tilde_generators(g))
-    assert calls == ["flow"] * 36
+    assert calls == ["flow"] * 32
     # the dilation rows, then per flow the full unitary and the block
     calls.clear()
     ver.check_positive_inclusions(g)
