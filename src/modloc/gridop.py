@@ -5,10 +5,10 @@ derivatives are second-order central differences with Dirichlet walls at
 both ends, and every derived object comes from those tridiagonal bands:
 their eigenvalues by bisection, the commutator checks' smooth modes by
 inverse iteration on shifted band factorizations (_smooth_modes), and <T>
-by shifted band solves.  It shares the Tridiagonal type with the spectral
-backend; the independence lies in the discretization.
-Agreement with the spectral backend is the main cross-check of the whole
-laboratory.
+by a sine transform (k = 1) or shifted band solves.  It shares the
+Tridiagonal type with the spectral backend; the independence lies in the
+discretization.  Agreement with the spectral backend is the main
+cross-check of the whole laboratory.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class GridRep:
     Tridiagonal, plus derived objects.
 
     T = (1/2) log(2 C~) is held as the bands of 2 C~ (up to a power of the
-    spacing), and <T> comes from shifted tridiagonal solves: no N x N array.
+    spacing), and <T> comes from band transforms or solves: no N x N array.
     """
 
     def __init__(self, grid: GridSpec, k: float):
@@ -106,7 +106,8 @@ class GridRep:
         With E_j = j h the bands of C~ = h^-2 K(N, k) are h^-2 (1 + (k^2 -
         k)/(2 j^2)) on the diagonal and -1/(2 h^2) off it, so the unit
         matrix 2K depends only on (N, k), and E_max only shifts T: every
-        grid of one (N, k) shares the bands and their solved ends.
+        grid of one (N, k) shares the bands and their solved ends.  At k = 1
+        2K = tridiag(-1, 2, -1) is constant: <T> takes no band solve.
         """
         return TridiagonalLog(_unit_band(self.grid.N, self.k), 0.5,
                               -float(np.log(self.grid.spacing)))

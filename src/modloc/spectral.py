@@ -127,24 +127,22 @@ class Tridiagonal:
         return (Tridiagonal(self.diag, mag),
                 np.concatenate(([1.0], np.cumprod(phase))))
 
-    def eigh(self, eigvals_only: bool = False, select: str = "a",
-             select_range=None):
-        """Eigensystem, with the arguments of scipy's eigh_tridiagonal, from
-        the gauged real band; the eigenvectors are g times its own."""
+    def eigh(self, eigvals_only: bool = False, select_range=None):
+        """(evals, g V) for the gauged real band R = V diag(evals) V^T, or
+        the eigenvalues alone: all (eigvals_only) or i..j (select_range)."""
         real, gauge = self.gauged()
-        out = eigh_tridiagonal(real.diag, real.upper,
-                               eigvals_only=eigvals_only, select=select,
-                               select_range=select_range)
-        if eigvals_only or gauge is None:
-            return out
-        return out[0], gauge[:, None] * out[1]
+        if eigvals_only or select_range:
+            return eigh_tridiagonal(real.diag, real.upper, eigvals_only=True,
+                                    select="i" if select_range else "a",
+                                    select_range=select_range)
+        evals, vecs = eigh_tridiagonal(real.diag, real.upper)
+        return evals, vecs if gauge is None else gauge[:, None] * vecs
 
     def eigval(self, i: int) -> float:
         """The i-th least eigenvalue (i = -1: the largest), from an
         eigenvalue-only solve."""
         i %= self.diag.size
-        return float(self.eigh(eigvals_only=True, select="i",
-                               select_range=(i, i))[0])
+        return float(self.eigh(select_range=(i, i))[0])
 
     @cached_property
     def extremes(self) -> np.ndarray:
@@ -259,6 +257,7 @@ class TridiagonalLog:
     """scale * log(A) + shift for a real positive definite Tridiagonal A,
     held as A's bands and read only through expectation values.
 
+    A constant band is read by one real FFT (sine_evals), any other by
     log lambda = int_R [e^s/(1 + e^s) - e^s/(lambda + e^s)] ds, and the
     trapezoid rule converges geometrically on it (the integrand is analytic
     in the strip |Im s| < pi), so <v, log A v> is a sum of shifted
@@ -293,8 +292,23 @@ class TridiagonalLog:
         return float(lo), float(hi)
 
     @cached_property
+    def sine_evals(self) -> np.ndarray | None:
+        """A constant band's eigenvalues c + 2 e cos(m pi / (N + 1)) at the
+        sine modes sin(j m pi / (N + 1)), m = 1..N (Strang, SIAM Rev. 41
+        (1999) 135), as (c - 2|e|) + 4|e| sin^2 (of N + 1 - m for e > 0),
+        exact to relative round-off; None unless the band is constant."""
+        d, e = self.A.diag, self.A.upper
+        if not (e.size and (d == d[0]).all() and (e == e[0]).all()):
+            return None
+        m = np.arange(1, d.size + 1)[::-1 if e[0] > 0.0 else 1]
+        return (d[0] - 2.0 * abs(e[0])) + 4.0 * abs(e[0]) * np.sin(
+            m * np.pi / (2 * d.size + 2)) ** 2
+
+    @cached_property
     def nodes(self) -> np.ndarray:
-        """The trapezoid nodes s of the window of solves."""
+        """The trapezoid nodes s; none on a constant band (sine_evals)."""
+        if self.sine_evals is not None:
+            return np.empty(0)
         first, last = np.log(self.extremes) + (-LOG_REACH[0], LOG_REACH[1])
         return first + LOG_STEP * np.arange(
             int(np.ceil((last - first) / LOG_STEP)) + 1)
@@ -314,6 +328,17 @@ class TridiagonalLog:
         # real and imaginary parts solved together as one real block
         X = np.stack([v.real, v.imag], -1).reshape(len(v), -1)
         norms = np.einsum("ij,ij->j", X, X)
+        if self.sine_evals is None:
+            total = self._quadrature(X, norms)
+        else:  # the FFT of [0, x, 0, -reversed x] is -2i times x's sine sums
+            z = np.zeros((1, X.shape[1]))
+            S = np.fft.rfft(np.concatenate([z, X, z, -X[::-1]]), axis=0).imag
+            total = log_spectrum(self.sine_evals) @ (
+                S[1:len(X) + 1] ** 2 / (2 * len(X) + 2))
+        out = self.scale * total + self.shift * norms
+        return out.reshape(*v.shape[1:], 2).sum(-1)
+
+    def _quadrature(self, X: np.ndarray, norms: np.ndarray) -> np.ndarray:
         s = self.nodes
         total = np.zeros_like(norms)
         for y in np.exp(s):
@@ -325,8 +350,7 @@ class TridiagonalLog:
         down = _moments(lambda W: np.exp(s[0]) * self._solve(0.0, W), X)
         total += geo @ (np.exp(-n * s[-1])[:, None] * norms - up)
         total -= geo @ (np.exp(n * s[0])[:, None] * norms - down)
-        out = self.scale * LOG_STEP * total + self.shift * norms
-        return out.reshape(*v.shape[1:], 2).sum(-1)
+        return LOG_STEP * total
 
 
 def _moments(step, X: np.ndarray) -> np.ndarray:

@@ -481,16 +481,16 @@ def check_weyl(g: GeneratorSet, gt: GeneratorSet,
              ("T", build_T(gt), 1, +1)]
     b = slice(0, WEYL_BLOCK)
     values = {name: {"sign": s, "residuals": {}} for name, _, _, s in pairs}
+    # row blocks: V(-t)[:, b] = V(t)[b]^*, W(a)[:, b] = W(-a)[b]^*
+    Ws = {name: [(W.flow(-a, rows=b).conj().T, W.flow(a, rows=b))
+                 for a in azs] for name, W, _, _ in pairs}
     for t in ts:
-        # V(-t)[:, b] = V(t)[b]^* and W(a)[:, b] = W(-a)[b]^*: row blocks
-        flows = [(V.flow(-t, rows=b), V.flow(t, rows=b)) for V in Vs]
-        for name, W, v, s in pairs:
+        flows = [(V.flow(-t, rows=b), V.flow(t, rows=b).conj().T) for V in Vs]
+        for name, _, v, s in pairs:
             Vm, Vp = flows[v]
-            for a in azs:
-                lhs = Vm @ W.flow(-a, rows=b).conj().T
-                rhs = W.flow(a, rows=b) @ Vp.conj().T
+            for a, (Wm, Wp) in zip(azs, Ws[name]):
                 values[name]["residuals"][f"t={t},a={a}"] = relative_residual(
-                    lhs, np.exp(1j * s * a * t) * rhs)
+                    Vm @ Wm, np.exp(1j * s * a * t) * (Wp @ Vp))
     worst = _worst(r for v in values.values() for r in v["residuals"].values())
     return CheckReport(
         name="weyl", passed=bool(worst < tol), residual=worst, tolerance=tol,

@@ -327,6 +327,25 @@ def test_expect_T_matches_dense_oracle(bump_state, k, N):
         assert np.all(np.abs(np.subtract(got, ref)) <= 1e-12 * np.abs(ref))
 
 
+def test_unit_band_sine_ends_match_bisection():
+    # at k = 1 the grid T reads the closed-form spectrum of 2K =
+    # tridiag(-1, 2, -1); its ends agree with bisection, which is accurate
+    # only to eps |2K| (5e-10 relative at lambda_min), and with a 40-digit
+    # reference to 1e-14 relative; the form 2 - 2 cos(pi / (N + 1)) is off
+    # by 2.7e-12 there
+    mpmath = pytest.importorskip("mpmath")
+    N = 4096
+    T = build_grid_ops(GridSpec(N=N), 1.0).T
+    lam = T.sine_evals[[0, -1]]
+    assert abs(lam[1] - T.extremes[1]) <= 1e-14 * lam[1]
+    assert abs(lam[0] - T.extremes[0]) <= 1e-14 * lam[1]
+    with mpmath.workdps(40):
+        ref = [float(4 * mpmath.sin(m * mpmath.pi / (2 * (N + 1))) ** 2)
+               for m in (1, N)]
+    assert np.all(np.abs(lam - ref) <= 1e-14 * np.abs(ref))
+    assert abs(2.0 - 2.0 * np.cos(np.pi / (N + 1)) - ref[0]) > 1e-12 * ref[0]
+
+
 @pytest.mark.parametrize("k", [1.0, 1.5])
 def test_ctilde_eig_matches_direct_solve(k):
     # C~ = h^-2 K(N, k): T built from the unit bands has the spectrum and

@@ -145,7 +145,7 @@ def test_tridiagonal_matches_dense(complex_band):
     assert np.max(np.abs(evals - eigh(dense, eigvals_only=True))) < 1e-12
     assert np.max(np.abs(dense @ vecs - vecs * evals)) < 1e-12
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(40))) < 1e-12
-    lo = A.eigh(eigvals_only=True, select="i", select_range=(0, 1))
+    lo = A.eigh(eigvals_only=True, select_range=(0, 1))
     assert np.allclose(lo, evals[:2], rtol=0, atol=1e-12)
     B = _random_bands(rng, 40, not complex_band)
     assert np.array_equal(np.asarray(2.5 * A + B * 0.5),
@@ -284,6 +284,49 @@ def test_tridiagonal_log_domain_guard(g128):
         op = TridiagonalLog(Tridiagonal(np.array(diag), np.zeros(2)))
         with pytest.raises(SpectrumOutOfDomain):
             op.expect(v)
+
+
+@pytest.mark.parametrize("N", [2, 64])
+def test_tridiagonal_log_constant_band_matches_eigensystem(N):
+    # a constant band of either sign of the off-diagonal, or none, goes
+    # through the sine transform with no quadrature node; against its
+    # dense eigensystem; one ulp off constant takes the quadrature
+    rng = np.random.default_rng(12)
+    B = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
+    for c, e in ((2.0, -1.0), (3.0, 1.2), (1.5, 0.0)):
+        A = Tridiagonal(np.full(N, c), np.full(N - 1, e))
+        op = TridiagonalLog(A, 0.5, 0.25)
+        evals, vecs = eigh(np.asarray(A))
+        ref = 0.5 * np.log(evals) @ np.abs(vecs.T @ B) ** 2 + 0.25 * np.sum(
+            np.abs(B) ** 2, axis=0)
+        assert op.nodes.size == 0
+        assert np.allclose(np.sort(op.sine_evals), evals, rtol=1e-12, atol=0)
+        assert np.all(np.abs(op.expect(B) - ref) <= 1e-12 * np.abs(ref))
+        bad = B[:, 0].copy()
+        bad[N // 2] = np.nan
+        assert np.isnan(op.expect(bad))
+    diag = np.full(N, 2.0)
+    diag[N // 2] = np.nextafter(2.0, 3.0)
+    op = TridiagonalLog(Tridiagonal(diag, np.full(N - 1, -1.0)))
+    assert op.sine_evals is None and op.nodes.size > 0
+    assert np.isnan(op.expect(bad))
+
+
+def test_tridiagonal_log_constant_band_domain_guard():
+    # the sine transform keeps log_spectrum's guard: the N = 2e5 Laplacian
+    # has lambda_min / lambda_max = 6.2e-11, below 1e-10, and is refused;
+    # at N = 1e5 (2.5e-10) it is read
+    def laplacian(N):
+        return TridiagonalLog(Tridiagonal(np.full(N, 2.0),
+                                          np.full(N - 1, -1.0)))
+
+    assert np.isfinite(laplacian(100_000).expect(np.ones(100_000)))
+    op = laplacian(200_000)
+    assert op.nodes.size == 0
+    with pytest.raises(SpectrumOutOfDomain):
+        op.expect(np.ones(200_000))
+    with pytest.raises(SpectrumOutOfDomain):
+        op.spectral_range
 
 
 def test_unitary_flow_is_unitary(g128):

@@ -184,9 +184,11 @@ def test_nan_expectation_fails_t_bounds(fx_small):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_grid_sample_fails_t_bounds(fx_small, bad):
-    # one bad sample of one grid state reaches <T> through the band
-    # solves: the check fails, it never passes (an inf meets inf - inf on
-    # the way, which numpy flags as invalid and these tests make an error)
+    # one bad sample of one grid state reaches <T> through the sine
+    # transform (k = 1): the check fails, it never passes (an inf meets
+    # inf - inf on the way, which numpy flags as invalid and these tests
+    # make an error)
+    assert fx_small.rep.T.sine_evals is not None
     st = dict(fx_small.states[1])
     data = st["grid"].data.copy()
     data[100] = bad
@@ -231,7 +233,8 @@ def test_t_bounds_names_failed_gates(fx_small):
 
 def test_t_bounds_reports_grid_quadrature(fx_small):
     # the node count and the spectral range [1/2 log(2 lambda_min), 1/2
-    # log(2 lambda_max)] of the grid T, lambda over C~
+    # log(2 lambda_max)] of the grid T, lambda over C~; at k = 1 the sine
+    # transform takes <T>, so no quadrature node runs
     from scipy.linalg import eigh_tridiagonal
 
     rep = check_T_bounds(fx_small)
@@ -241,19 +244,21 @@ def test_t_bounds_reports_grid_quadrature(fx_small):
             for i in (0, C.diag.size - 1)]
     assert np.allclose(rep.params["grid_T_range"], 0.5 * np.log(2.0 *
                        np.array(ends)), rtol=0, atol=1e-9)
-    assert rep.params["grid_T_nodes"] == fx_small.rep.T.nodes.size > 0
+    assert rep.params["grid_T_nodes"] == fx_small.rep.T.nodes.size == 0
 
 
-def test_grid_table_makes_no_dense_eigensystem(monkeypatch):
-    # <T> on the grid comes from band solves: no full eigensolve, and no
-    # N x N array (the dense eigenvectors alone are 134 MB at N = 4096);
-    # k = 1.5 is a (N, k) no other fixture uses, so no earlier solve held
-    # anywhere can stand in for one made here
+@pytest.mark.parametrize("k", [1.0, 1.5])
+def test_grid_table_makes_no_dense_eigensystem(monkeypatch, k):
+    # <T> on the grid comes from a sine transform (k = 1) or from band
+    # solves: no full eigensolve, and no N x N array (the dense
+    # eigenvectors alone are 134 MB at N = 4096); k = 1.5 is a (N, k) no
+    # earlier fixture uses, so no earlier solve held anywhere can stand in
+    # for one made here
     import tracemalloc
 
     import modloc.spectral as sp
 
-    fx = build_interval_fixture(1.0, 2.0, k=1.5, n_bumps=3)
+    fx = build_interval_fixture(1.0, 2.0, k=k, n_bumps=3)
     assert fx.grid.N == 4096
     selects = []
     solve = sp.eigh_tridiagonal
@@ -271,6 +276,31 @@ def test_grid_table_makes_no_dense_eigensystem(monkeypatch):
         tracemalloc.stop()
     assert "a" not in selects
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("k", [1.0, 1.5])
+def test_grid_T_solves_only_off_the_sine_path(monkeypatch, k):
+    # at k = 1 the unit band 2K = tridiag(-1, 2, -1) is constant and the
+    # sine transform takes the grid <T>: no band solve; at any other k the
+    # quadrature solves once per node and three times for the lower tail,
+    # and t_bounds reports the nodes that ran
+    import modloc.spectral as sp
+
+    fx = build_interval_fixture(1.0, 2.0, k=k, n_bumps=3)
+    solves = 0
+    solve = sp.dptsv
+
+    def counted(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "dptsv", counted)
+    assert len(fx.table("grid")) == 3
+    nodes = fx.rep.T.nodes.size
+    assert (nodes > 0) == (k != 1.0)
+    assert solves == (nodes + 3 if nodes else 0)
+    assert check_T_bounds(fx).params["grid_T_nodes"] == nodes
 
 
 def test_nan_generator_fails_hc_chain(fx_small):
@@ -340,10 +370,11 @@ def test_flow_checks_reach_flows_through_hermitian_operator(monkeypatch,
     count("flow")
     count("apply")
     g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
-    # 2 times x (2 dilations x 2 blocks + 3 pairs x 2 amplitudes x 2
-    # blocks): Th and Tc share the dilation D, which flows once per time
+    # 2 times x 2 dilations x 2 blocks + 3 pairs x 2 amplitudes x 2
+    # blocks: Th and Tc share the dilation D, which flows once per time,
+    # and each coordinate flows once per amplitude, for every time
     ver.check_weyl(g, build_tilde_generators(g))
-    assert calls == ["flow"] * 32
+    assert calls == ["flow"] * 20
     # the dilation rows, then per flow the full unitary and the block
     calls.clear()
     ver.check_positive_inclusions(g)
