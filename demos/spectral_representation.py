@@ -13,7 +13,7 @@ Run:  python demos/spectral_representation.py [--k K] [--M M]
 import argparse
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from modloc.laguerre import BasisSpec
 from modloc.spectral import (
@@ -59,7 +59,8 @@ def main():
 
     T = build_T(gt)
     evals_T = np.sort(eigh(T.matrix, eigvals_only=True))
-    evals_C = (2.0 * gt.C).eigh(eigvals_only=True)
+    C2 = 2.0 * gt.C
+    evals_C = eigh_tridiagonal(C2.diag, C2.upper, eigvals_only=True)
     print(f"\nmodular coordinate T = (1/2) log(2 C~):")
     print(f"  spectrum range [{evals_T[0]:.4f}, {evals_T[-1]:.4f}]")
     print(f"  affinity max |spec T - log(spec 2C~)/2| = "

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import EigenFailure, check_numbers
 from .spectral import (SL2_RELATIONS, Tridiagonal, TridiagonalLog,
@@ -107,7 +107,8 @@ class GridRep:
         k)/(2 j^2)) on the diagonal and -1/(2 h^2) off it, so the unit
         matrix 2K depends only on (N, k), and E_max only shifts T: every
         grid of one (N, k) shares the bands and their solved ends.  At k = 1
-        2K = tridiag(-1, 2, -1) is constant: <T> takes no band solve.
+        2K = tridiag(-1, 2, -1) is constant: its ends and <T> take no band
+        solve.
         """
         return TridiagonalLog(_unit_band(self.grid.N, self.k), 0.5,
                               -float(np.log(self.grid.spacing)))
@@ -187,7 +188,7 @@ def _smooth_modes(band: Tridiagonal, m: int) -> tuple:
     """(theta, V): the lowest m eigenvectors of a real symmetric band as the
     columns of V, and their Rayleigh quotients theta.
 
-    Sturm bisection (LAPACK stebz, by index) brackets the lowest m + 1
+    Sturm bisection (Tridiagonal.eigvals) brackets the lowest m + 1
     eigenvalues; the last one gives the top mode a gap above.  A first
     pass bisects to sqrt(eps) |R|.  If the bracket then shows a least gap
     under 1 / (4 GAP_FRACTION) times that tolerance, it is bisected again
@@ -211,7 +212,7 @@ def _smooth_modes(band: Tridiagonal, m: int) -> tuple:
     eps = np.finfo(float).eps
     tol = np.sqrt(eps) * norm
     while True:
-        lam = _bisect(d, e, 1, m + 1, tol)
+        lam = band.eigvals(0, m, tol)
         gaps = np.diff(lam)
         if tol <= 4.0 * GAP_FRACTION * gaps.min() or tol == 0.0:
             break
@@ -241,16 +242,6 @@ def _smooth_modes(band: Tridiagonal, m: int) -> tuple:
                                f"{m} did not converge (update {update:.1e})")
         theta[i], V[:, i] = x @ (band @ x), x
     return theta, V
-
-
-def _bisect(d: np.ndarray, e: np.ndarray, il: int, iu: int,
-            tol: float) -> np.ndarray:
-    """Eigenvalues il..iu (from 1, ascending) of the real symmetric band
-    (d, e), each to within tol (LAPACK's round-off level for tol 0)."""
-    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, il, iu, tol, "E")
-    if info != 0:
-        raise EigenFailure(f"Sturm bisection failed (stebz info {info})")
-    return w[:m]
 
 
 def _skew(e: np.ndarray, V: np.ndarray) -> np.ndarray:

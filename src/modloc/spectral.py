@@ -6,9 +6,9 @@ In the lowest-weight basis the generators are exactly tridiagonal, with the
 standard discrete-series matrix elements, so the triples are written down in
 closed form as bands (Tridiagonal), and every eigensystem of a
 generator-derived matrix comes from the equivalent real symmetric
-tridiagonal problem (Tridiagonal.eigh), kept as real eigenvectors and a
-diagonal unit gauge; T's ladder alone takes its eigenvectors from the
-Laguerre rows at its eigenvalues (_unit_ladder_eig).
+tridiagonal problem (Tridiagonal.eigensystem), kept as real eigenvectors
+and a diagonal unit gauge; T's ladder alone takes its eigenvectors from
+the Laguerre rows at its eigenvalues (_unit_ladder_eig).
 
 Identities that hold for the infinite-dimensional operators are corrupted
 by truncation only near the boundary rows, so they are tested under an
@@ -24,9 +24,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvals_banded
 from scipy.linalg.blas import get_blas_funcs
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dptsv, dstebz
 
-from .errors import SpectrumOutOfDomain
+from .errors import EigenFailure, SpectrumOutOfDomain
 from .laguerre import BasisSpec, basis_matrix
 
 __all__ = [
@@ -127,26 +127,29 @@ class Tridiagonal:
         return (Tridiagonal(self.diag, mag),
                 np.concatenate(([1.0], np.cumprod(phase))))
 
-    def eigh(self, eigvals_only: bool = False, select_range=None):
-        """(evals, g V) for the gauged real band R = V diag(evals) V^T, or
-        the eigenvalues alone: all (eigvals_only) or i..j (select_range)."""
-        real, gauge = self.gauged()
-        if eigvals_only or select_range:
-            return eigh_tridiagonal(real.diag, real.upper, eigvals_only=True,
-                                    select="i" if select_range else "a",
-                                    select_range=select_range)
-        evals, vecs = eigh_tridiagonal(real.diag, real.upper)
-        return evals, vecs if gauge is None else gauge[:, None] * vecs
+    def eigvals(self, first: int, last: int, tol: float = 0.0) -> np.ndarray:
+        """Eigenvalues first..last (from 0, ascending) of the gauged real
+        band to within tol (round-off for 0) by Sturm bisection (LAPACK
+        stebz by index), refusing a non-finite band that stebz may pass."""
+        d, e = self.diag, self.gauged()[0].upper
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise ValueError("Sturm bisection needs a finite band")
+        if d.size == 1:  # scipy's stebz wrapper refuses an empty upper band
+            return d.copy()
+        m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, first + 1, last + 1,
+                                  tol, "E")
+        if info != 0:
+            raise EigenFailure(f"Sturm bisection failed (stebz info {info})")
+        return w[:m]
 
     def eigval(self, i: int) -> float:
-        """The i-th least eigenvalue (i = -1: the largest), from an
-        eigenvalue-only solve."""
+        """The i-th least eigenvalue (i = -1: the largest)."""
         i %= self.diag.size
-        return float(self.eigh(select_range=(i, i))[0])
+        return float(self.eigvals(i, i)[0])
 
     @cached_property
     def extremes(self) -> np.ndarray:
-        """The least and the largest eigenvalue, from eigenvalue-only solves;
+        """The least and the largest eigenvalue, each by its own bisection;
         kept read-only, so a band shared read-only is solved once."""
         ends = np.array([self.eigval(0), self.eigval(-1)])
         ends.setflags(write=False)
@@ -156,7 +159,8 @@ class Tridiagonal:
         """The band as a HermitianOperator: one full solve of the gauged
         real band (not kept), and the gauge."""
         real, gauge = self.gauged()
-        return HermitianOperator(*real.eigh(), gauge=gauge)
+        return HermitianOperator(*eigh_tridiagonal(real.diag, real.upper),
+                                 gauge=gauge)
 
     def __array__(self, dtype=None, copy=None):
         A = np.diag(self.diag.astype(self.upper.dtype))
@@ -278,12 +282,14 @@ class TridiagonalLog:
         if np.iscomplexobj(self.A.upper):
             raise ValueError("TridiagonalLog needs a real band")
 
-    @property
+    @cached_property
     def extremes(self) -> np.ndarray:
-        """The least and the largest eigenvalue of A (Tridiagonal.extremes);
-        log_spectrum's domain guard applies."""
-        log_spectrum(self.A.extremes)
-        return self.A.extremes
+        """The least and the largest eigenvalue of A, a constant band's in
+        closed form (sine_evals); log_spectrum's domain guard applies."""
+        lam = self.A.extremes if self.sine_evals is None else self.sine_evals
+        ends = np.array([lam.min(), lam.max()])
+        log_spectrum(ends)
+        return ends
 
     @property
     def spectral_range(self) -> tuple:
@@ -331,9 +337,10 @@ class TridiagonalLog:
         if self.sine_evals is None:
             total = self._quadrature(X, norms)
         else:  # the FFT of [0, x, 0, -reversed x] is -2i times x's sine sums
+            self.extremes  # log_spectrum's domain guard
             z = np.zeros((1, X.shape[1]))
             S = np.fft.rfft(np.concatenate([z, X, z, -X[::-1]]), axis=0).imag
-            total = log_spectrum(self.sine_evals) @ (
+            total = np.log(self.sine_evals) @ (
                 S[1:len(X) + 1] ** 2 / (2 * len(X) + 2))
         out = self.scale * total + self.shift * norms
         return out.reshape(*v.shape[1:], 2).sum(-1)

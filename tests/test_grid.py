@@ -164,6 +164,22 @@ def test_smooth_modes_need_more_nodes_than_modes():
         gridop._smooth_modes(band, 16)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_band_refused_before_bisection(bad):
+    # LAPACK's bisection may bisect a non-finite band silently (a NaN
+    # diagonal entry can give a finite eigenvalue with info 0), so every
+    # eigenvalue read of the band refuses it first
+    d = np.full(8, 2.0)
+    d[3] = bad
+    band = Tridiagonal(d, np.full(7, -1.0))
+    reads = (lambda: band.eigval(0), lambda: band.eigvals(0, 2),
+             lambda: gridop._smooth_modes(band, 3),
+             lambda: spectral.TridiagonalLog(band).spectral_range)
+    for read in reads:
+        with pytest.raises(ValueError, match="finite"):
+            read()
+
+
 def test_smooth_modes_survive_an_exact_eigenvalue_shift():
     # a zero coupling splits off the 1 x 1 block [0]: bisection returns
     # its eigenvalue 0 exactly, the shifted band has an exactly zero pivot,
@@ -185,13 +201,13 @@ def test_smooth_modes_bisect_a_coarse_bracket_again(monkeypatch):
     # GAP_FRACTION of it
     band = Tridiagonal([0.0, 1e-3, 2e-3, 3e-3, 1e4], np.full(4, 1e-5))
     tols = []
-    bisect = gridop._bisect
+    bisect = Tridiagonal.eigvals
 
-    def recorded(d, e, il, iu, tol):
+    def recorded(self, first, last, tol=0.0):
         tols.append(tol)
-        return bisect(d, e, il, iu, tol)
+        return bisect(self, first, last, tol)
 
-    monkeypatch.setattr(gridop, "_bisect", recorded)
+    monkeypatch.setattr(Tridiagonal, "eigvals", recorded)
     theta, V = gridop._smooth_modes(band, 3)
     assert len(tols) == 2 and tols[1] < gridop.GAP_FRACTION * 1e-3
     w, ref = _oracle_modes(band, 3)
@@ -224,7 +240,8 @@ def test_ctilde_positive_and_t_min(rep):
 
 
 def test_d_eigenvectors(rep):
-    evals, vecs = rep.D.eigh()
+    op = rep.D.eigensystem()
+    evals, vecs = op.evals, op.gauge[:, None] * op.vecs
     D = rep.D
     for i in (0, rep.grid.N // 2, rep.grid.N - 1):
         r = D @ vecs[:, i] - evals[i] * vecs[:, i]
@@ -258,7 +275,8 @@ def test_dilation_flows_agree(rep, bump_state):
     # near the outer wall
     sv, prof = bump_state
     psi = sv.as_grid_state().samples
-    evals, vecs = rep.D.eigh()
+    op = rep.D.eigensystem()
+    evals, vecs = op.evals, op.gauge[:, None] * op.vecs
     amps = vecs.conj().T @ psi
     E = rep.grid.nodes
     sel = (E > 0.5) & (E < 20.0)
@@ -329,16 +347,17 @@ def test_expect_T_matches_dense_oracle(bump_state, k, N):
 
 def test_unit_band_sine_ends_match_bisection():
     # at k = 1 the grid T reads the closed-form spectrum of 2K =
-    # tridiag(-1, 2, -1); its ends agree with bisection, which is accurate
-    # only to eps |2K| (5e-10 relative at lambda_min), and with a 40-digit
-    # reference to 1e-14 relative; the form 2 - 2 cos(pi / (N + 1)) is off
-    # by 2.7e-12 there
+    # tridiag(-1, 2, -1), its ends too; they agree with bisection, which is
+    # accurate only to eps |2K| (5e-10 relative at lambda_min), and with a
+    # 40-digit reference to 1e-14 relative; the form 2 - 2 cos(pi / (N +
+    # 1)) is off by 2.7e-12 there
     mpmath = pytest.importorskip("mpmath")
     N = 4096
     T = build_grid_ops(GridSpec(N=N), 1.0).T
     lam = T.sine_evals[[0, -1]]
-    assert abs(lam[1] - T.extremes[1]) <= 1e-14 * lam[1]
-    assert abs(lam[0] - T.extremes[0]) <= 1e-14 * lam[1]
+    assert np.array_equal(T.extremes, lam)
+    assert abs(lam[1] - T.A.extremes[1]) <= 1e-14 * lam[1]
+    assert abs(lam[0] - T.A.extremes[0]) <= 1e-14 * lam[1]
     with mpmath.workdps(40):
         ref = [float(4 * mpmath.sin(m * mpmath.pi / (2 * (N + 1))) ** 2)
                for m in (1, N)]
@@ -393,22 +412,22 @@ def test_ctilde_eigensystem_shared_per_n_and_k():
 
 
 def test_grid_T_ends_solved_once_per_n_and_k(monkeypatch):
-    # eight grids of one (N, k) share the unit bands, so two eigenvalue-
-    # only solves serve all of them; each spectral range is the one its
+    # eight grids of one (N, k) share the unit bands, so two bisections,
+    # one per end, serve all of them; each spectral range is the one its
     # own solve of the same bands gives
     gridop._unit_band.cache_clear()
     calls = []
-    solve = spectral.eigh_tridiagonal
+    bisect = spectral.dstebz
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("eigvals_only"))
-        return solve(*args, **kwargs)
+    def counted(d, e, select, vl, vu, il, iu, *args):
+        calls.append((il, iu))
+        return bisect(d, e, select, vl, vu, il, iu, *args)
 
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(spectral, "dstebz", counted)
     reps = [build_grid_ops(GridSpec(N=1000, E_max=e), 1.25)
             for e in np.linspace(20.0, 90.0, 8)]
     ranges = [r.T.spectral_range for r in reps]
-    assert calls == [True, True]
+    assert calls == [(1, 1), (1000, 1000)]
     j = np.arange(1, 1001, dtype=float)
     for r, got in zip(reps, ranges):
         own = Tridiagonal(2.0 + (1.25 ** 2 - 1.25) / (j * j),

@@ -247,6 +247,17 @@ def test_t_bounds_reports_grid_quadrature(fx_small):
     assert rep.params["grid_T_nodes"] == fx_small.rep.T.nodes.size == 0
 
 
+def test_grid_T_range_lower_end_in_closed_form(fx_small):
+    # at k = 1 the least eigenvalue of the grid's 2K = tridiag(-1, 2, -1)
+    # is 4 sin^2(pi / (2 (N + 1))), so the least value of T = 1/2 log(2K)
+    # - log h is log(2 sin(pi / (2 (N + 1)))) - log h; bisection reads that
+    # eigenvalue only to eps |2K|, 8e-11 relative in the range end
+    N, h = fx_small.grid.N, fx_small.grid.spacing
+    ref = np.log(2.0 * np.sin(np.pi / (2 * N + 2))) - np.log(h)
+    lo = check_T_bounds(fx_small).params["grid_T_range"][0]
+    assert abs(lo - ref) <= 1e-15 * abs(ref)
+
+
 @pytest.mark.parametrize("k", [1.0, 1.5])
 def test_grid_table_makes_no_dense_eigensystem(monkeypatch, k):
     # <T> on the grid comes from a sine transform (k = 1) or from band
@@ -329,13 +340,13 @@ def test_flow_checks_solve_each_generator_once(monkeypatch):
     import modloc.verification as ver
 
     calls = []
-    solve = Tridiagonal.eigh
+    solve = Tridiagonal.eigensystem
 
-    def counted(self, *args, **kwargs):
+    def counted(self):
         calls.append(self.diag.size)
-        return solve(self, *args, **kwargs)
+        return solve(self)
 
-    monkeypatch.setattr(Tridiagonal, "eigh", counted)
+    monkeypatch.setattr(Tridiagonal, "eigensystem", counted)
     sp._unit_ladder_eig.cache_clear()
     g = build_generators(BasisSpec(k=1.0, beta=1.0, M=64))
     ver.check_weyl(g, build_tilde_generators(g))
@@ -691,6 +702,15 @@ def test_run_suite_scope_filter():
                     config={"M": 64})
     assert [r.name for r in res.reports] == ["lowest_weights"]
     assert res.aggregate_pass
+
+
+def test_lowest_weights_at_one_row():
+    # at M = 1 each rotation is a 1 x 1 band, whose one eigenvalue is read
+    # directly (LAPACK's bisection wrapper refuses an empty off-diagonal),
+    # so the check fails on its residual instead of erroring
+    rep, = run_suite({"M": 1}, scope=["lowest_weights"]).reports
+    assert rep.passed is False and rep.error is None
+    assert rep.residual == 0.3125
 
 
 def test_run_suite_deterministic():
