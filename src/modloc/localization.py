@@ -13,7 +13,15 @@ symplectic-form expression evaluated through Plancherel; the magnitude of
 the inversion constant is fixed by requiring this identity, and the global
 phase i by the modular invariance exp(-pi D) psi = J psi of real bumps).
 
-Energy integrals run on Gauss-Legendre panels in u = sqrt(E) over
+At k = 1 the plain family is the Fourier basis of the abstract circle
+under the Cayley map x = beta tan(theta/2) (its Laplace kernel is (-1)^n
+e^{i n theta} (beta - ix)^{-2}): c_n = (i/sqrt(pi)) (-1)^n sqrt(n+1)
+psi~_{n+1}, psi~_m = int psi(beta tan(theta/2)) e^{i m theta} dtheta, with
+norm (1/pi) sum_{m>=1} m |psi~_m|^2, so one FFT over the arc of [a, b]
+gives every c_n (_circle_coefficients).  The squared-argument family, and
+the plain one at k != 1 (whose kernel under the map i sqrt(E/pi) psi_hat
+is geometric only at k = 1, until a map E^{k - 1/2} replaces it), take
+energy integrals on Gauss-Legendre panels in u = sqrt(E) over
 [0, u_max] (_umesh), each spanning at most three local periods of the
 faster of the basis phase (~ 2 sqrt(n x)) and the bump phase (b E): graded
 in closed form, and halved towards u = 0.
@@ -39,6 +47,7 @@ __all__ = [
     "positive_frequency",
     "project_bumps",
     "projection_mesh",
+    "projection_size",
 ]
 
 PROJECTION_GATE = 1e-4
@@ -172,9 +181,11 @@ class FourierProfile:
         if len(families) != 1:
             raise ValueError(f"a profile needs bumps of one family, got "
                              f"{sorted(families)}")
-        self.W = _unit_transform(families.pop())
+        self.family = families.pop()
+        self.W = _unit_transform(self.family)
         self.h = np.array([0.5 * (bs.b - bs.a) for bs in bumps])
         self.c = np.array([0.5 * (bs.a + bs.b) for bs in bumps])
+        self.x_lo = float(np.min(self.c - self.h))
         self.x_hi = float(np.max(self.c + self.h))
         self.E_cut = self.W.s_end / self.h
         self.norm_sq = np.full(self.h.shape, self.W.norm_sq)
@@ -268,6 +279,51 @@ def projection_mesh(profile: FourierProfile, spec: BasisSpec,
     return _umesh(E_int, spec.beta, spec.M, b=profile.x_hi, family=family)
 
 
+# samples across the circle arc (the least count putting the mollifier
+# within 1e-12 of 4096 samples from [0.5, 0.75] to [16, 32]; the C^3
+# polynomial window is then within 3e-11), and the longest FFT
+_ARC_SAMPLES = 512
+_CIRCLE_MAX = 2 ** 18
+
+
+def _on_circle(spec: BasisSpec, family: str) -> bool:
+    return family == "Z" and spec.k == 1
+
+
+def projection_size(profile: FourierProfile, spec: BasisSpec,
+                    family: str = "Z") -> int:
+    """The node count of project_bumps' energy mesh, or on the circle the
+    FFT length L: the least power of two with L/2 > M + 1 and _ARC_SAMPLES
+    of the angles 2 pi j / L on the union arc."""
+    if not _on_circle(spec, family):
+        return projection_mesh(profile, spec, family)[0].size
+    arc = 2.0 * np.ptp(np.arctan([profile.x_lo / spec.beta,
+                                  profile.x_hi / spec.beta]))
+    need = max(2 * spec.M + 3, 2.0 * np.pi * _ARC_SAMPLES / arc)
+    return 1 << int(np.ceil(np.log2(need)))
+
+
+def _circle_coefficients(profile: FourierProfile, spec: BasisSpec):
+    """c_n of every bump (module docstring) by the trapezoid rule on the
+    angles 2 pi j / L: the unit windows sampled on the union arc, one rfft
+    of the (bumps, L) block, conjugated, times the row factor."""
+    L = projection_size(profile, spec)
+    if L > _CIRCLE_MAX:
+        raise ProjectionLoss(f"the circle arc of [{profile.x_lo:.3g}, "
+                             f"{profile.x_hi:.3g}] needs an FFT of length "
+                             f"{L}, above {_CIRCLE_MAX}")
+    lo, hi = L / np.pi * np.arctan([profile.x_lo / spec.beta,
+                                    profile.x_hi / spec.beta])
+    j = np.arange(int(np.ceil(lo)), int(hi) + 1)
+    block = np.zeros((profile.h.size, L))
+    block[:, j] = _unit_window(profile.family, (
+        spec.beta * np.tan(np.pi * j / L) - profile.c[:, None])
+        / profile.h[:, None])
+    n = np.arange(spec.M)
+    row = 2j * np.sqrt(np.pi) / L * (-1.0) ** n * np.sqrt(n + 1.0)
+    return row[:, None] * np.fft.rfft(block)[:, 1:spec.M + 1].T.conj()
+
+
 @dataclass
 class StateVector:
     """One-particle state in a concrete backend representation.
@@ -307,13 +363,13 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
     """Positive-frequency parts of every bump of a profile in one backend,
     one StateVector per bump.
 
-    target is a BasisSpec (spectral coefficients by panel quadrature in
-    sqrt(E); family "Z" picks the plain basis, "Ztilde" the rotation
+    target is a BasisSpec (spectral coefficients, on the circle for "Z" at
+    k = 1; family "Z" picks the plain basis, "Ztilde" the rotation
     eigenbasis of the squared-coordinate triple, the plain family at
     (k~, beta) under u = E^2: Ztilde_n(E) = sqrt(2E) Z_n^{(k~, beta)}(E^2))
-    or a GridSpec (samples at the grid nodes).  The bumps share one
-    energy mesh, sized by the largest cutoff and the union support, and one
-    Laguerre sweep projects the real and imaginary parts of all of them.
+    or a GridSpec (samples at the grid nodes).  The bumps share one FFT,
+    or one energy mesh, sized by the largest cutoff and the union support,
+    and one Laguerre sweep projects the real and imaginary parts of all.
     provenance holds one dict per bump; a list of another length raises
     ValueError.  Raises ProjectionLoss when more than max_residual of some
     bump's continuum mass misses the representation.
@@ -326,19 +382,21 @@ def project_bumps(profile: FourierProfile, target, family: str = "Z",
     if isinstance(target, BasisSpec):
         if family not in ("Z", "Ztilde"):
             raise ValueError(f"unknown family {family!r}")
-        u, w = projection_mesh(profile, target, family)
-        E = u * u
-        vals = profile.positive_part(E)
-        wts = w * 2.0 * u  # dE = 2u du
-        spec, E_rows = target, E
-        if family == "Ztilde":
-            wts *= np.sqrt(2.0 * E)
-            spec, E_rows = replace(target, k=target.tilde_k), E * E
-        f = wts[:, None] * vals
-        # re/im projected inside the recurrence: no basis matrix is stored
-        re_im = basis_matrix(spec, E_rows,
-                             weights=np.concatenate([f.real, f.imag], 1))
-        data = re_im[:, :f.shape[1]] + 1j * re_im[:, f.shape[1]:]
+        if _on_circle(target, family):
+            data = _circle_coefficients(profile, target)
+        else:
+            u, w = projection_mesh(profile, target, family)
+            E = u * u
+            wts = w * 2.0 * u  # dE = 2u du
+            spec, E_rows = target, E
+            if family == "Ztilde":
+                wts *= np.sqrt(2.0 * E)
+                spec, E_rows = replace(target, k=target.tilde_k), E * E
+            f = wts[:, None] * profile.positive_part(E)
+            # re/im projected inside the recurrence: no basis matrix stored
+            re_im = basis_matrix(spec, E_rows,
+                                 weights=np.concatenate([f.real, f.imag], 1))
+            data = re_im[:, :f.shape[1]] + 1j * re_im[:, f.shape[1]:]
         rep_norm = np.sum(np.abs(data) ** 2, axis=0)
         kind = "z-spectral"
     elif isinstance(target, GridSpec):

@@ -302,13 +302,15 @@ class TridiagonalLog:
         """A constant band's eigenvalues c + 2 e cos(m pi / (N + 1)) at the
         sine modes sin(j m pi / (N + 1)), m = 1..N (Strang, SIAM Rev. 41
         (1999) 135), as (c - 2|e|) + 4|e| sin^2 (of N + 1 - m for e > 0),
-        exact to relative round-off; None unless the band is constant."""
+        exact to relative round-off; None unless the band is constant.  An
+        infinite band gives NaN, which log_spectrum's guard refuses."""
         d, e = self.A.diag, self.A.upper
         if not (e.size and (d == d[0]).all() and (e == e[0]).all()):
             return None
         m = np.arange(1, d.size + 1)[::-1 if e[0] > 0.0 else 1]
-        return (d[0] - 2.0 * abs(e[0])) + 4.0 * abs(e[0]) * np.sin(
-            m * np.pi / (2 * d.size + 2)) ** 2
+        with np.errstate(invalid="ignore"):
+            return (d[0] - 2.0 * abs(e[0])) + 4.0 * abs(e[0]) * np.sin(
+                m * np.pi / (2 * d.size + 2)) ** 2
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -494,9 +496,9 @@ def build_tilde_generators(g: GeneratorSet) -> GeneratorSet:
 def log_spectrum(evals: np.ndarray) -> np.ndarray:
     """log of a positive definite matrix's eigenvalues, each of which must
     exceed 1e-10 times the largest; a silent clamp would corrupt the bounds
-    on the coordinate operators, so anything below raises."""
+    on the coordinate operators, so anything below raises, and so does NaN."""
     cut = 1e-10 * max(evals.max(), 0.0)
-    if evals.min() <= cut:
+    if not evals.min() > cut:
         raise SpectrumOutOfDomain(f"log needs eigenvalues above {cut:.3e}; "
                                   f"got {evals.min():.3e}")
     return np.log(evals)

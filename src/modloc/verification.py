@@ -24,7 +24,7 @@ from .errors import ConfigError, OverflowAbort
 from .gridop import GridRep, GridSpec, build_grid_ops
 from .laguerre import BasisSpec
 from .localization import (BumpSpec, FourierProfile, positive_frequency,
-                           project_bumps, projection_mesh)
+                           project_bumps, projection_size)
 from .spectral import (
     INTERIOR_FRACTION,
     GeneratorSet,
@@ -448,8 +448,8 @@ def check_T_bounds(fx: IntervalFixture, tol: float = _DEFAULT_TOLS["t_bounds"],
         params={"interval": [fx.a, fx.b], "bounds": [float(la), float(lb)],
                 "agreement_tol": agreement_tol, "n_states": len(fx.states),
                 "grid_T_nodes": int(fx.rep.T.nodes.size),
-                "projection_nodes": {fam: int(projection_mesh(
-                    prof, fx.spec, fam)[0].size) for fam in ("Z", "Ztilde")},
+                "projection_nodes": {fam: projection_size(prof, fx.spec, fam)
+                                     for fam in ("Z", "Ztilde")},
                 "grid_T_range": list(fx.rep.T.spectral_range)},
         values={"worst_excursion": float(worst_out),
                 "worst_agreement": float(worst_agree),

@@ -1,6 +1,7 @@
 """Bumps, Fourier profiles, and positive-frequency projections."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from modloc.localization import (
     positive_frequency,
     project_bumps,
     projection_mesh,
+    projection_size,
 )
 
 BUMP = BumpSpec(1.0, 2.0)
@@ -250,7 +252,8 @@ def first_bumps():
                                  (1.0, 1.25), (16.0, 32.0)])
 def test_projection_converged_in_panel_nodes(monkeypatch, a, b):
     # the coefficients against the same panels with twice the nodes per
-    # period, at three lowest weights and in both families
+    # period, at three lowest weights and in both families; the plain
+    # family at k = 1 against the circle with twice the samples on the arc
     import modloc.localization as loc
     from modloc.verification import FIXTURE_M, fixture_beta
 
@@ -266,6 +269,7 @@ def test_projection_converged_in_panel_nodes(monkeypatch, a, b):
     rule = coeffs()
     monkeypatch.setattr(loc, "_umesh", functools.partial(
         _umesh, nodes_per_panel=2 * _PANEL_NODES))
+    monkeypatch.setattr(loc, "_ARC_SAMPLES", 2 * loc._ARC_SAMPLES)
     for c, ref in zip(rule, coeffs()):
         assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -316,7 +320,8 @@ def test_panels_span_few_local_periods(family, b):
 def test_corner_projection_mesh_size(first_bumps, monkeypatch):
     # the corner Z projection evaluated the profile at 53,554 Simpson nodes
     # and at 13,404 on uniform 12-node panels; graded 20-node panels need
-    # 4,000, and the cutoff and the norm evaluate none
+    # 4,000 (at k = 1.5: the circle takes k = 1 and evaluates no profile),
+    # and the cutoff and the norm evaluate none
     bump, spec = first_bumps[(0.5, 0.75)]
     sizes = []
     positive_part = FourierProfile.positive_part
@@ -327,23 +332,112 @@ def test_corner_projection_mesh_size(first_bumps, monkeypatch):
 
     monkeypatch.setattr(FourierProfile, "positive_part", recording)
     positive_frequency(bump, spec, family="Z")
+    assert sizes == []
+    positive_frequency(bump, replace(spec, k=1.5), family="Z")
     assert len(sizes) == 1 and sizes[0] <= 4_200
+
+
+def circle_coefficient_oracle(a: float, b: float, beta: float,
+                              n: int) -> complex:
+    """c_n = (i/sqrt(pi)) (-1)^n sqrt(n+1) psi~_{n+1} of the mollifier on
+    [a, b] at lowest weight 1, psi~_m = int psi(x) e^{i m theta} theta' dx
+    with theta = 2 arctan(x/beta), by mpmath quadrature in x split at every
+    half turn of the phase; the tests that read it skip without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        c, h, beta = (a + b) / 2, (b - a) / 2, mpmath.mpf(beta)
+        m = n + 1
+
+        def f(x):
+            u = (x - c) / h
+            return (mpmath.exp(1 - 1 / (1 - u * u))
+                    * mpmath.expj(2 * m * mpmath.atan(x / beta))
+                    * 2 * beta / (beta ** 2 + x ** 2))
+
+        arc = 2 * (mpmath.atan(b / beta) - mpmath.atan(a / beta))
+        pts = mpmath.linspace(a, b, int(m * arc / mpmath.pi) + 5)
+        return complex(1j / mpmath.sqrt(mpmath.pi) * (-1) ** n
+                       * mpmath.sqrt(n + 1) * mpmath.quad(f, pts))
+
+
+@pytest.mark.parametrize("a,b", [(4.0, 8.0), (16.0, 32.0)])
+def test_circle_coefficients_match_oracle(a, b):
+    # the plain coefficients at k = 1, top row included: the energy mesh
+    # missed row M - 1 by 4.0e-5 on [4, 8] and 1.5e-4 on [16, 32] (its
+    # basis cap cut the row's tail); the circle is within 1.9e-12, 1.2e-14
+    from modloc.verification import FIXTURE_M, fixture_beta
+
+    spec = BasisSpec(k=1.0, beta=fixture_beta(a, b), M=FIXTURE_M)
+    c = positive_frequency(BumpSpec(a, b), spec, max_residual=1.0).data
+    for n in (0, 50, spec.M - 1):
+        ref = circle_coefficient_oracle(a, b, spec.beta, n)
+        assert abs(c[n] - ref) <= 1e-11 * abs(ref), n
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 1.0), (1.0, 2.0), (4.0, 8.0)])
+def test_circle_matches_energy_mesh(monkeypatch, a, b):
+    # one block of bumps on the circle against the energy mesh at k = 1,
+    # whose basis cap is raised 1.3 times so that only quadrature error is
+    # compared: at the cap its top rows are off (the oracle test above)
+    import modloc.localization as loc
+    from modloc.verification import FIXTURE_M, fixture_beta
+
+    w = b - a
+    prof = FourierProfile([BumpSpec(a, b), BumpSpec(a + 0.15 * w, b - 0.1 * w),
+                           BumpSpec(a + 0.05 * w, b - 0.2 * w)])
+    spec = BasisSpec(k=1.0, beta=fixture_beta(a, b), M=FIXTURE_M)
+    circle = project_bumps(prof, spec, max_residual=1.0)
+    cap = loc._basis_energy_cap
+    monkeypatch.setattr(loc, "_basis_energy_cap",
+                        lambda spec, family: 1.3 * cap(spec, family))
+    monkeypatch.setattr(loc, "_on_circle", lambda spec, family: False)
+    for c, m in zip(circle, project_bumps(prof, spec, max_residual=1.0)):
+        assert np.linalg.norm(c.data - m.data) <= (
+            1e-12 * np.linalg.norm(m.data))
+        assert abs(c.projection_residual - m.projection_residual) <= 1e-12
+
+
+@pytest.mark.parametrize("family", BUMP_FAMILIES)
+@pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.5, 0.75), (1.0, 1.25),
+                                 (16.0, 32.0)])
+def test_circle_norm_identity(family, a, b):
+    # (1/pi) sum_{m>=1} m |psi~_m|^2 = int |psi_plus_tilde|^2 dE: with all
+    # but two of the modes of L = 2^16 kept, the residual is the identity's
+    # error against the unit-window table's independent norm
+    from modloc.verification import fixture_beta
+
+    spec = BasisSpec(k=1.0, beta=fixture_beta(a, b), M=2 ** 15 - 2)
+    prof = FourierProfile([BumpSpec(a, b, family=family)])
+    assert projection_size(prof, spec) == 2 ** 16
+    sv = project_bumps(prof, spec, max_residual=1.0)[0]
+    assert sv.projection_residual <= 1e-13
+
+
+def test_circle_refuses_an_arc_past_its_longest_fft():
+    # [1e-6, 2e-6] spans 1e-6 rad of the circle at its fixture scale: 512
+    # samples there would take L = 2^32, so it is refused before any block
+    from modloc.verification import fixture_beta
+
+    spec = BasisSpec(k=1.0, beta=fixture_beta(1e-6, 2e-6), M=384)
+    with pytest.raises(ProjectionLoss, match="FFT of length 4294967296"):
+        positive_frequency(BumpSpec(1e-6, 2e-6), spec, max_residual=1.0)
 
 
 def test_projection_stores_no_basis_matrix(first_bumps):
     # the corner fixture's first bump: its Z basis matrix alone would be
-    # 11.7 MiB (M = 384 rows of a 4,000-node mesh); the projection peaks
-    # near 1 MiB
+    # 11.7 MiB (M = 384 rows of a 4,000-node mesh at k = 1.5); the mesh
+    # projection peaks near 1 MiB, the circle's (k = 1) near 0.3 MiB
     import tracemalloc
 
     bump, spec = first_bumps[(0.5, 0.75)]
-    tracemalloc.start()
-    try:
-        positive_frequency(bump, spec, family="Z")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    for k in (1.5, 1.0):
+        tracemalloc.start()
+        try:
+            positive_frequency(bump, replace(spec, k=k), family="Z")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, k
 
 
 def test_reality_split():

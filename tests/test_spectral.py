@@ -336,6 +336,18 @@ def test_tridiagonal_log_constant_band_domain_guard():
         op.spectral_range
 
 
+def test_tridiagonal_log_refuses_nan_spectrum():
+    # an infinite constant band has NaN sine_evals; the guard once let NaN
+    # through (NaN <= cut is False) and spectral_range read (nan, nan)
+    op = TridiagonalLog(Tridiagonal(np.full(8, 2.0), np.full(7, np.inf)))
+    with pytest.raises(SpectrumOutOfDomain):
+        op.spectral_range
+    with pytest.raises(SpectrumOutOfDomain):
+        op.expect(np.ones(8))
+    with pytest.raises(SpectrumOutOfDomain):
+        log_spectrum(np.array([np.nan, 1.0]))
+
+
 def test_unitary_flow_is_unitary(g128):
     U = unitary_flow(g128.D, 0.7)
     assert np.max(np.abs(U @ U.conj().T - np.eye(128))) < 1e-10

@@ -9,6 +9,7 @@ import pytest
 from modloc.errors import ConfigError
 from modloc.gridop import GridSpec, build_grid_ops
 from modloc.laguerre import BasisSpec
+from modloc.localization import FourierProfile, projection_size
 from modloc.spectral import (
     Tridiagonal,
     build_T,
@@ -119,11 +120,16 @@ def test_t_bounds_backend_agreement(fx_small):
 
 
 def test_t_bounds_reports_projection_nodes(fx_small):
-    # the energy panels of both basis projections on [1, 2], beside the
-    # grid <T>'s quadrature nodes and out of the deterministic values
+    # the sizes of both basis projections on [1, 2], beside the grid <T>'s
+    # quadrature nodes and out of the deterministic values: the circle's
+    # FFT length for Z at k = 1, the energy panel nodes otherwise (2,200
+    # for Z at k = 1.5)
     rep = check_T_bounds(fx_small)
-    assert rep.params["projection_nodes"] == {"Z": 2200, "Ztilde": 1840}
+    assert rep.params["projection_nodes"] == {"Z": 8192, "Ztilde": 1840}
     assert "projection_nodes" not in rep.values
+    prof = FourierProfile([st["bump"] for st in fx_small.states])
+    k15 = dataclasses.replace(fx_small.spec, k=1.5)
+    assert projection_size(prof, k15, "Z") == 2200
 
 
 def test_t_bounds_agree_with_heavy_tilde_tail():
@@ -452,7 +458,8 @@ def test_suite_reads_one_expectation_table_per_fixture(monkeypatch):
 
 
 def test_fixture_projects_all_bumps_in_one_pass(monkeypatch):
-    # one Laguerre sweep per family for all five bumps, and each table
+    # one circle FFT (Z at k = 1) and one Laguerre sweep (Ztilde, and Z at
+    # k = 1.5) per family for all five bumps, and each table
     # reads <T> in its backend once: one projection onto the spectral T
     # eigenvectors, one grid quadrature
     import modloc.localization as loc
@@ -479,11 +486,24 @@ def test_fixture_projects_all_bumps_in_one_pass(monkeypatch):
         quadratures.append(np.shape(v))
         return grid_expect(self, v)
 
+    circles = []
+    circle = loc._circle_coefficients
+
+    def counted_circle(profile, spec):
+        circles.append(profile.h.size)
+        return circle(profile, spec)
+
     monkeypatch.setattr(loc, "basis_matrix", counted_sweep)
+    monkeypatch.setattr(loc, "_circle_coefficients", counted_circle)
     monkeypatch.setattr(HermitianOperator, "weights", counted_weights)
     monkeypatch.setattr(TridiagonalLog, "expect", counted_expect)
     fx = build_interval_fixture(1.0, 2.0, n_bumps=5)
-    assert [(k, s[1]) for k, s in sweeps] == [(1.0, 10), (0.75, 10)]
+    assert circles == [5]
+    assert [(k, s[1]) for k, s in sweeps] == [(0.75, 10)]
+    prof = FourierProfile([st["bump"] for st in fx.states])
+    loc.project_bumps(prof, dataclasses.replace(fx.spec, k=1.5), "Z")
+    assert circles == [5]
+    assert [(k, s[1]) for k, s in sweeps] == [(0.75, 10), (1.5, 10)]
     assert len(fx.table("spectral")) == 5 and projections == [(384, 5)]
     assert len(fx.table("grid")) == 5 and quadratures == [(4096, 5)]
     assert projections == [(384, 5)]
